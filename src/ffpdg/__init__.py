@@ -7,7 +7,7 @@ Gaussian behind a random orthonormal projection. Metrics cover utility
 disparate impact), and a real-vs-synthetic discriminator score.
 """
 
-from .binarize import CodeBook, build_codebook, decode_codes, encode_row, inverse_map
+from .binarize import CodeBook, build_codebook, decode_codes
 from .data import (
     ColumnSpec,
     ColumnStats,
@@ -57,7 +57,7 @@ from .rongauss import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CodeBook", "build_codebook", "decode_codes", "encode_row", "inverse_map",
+    "CodeBook", "build_codebook", "decode_codes",
     "ColumnSpec", "ColumnStats", "Dataset", "Schema", "column_stats",
     "load_csv", "load_schema", "save_csv", "save_schema", "split",
     "PrivacyBudget", "dp_covariance", "dp_mean", "laplace_sample", "psd_repair",

@@ -5,6 +5,12 @@ thresholds for continuous columns, identity for binary, one-hot for
 categorical) and which original rows produced each observed code. Codes
 that were never observed are inverted through their nearest observed
 code in Hamming distance.
+
+This module alone decides how a code is keyed. `pack_codes` packs each
+0/1 row into bytes with np.packbits, which is big-endian, and views the
+bytes as one fixed-width np.void key. Comparing keys byte by byte then
+compares the rows lexicographically at any width, so a 1-d np.unique or
+np.searchsorted over keys stands in for a row-wise search over bits.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BINARY, CATEGORICAL, CONTINUOUS, ColumnSpec, Dataset, Schema
+from .data import BINARY, CATEGORICAL, CONTINUOUS, ColumnSpec, Dataset, Schema, interp_quantiles
 from .errors import DataError, SchemaError
 
 
@@ -30,12 +36,20 @@ class BitGroup:
 
 @dataclass(frozen=True)
 class CodeBook:
-    """Bit layout plus the observed code -> source rows dictionary."""
+    """Bit layout plus the observed code -> source rows dictionary.
+
+    Entry i is the code `keys[i]`, whose packed key (see pack_codes) is
+    `packed[i]`; `counts[i]` source rows carry it, listed in ascending
+    order in `row_groups[i]`. Entries are sorted by packed key, which is
+    the lexicographic order of the codes.
+    """
 
     schema: Schema
     m: int
     bit_layout: tuple[BitGroup, ...]
     keys: np.ndarray      # (k, m) uint8, lexicographically sorted, unique
+    packed: np.ndarray    # (k,) np.void packed keys, same order
+    counts: np.ndarray    # (k,) source rows per key
     row_groups: tuple[np.ndarray, ...]  # row indices into `rows` per key
     rows: np.ndarray      # original-space values the indices point into
 
@@ -63,14 +77,27 @@ class CodeBook:
         return "\n".join(lines)
 
 
-def _interp_quantile(sorted_values: np.ndarray, q: float) -> float:
-    # Linear-interpolation quantile of an already sorted 1-d array.
-    n = len(sorted_values)
-    pos = q * (n - 1)
-    lo = int(np.floor(pos))
-    hi = min(lo + 1, n - 1)
-    frac = pos - lo
-    return float(sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac)
+def pack_codes(bits) -> np.ndarray:
+    """One fixed-width np.void key per row of a 2-d 0/1 matrix.
+
+    Keys sort in the lexicographic order of the rows; the pad bits of the
+    last byte are zero in every key. Raises DataError for an entry outside
+    {0, 1}, which np.packbits would otherwise read as 1.
+    """
+    bits = np.asarray(bits)
+    if np.any((bits != 0) & (bits != 1)):
+        raise DataError("codes must contain only 0 and 1")
+    packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def _distinct_codes(bits: np.ndarray):
+    """Sorted distinct packed keys of a 0/1 matrix, the first row carrying
+    each, how many rows carry each, and those rows in ascending order."""
+    keys, first, inverse, counts = np.unique(
+        pack_codes(bits), return_index=True, return_inverse=True, return_counts=True)
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    return keys, first, counts, groups
 
 
 def _column_bits(col: ColumnSpec, values: np.ndarray, bins: int, offset: int):
@@ -84,8 +111,8 @@ def _column_bits(col: ColumnSpec, values: np.ndarray, bins: int, offset: int):
         bits[np.arange(len(values)), values.astype(int)] = 1
         group = BitGroup(col.name, CATEGORICAL, tuple(range(offset, offset + k)), levels=col.levels)
     else:
-        order = np.sort(values)
-        thresholds = tuple(_interp_quantile(order, (j + 1) / (bins + 1)) for j in range(bins))
+        levels = [(j + 1) / (bins + 1) for j in range(bins)]
+        thresholds = tuple(float(t) for t in interp_quantiles(np.sort(values), levels))
         bits = (values[:, None] >= np.asarray(thresholds)[None, :]).astype(np.uint8)
         group = BitGroup(col.name, CONTINUOUS, tuple(range(offset, offset + bins)), thresholds=thresholds)
     return bits, group
@@ -110,35 +137,18 @@ def build_codebook(dataset: Dataset, bins_per_continuous: int = 1) -> tuple[np.n
         layout.append(group)
         offset += bits.shape[1]
     binary = np.hstack(blocks)
-    keys, inverse = np.unique(binary, axis=0, return_inverse=True)
-    groups = tuple(np.flatnonzero(inverse == i) for i in range(len(keys)))
+    packed, first, counts, groups = _distinct_codes(binary)
     codebook = CodeBook(
         schema=dataset.schema,
         m=binary.shape[1],
         bit_layout=tuple(layout),
-        keys=keys.astype(np.uint8),
-        row_groups=groups,
+        keys=binary[first],
+        packed=packed,
+        counts=counts,
+        row_groups=tuple(groups),
         rows=dataset.values,
     )
     return binary, codebook
-
-
-def encode_row(row, codebook: CodeBook) -> np.ndarray:
-    """Map one original-space row to its code under the codebook layout."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.shape != (codebook.schema.d,):
-        raise SchemaError(f"row has shape {row.shape}, schema expects ({codebook.schema.d},)")
-    bits = np.zeros(codebook.m, dtype=np.uint8)
-    for j, group in enumerate(codebook.bit_layout):
-        value = row[j]
-        if group.kind == BINARY:
-            bits[group.bit_indices[0]] = int(value)
-        elif group.kind == CATEGORICAL:
-            bits[group.bit_indices[int(value)]] = 1
-        else:
-            for bit, t in zip(group.bit_indices, group.thresholds):
-                bits[bit] = 1 if value >= t else 0
-    return bits
 
 
 def _nearest_key_index(code: np.ndarray, keys: np.ndarray) -> int:
@@ -150,65 +160,30 @@ def _nearest_key_index(code: np.ndarray, keys: np.ndarray) -> int:
     return int(np.argmin(distances))
 
 
-def _exact_key_index(code: np.ndarray, codebook: CodeBook) -> int | None:
-    # binary search over the lexicographically sorted keys
-    keys = codebook.keys
-    lo, hi = 0, len(keys)
-    code_t = tuple(int(b) for b in code)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        key_t = tuple(int(b) for b in keys[mid])
-        if key_t < code_t:
-            lo = mid + 1
-        elif key_t > code_t:
-            hi = mid
-        else:
-            return mid
-    return None
-
-
-def inverse_map(code, codebook: CodeBook, seed: int) -> np.ndarray:
-    """Invert one code to an original-space row.
-
-    If the code was observed, sample uniformly among the rows stored under
-    it; otherwise sample among the rows of the nearest observed code in
-    Hamming distance (ties broken by the lexicographically smallest key).
-    Deterministic for a fixed seed.
-    """
-    rng = np.random.default_rng(seed)
-    return _invert_one(np.asarray(code, dtype=np.uint8), codebook, rng)
-
-
-def _invert_one(code: np.ndarray, codebook: CodeBook, rng: np.random.Generator) -> np.ndarray:
-    if codebook.entry_count() == 0:
-        raise DataError("codebook has no entries")
-    if code.shape != (codebook.m,):
-        raise DataError(f"code length {code.shape} does not match m={codebook.m}")
-    idx = _exact_key_index(code, codebook)
-    if idx is None:
-        idx = _nearest_key_index(code, codebook.keys)
-    rows = codebook.row_groups[idx]
-    return codebook.rows[rng.choice(rows)].copy()
-
-
 def decode_codes(codes: np.ndarray, codebook: CodeBook, seed: int) -> np.ndarray:
-    """Invert a batch of codes with one shared generator.
+    """Invert a batch of codes to original-space rows with one shared generator.
 
-    Duplicate query codes are resolved once (nearest-key search) and their
-    rows sampled in a single vectorized draw, so decoding n codes costs
-    one Hamming scan per distinct code. Row order follows the input.
+    The queries are packed and deduplicated by one 1-d unique. Exact hits
+    are found by np.searchsorted over the codebook's packed keys; only the
+    misses fall back to the nearest key in Hamming distance (ties go to
+    the lexicographically smallest key). Each distinct code then draws its
+    rows uniformly among the source rows stored under its key, one
+    rng.choice per distinct code in ascending key order, so a fixed seed
+    fixes the output. Row order follows the input.
+
+    `generate` always decodes exact hits: it samples codes from a prior
+    whose support is the codebook's keys. The Hamming fallback serves
+    direct callers only.
     """
-    codes = np.asarray(codes, dtype=np.uint8)
+    codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[1] != codebook.m:
         raise DataError(f"codes must be (n, {codebook.m})")
+    uniq, first, _, where_groups = _distinct_codes(codes)
+    idx = np.minimum(np.searchsorted(codebook.packed, uniq), codebook.entry_count() - 1)
+    for u in np.flatnonzero(codebook.packed[idx] != uniq):
+        idx[u] = _nearest_key_index(codes[first[u]], codebook.keys)
     rng = np.random.default_rng(seed)
-    uniq, inverse = np.unique(codes, axis=0, return_inverse=True)
     out = np.empty((len(codes), codebook.schema.d))
-    for u, code in enumerate(uniq):
-        idx = _exact_key_index(code, codebook)
-        if idx is None:
-            idx = _nearest_key_index(code, codebook.keys)
-        where = np.flatnonzero(inverse == u)
-        picks = rng.choice(codebook.row_groups[idx], size=len(where))
-        out[where] = codebook.rows[picks]
+    for key, where in zip(idx, where_groups):
+        out[where] = codebook.rows[rng.choice(codebook.row_groups[key], size=len(where))]
     return out

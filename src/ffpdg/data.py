@@ -307,6 +307,16 @@ def nearest_rank(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[rank - 1])
 
 
+def interp_quantiles(sorted_values: np.ndarray, levels) -> np.ndarray:
+    """Linear-interpolation quantiles of a sorted 1-d array at each level in [0, 1]."""
+    n = len(sorted_values)
+    pos = np.asarray(levels, dtype=np.float64) * (n - 1)
+    lo = np.floor(pos).astype(int)
+    hi = np.minimum(lo + 1, n - 1)
+    frac = pos - lo
+    return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
+
+
 def column_stats(dataset: Dataset, quantiles=(0.25, 0.5, 0.75)) -> ColumnStats:
     quantiles = tuple(float(q) for q in quantiles)
     if not quantiles:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binarize import pack_codes
 from .errors import ConvergenceError, DataError, FeasibilityError
 
 
@@ -26,7 +27,7 @@ class DiscreteDistribution:
     probs: np.ndarray    # (k,) nonnegative, sums to 1
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=np.uint8)
+        support = np.asarray(self.support)
         probs = np.asarray(self.probs, dtype=np.float64)
         if support.ndim != 2 or len(support) != len(probs):
             raise DataError("support and probs must align")
@@ -34,9 +35,9 @@ class DiscreteDistribution:
             raise DataError("negative probability")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise DataError(f"probabilities sum to {probs.sum()!r}, not 1")
-        if len(np.unique(support, axis=0)) != len(support):
+        if len(np.unique(pack_codes(support))) != len(support):
             raise DataError("support codes must be unique")
-        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "support", support.astype(np.uint8, copy=False))
         object.__setattr__(self, "probs", probs)
 
     def entropy(self) -> float:
@@ -69,18 +70,18 @@ class MaxEntSolution:
     objective_trace: np.ndarray      # dual objective after each accepted step
 
 
-def empirical_prior(binary: np.ndarray, smooth: float = 0.1) -> DiscreteDistribution:
-    """Smoothed relative frequencies over the observed distinct codes.
+def empirical_prior(support: np.ndarray, counts: np.ndarray, smooth: float = 0.1) -> DiscreteDistribution:
+    """Smoothed relative frequencies over distinct codes and their row counts.
 
-    q(x) = (count(x) + smooth) / (n + smooth * #distinct).
+    q(x) = (count(x) + smooth) / (n + smooth * #distinct), n = sum of counts.
+    A CodeBook carries both arguments as `keys` and `counts`.
     """
-    binary = np.asarray(binary, dtype=np.uint8)
-    if binary.ndim != 2 or len(binary) < 1:
-        raise DataError("binary data must be a nonempty 2-d array")
+    counts = np.asarray(counts)
+    if counts.shape != (len(support),) or len(counts) < 1:
+        raise DataError("support and counts must be nonempty and align")
     if smooth < 0:
         raise DataError("smooth must be >= 0")
-    support, counts = np.unique(binary, axis=0, return_counts=True)
-    probs = (counts + smooth) / (len(binary) + smooth * len(support))
+    probs = (counts + smooth) / (counts.sum() + smooth * len(support))
     return DiscreteDistribution(support, probs / probs.sum())
 
 

@@ -28,6 +28,7 @@ from .data import (
     ColumnSpec,
     Dataset,
     Schema,
+    interp_quantiles,
 )
 from .dp import (PrivacyBudget, covariance_noise_scale, dp_covariance, dp_mean,
                  laplace_sample, mean_noise_scale, psd_repair)
@@ -230,20 +231,12 @@ def make_ron(d: int, p: int, seed) -> RonProjection:
         return RonProjection(W=Q[:, :p], d=d, p=p)
 
 
-def _interp_grid(sorted_values: np.ndarray, points: int) -> tuple[float, ...]:
-    pos = np.linspace(0.0, 1.0, points) * (len(sorted_values) - 1)
-    lo = np.floor(pos).astype(int)
-    hi = np.minimum(lo + 1, len(sorted_values) - 1)
-    frac = pos - lo
-    return tuple(sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac)
-
-
 def _column_post(col: ColumnSpec, values: np.ndarray, points: int) -> ColumnPost:
     if col.kind == BINARY:
         return ColumnPost(col.name, BINARY, rate=float(values.mean()))
     if col.kind == CONTINUOUS:
-        return ColumnPost(col.name, CONTINUOUS,
-                          quantile_grid=_interp_grid(np.sort(values), points))
+        grid = interp_quantiles(np.sort(values), np.linspace(0.0, 1.0, points))
+        return ColumnPost(col.name, CONTINUOUS, quantile_grid=tuple(grid))
     return ColumnPost(col.name, CATEGORICAL)
 
 
@@ -492,7 +485,7 @@ def generate_with_artifacts(dataset: Dataset, protected: str | None = None,
     label_bit = codebook.bit_layout[schema.label_index].bit_indices[0]
 
     try:
-        prior = maxent.empirical_prior(binary, config.smooth)
+        prior = maxent.empirical_prior(codebook.keys, codebook.counts, config.smooth)
         constraints = maxent.fair_marginals(binary, protected_bit, label_bit, config.rate)
         solution = maxent.solve_maxent(prior, constraints, config.maxent_tol, config.maxent_max_iter)
     except (FeasibilityError, ConvergenceError, DataError) as exc:

@@ -3,8 +3,12 @@
 Each oracle is deliberately built on a different method than the library
 code it checks: the constrained-entropy reference solves the primal
 problem with an off-the-shelf SQP optimizer (the library descends the
-dual), and the AUC reference counts pairs one by one.
+dual), the AUC reference counts pairs one by one, and the codebook and
+decode references work on rows of bits (the library packs each code into
+one byte-string key).
 """
+
+import bisect
 
 import numpy as np
 from scipy.optimize import minimize
@@ -61,3 +65,36 @@ def pairwise_auc(scores, labels):
             elif sp == sn:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def row_codebook(binary):
+    """Distinct codes by np.unique over rows: (keys, counts, row_groups).
+
+    Keys come out lexicographically sorted; each group lists the rows
+    carrying its key in ascending order.
+    """
+    keys, inverse, counts = np.unique(binary, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.ravel()
+    groups = [np.flatnonzero(inverse == i) for i in range(len(keys))]
+    return keys.astype(np.uint8), counts, groups
+
+
+def tuple_search_decode(codes, keys, row_groups, rows, seed):
+    """Decode code by code: a binary search over key tuples for exact hits,
+    a full Hamming scan for misses (first minimum, i.e. the lexicographically
+    smallest key), then one rng.choice per distinct code in sorted order.
+    """
+    codes = np.asarray(codes, dtype=np.uint8)
+    rng = np.random.default_rng(seed)
+    key_tuples = [tuple(int(b) for b in k) for k in keys]
+    uniq, inverse = np.unique(codes, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    out = np.empty((len(codes), rows.shape[1]))
+    for u, code in enumerate(uniq):
+        code_t = tuple(int(b) for b in code)
+        idx = bisect.bisect_left(key_tuples, code_t)
+        if idx == len(key_tuples) or key_tuples[idx] != code_t:
+            idx = int(np.argmin(np.abs(keys.astype(int) - code.astype(int)).sum(axis=1)))
+        where = np.flatnonzero(inverse == u)
+        out[where] = rows[rng.choice(row_groups[idx], size=len(where))]
+    return out

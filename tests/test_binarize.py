@@ -1,16 +1,20 @@
-"""Discretization codebook: thresholds, encoding, nearest-code inversion."""
+"""Discretization codebook: thresholds, packed keys, nearest-code inversion."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import mixed_dataset
-from ffpdg.binarize import build_codebook, decode_codes, encode_row, inverse_map
+from oracles import row_codebook, tuple_search_decode
+from ffpdg.binarize import build_codebook, decode_codes, pack_codes
 from ffpdg.data import (
     BINARY,
     CATEGORICAL,
     CONTINUOUS,
     ColumnSpec,
     Dataset,
+    ROLE_FEATURE,
     ROLE_LABEL,
     ROLE_PROTECTED,
     Schema,
@@ -61,13 +65,6 @@ def test_bit_budget_per_kind():
     assert np.all(binary[:, list(cat.bit_indices)].sum(axis=1) == 1)
 
 
-def test_encode_row_matches_build():
-    ds = mixed_dataset(40, seed=7)
-    binary, book = build_codebook(ds, 2)
-    for i in (0, 13, 39):
-        assert np.array_equal(encode_row(ds.values[i], book), binary[i])
-
-
 def test_keys_sorted_unique_and_groups_partition_rows():
     ds = mixed_dataset(80, seed=9)
     binary, book = build_codebook(ds, 1)
@@ -83,7 +80,7 @@ def test_observed_code_inverts_to_one_of_its_rows():
     ds = mixed_dataset(60, seed=1)
     binary, book = build_codebook(ds, 1)
     code = binary[17]
-    row = inverse_map(code, book, seed=5)
+    row = decode_codes(code[None, :], book, seed=5)[0]
     members = [g for k, g in zip(book.keys, book.row_groups) if np.array_equal(k, code)]
     candidates = ds.values[members[0]]
     assert any(np.array_equal(row, cand) for cand in candidates)
@@ -95,7 +92,7 @@ def test_unseen_code_uses_minimum_hamming_key():
     r = np.random.default_rng(3)
     for _ in range(50):
         code = r.integers(0, 2, book.m).astype(np.uint8)
-        row = inverse_map(code, book, seed=11)
+        row = decode_codes(code[None, :], book, seed=11)[0]
         # brute-force oracle: scan every key for the Hamming minimum
         dists = np.abs(book.keys.astype(int) - code.astype(int)).sum(axis=1)
         best = dists.min()
@@ -113,7 +110,7 @@ def test_hamming_ties_break_lexicographically():
     ds = Dataset(schema, np.array([[0.0, 0.0], [1.0, 1.0]]))
     _, book = build_codebook(ds, 1)
     for probe in ([0, 1], [1, 0]):
-        row = inverse_map(np.array(probe, dtype=np.uint8), book, seed=0)
+        row = decode_codes(np.array([probe], dtype=np.uint8), book, seed=0)[0]
         assert np.array_equal(row, [0.0, 0.0])  # key 00 < 11
 
 
@@ -158,8 +155,60 @@ def test_shape_errors():
     ds = mixed_dataset(20, seed=0)
     binary, book = build_codebook(ds, 1)
     with pytest.raises(DataError):
-        inverse_map(np.zeros(book.m + 1, dtype=np.uint8), book, seed=0)
+        decode_codes(np.zeros(book.m, dtype=np.uint8), book, seed=0)
     with pytest.raises(DataError):
         decode_codes(np.zeros((4, book.m + 2), dtype=np.uint8), book, seed=0)
     with pytest.raises(DataError):
         build_codebook(ds, 0)
+
+
+def test_non_binary_codes_are_rejected():
+    ds = mixed_dataset(20, seed=0)
+    binary, book = build_codebook(ds, 1)
+    for bad in (0.7, 2):
+        codes = binary[:3].astype(float)
+        codes[1, 0] = bad
+        with pytest.raises(DataError, match="only 0 and 1"):
+            decode_codes(codes, book, seed=0)
+
+
+def test_one_bit_codes_pack_in_row_order():
+    # a Dataset needs two columns, so a 1-bit code only reaches pack_codes directly
+    binary = np.array([[1], [0], [1], [1]], dtype=np.uint8)
+    keys, first, counts = np.unique(pack_codes(binary), return_index=True, return_counts=True)
+    oracle_keys, oracle_counts, _ = row_codebook(binary)
+    assert np.array_equal(binary[first], oracle_keys)
+    assert np.array_equal(counts, oracle_counts)
+
+
+def all_binary_dataset(binary):
+    m = binary.shape[1]
+    schema = Schema(tuple(
+        ColumnSpec(f"b{j}", BINARY, role=ROLE_PROTECTED if j == 0 else ROLE_FEATURE)
+        for j in range(m)
+    ))
+    return Dataset(schema, binary.astype(float))
+
+
+@pytest.mark.parametrize("m", [2, 5, 8, 9, 28, 64, 65, 202])
+def test_packed_codebook_and_decode_match_row_oracle(m):
+    r = np.random.default_rng(m)
+    base = r.integers(0, 2, (40, m)).astype(np.uint8)
+    binary = base[r.integers(0, len(base), 300)]  # repeated rows
+    built, book = build_codebook(all_binary_dataset(binary), 1)
+    assert np.array_equal(built, binary)
+    keys, counts, groups = row_codebook(binary)
+    assert np.array_equal(book.keys, keys)
+    assert np.array_equal(book.counts, counts)
+    assert len(book.row_groups) == len(groups)
+    assert all(np.array_equal(a, b) for a, b in zip(book.row_groups, groups))
+    # rows of one code are identical here, so give every row its own
+    # values to make the draw within a group visible
+    book = replace(book, rows=np.arange(binary.size, dtype=float).reshape(binary.shape))
+    # observed codes mixed with fresh random ones, most of them unseen
+    queries = np.vstack([binary[r.integers(0, len(binary), 200)],
+                         r.integers(0, 2, (60, m)).astype(np.uint8)])
+    queries = queries[r.permutation(len(queries))]
+    for seed in (0, 7):
+        want = tuple_search_decode(queries, keys, groups, book.rows, seed)
+        assert np.array_equal(decode_codes(queries, book, seed), want)

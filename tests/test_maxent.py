@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import kl_projection
+from oracles import kl_projection, row_codebook
 from ffpdg.errors import ConvergenceError, DataError, FeasibilityError
 from ffpdg.maxent import (
     DiscreteDistribution,
@@ -23,6 +23,11 @@ def counts_to_binary(counts):
     for (c, y), k in counts.items():
         rows += [[c, y]] * k
     return np.asarray(rows, dtype=np.uint8)
+
+
+def prior_of(binary, smooth=0.1):
+    keys, counts, _ = row_codebook(binary)
+    return empirical_prior(keys, counts, smooth)
 
 
 def full_support(m):
@@ -45,7 +50,7 @@ def test_four_cell_solution_is_the_unique_feasible_point():
     constraints = fair_marginals(binary, protected_bit=0, label_bit=1)
     assert constraints.joint_target == pytest.approx(0.2)
     for smooth in (0.0, 0.1, 2.0):
-        prior = empirical_prior(binary, smooth=smooth)
+        prior = prior_of(binary, smooth=smooth)
         sol = solve_maxent(prior, constraints)
         cells = {tuple(code): p for code, p in zip(sol.distribution.support, sol.distribution.probs)}
         assert cells[(0, 0)] == pytest.approx(0.3, abs=1e-5)
@@ -83,14 +88,14 @@ def test_solver_matches_primal_reference_on_random_problems():
 
 def test_dual_objective_trace_never_increases():
     binary = (np.random.default_rng(3).random((400, 4)) < 0.4).astype(np.uint8)
-    sol = solve_maxent(empirical_prior(binary), fair_marginals(binary, 0, 3))
+    sol = solve_maxent(prior_of(binary), fair_marginals(binary, 0, 3))
     assert np.all(np.diff(sol.objective_trace) <= 0.0)
 
 
 def test_residual_is_the_constraint_gap_of_the_returned_distribution():
     binary = (np.random.default_rng(9).random((300, 3)) < 0.5).astype(np.uint8)
     constraints = fair_marginals(binary, 0, 2)
-    sol = solve_maxent(empirical_prior(binary), constraints)
+    sol = solve_maxent(prior_of(binary), constraints)
     phi = feature_matrix(sol.distribution.support, constraints)
     gap = np.abs(phi.T @ sol.distribution.probs - constraints.targets).max()
     assert sol.residual == pytest.approx(float(gap), abs=1e-12)
@@ -109,7 +114,7 @@ def test_infeasible_target_raises():
 def test_convergence_error_carries_partial_solution():
     binary = (np.random.default_rng(1).random((500, 4)) < 0.3).astype(np.uint8)
     with pytest.raises(ConvergenceError) as err:
-        solve_maxent(empirical_prior(binary), fair_marginals(binary, 0, 3), max_iter=1)
+        solve_maxent(prior_of(binary), fair_marginals(binary, 0, 3), max_iter=1)
     partial = err.value.solution
     assert partial is not None and not partial.converged
     assert partial.residual > 1e-6
@@ -146,11 +151,13 @@ def test_fair_marginals_validation():
 
 
 def test_empirical_prior_smoothing_formula():
-    binary = np.array([[0, 0], [0, 0], [0, 0], [1, 1]], dtype=np.uint8)
-    prior = empirical_prior(binary, smooth=0.1)
+    support = np.array([[0, 0], [1, 1]], dtype=np.uint8)
+    prior = empirical_prior(support, np.array([3, 1]), smooth=0.1)
     want = np.array([3.1, 1.1]) / 4.2
     assert np.allclose(prior.probs, want / want.sum(), atol=1e-15)
     assert prior.support.tolist() == [[0, 0], [1, 1]]
+    with pytest.raises(DataError):
+        empirical_prior(support, np.array([3, 1, 2]))
 
 
 def test_sample_codes_uses_largest_remainder_counts():
@@ -191,3 +198,7 @@ def test_distribution_validation():
         DiscreteDistribution(support, np.array([0.5, 0.5, 0.5, 0.5]))
     with pytest.raises(DataError):
         DiscreteDistribution(np.vstack([support, support[:1]]), np.full(5, 0.2))
+    # entries outside {0, 1} are rejected, not cast or read as a set bit
+    for bad in ([[0, 2], [1, 0]], [[0.7, 1], [1, 0]]):
+        with pytest.raises(DataError, match="only 0 and 1"):
+            DiscreteDistribution(np.array(bad), np.full(2, 0.5))
