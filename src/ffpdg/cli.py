@@ -1,8 +1,7 @@
 """Command-line surface: generate, evaluate, bench, inspect.
 
 Exit codes: 0 success, 1 runtime or domain error, 2 usage error.
-Every command is deterministic given --seed. FFPDG_THREADS caps the
-evaluation stage's internal parallelism (default 1).
+Every command is deterministic given --seed.
 """
 
 from __future__ import annotations

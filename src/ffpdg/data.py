@@ -317,6 +317,19 @@ def interp_quantiles(sorted_values: np.ndarray, levels) -> np.ndarray:
     return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-d array; tied values share the mean of their ranks."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    # a tie run holds ranks starts+1 .. ends, whose mean is exact in float64
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
+
+
 def column_stats(dataset: Dataset, quantiles=(0.25, 0.5, 0.75)) -> ColumnStats:
     quantiles = tuple(float(q) for q in quantiles)
     if not quantiles:

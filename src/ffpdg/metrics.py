@@ -10,15 +10,12 @@ synthetic ones, so 0.5 means indistinguishable.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import models
-from .data import Dataset
+from .data import Dataset, average_ranks
 from .errors import DataError
 
 PREDICTION_THRESHOLD = 0.5
@@ -32,7 +29,7 @@ def auc_roc(scores, labels) -> float:
     n0 = len(labels) - n1
     if n1 == 0 or n0 == 0:
         raise DataError("auc_roc needs both classes")
-    ranks = rankdata(scores)
+    ranks = average_ranks(scores)
     return float((ranks[labels == 1].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
 
@@ -47,47 +44,35 @@ def _split_columns(dataset: Dataset):
     return X, dataset.values[:, schema.label_index], dataset.values[:, schema.protected_index]
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("FFPDG_THREADS", "1")))
-    except ValueError:
-        return 1
+def _score_zoo(Xs, ys, Xr, yr, zoo):
+    """Fit each zoo model once on synthetic rows and score it once on real rows.
 
-
-def _fit_zoo(X, y, zoo, seed):
-    """Fit every zoo member; failures are recorded, not fatal."""
-
-    def fit_one(kind):
-        return models.fit(kind, X, y, seed=seed)
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = {kind: pool.submit(fit_one, kind) for kind in zoo}
-    else:
-        results = None
-
-    fitted, skipped = {}, {}
+    Returns (per-model AUCs, per-model class-1 probabilities on the real
+    rows, skipped models with their errors). A model whose fit fails is
+    skipped and recorded rather than fatal.
+    """
+    scores, skipped = {}, {}
     for kind in zoo:  # fixed order keeps reports deterministic
         try:
-            fitted[kind] = results[kind].result() if results else fit_one(kind)
+            clf = models.fit(kind, Xs, ys)
         except DataError as exc:
             skipped[kind] = str(exc)
-    if not fitted:
+            continue
+        scores[kind] = models.predict_proba(clf, Xr)
+    if not scores:
         raise DataError("every zoo model failed to fit: " + "; ".join(skipped.values()))
-    return fitted, skipped
+    per_model = {kind: auc_roc(s, yr) for kind, s in scores.items()}
+    return per_model, scores, skipped
 
 
-def tstr(synthetic: Dataset, real_test: Dataset, zoo=models.ZOO, seed: int = 0):
+def tstr(synthetic: Dataset, real_test: Dataset, zoo=models.ZOO):
     """Fit each zoo model on synthetic rows, score AUC on real rows.
 
     Returns (best AUC, per-model AUCs, skipped models with their errors).
-    A model whose fit fails is skipped and recorded rather than fatal.
     """
     Xs, ys, _ = _split_columns(synthetic)
     Xr, yr, _ = _split_columns(real_test)
-    fitted, skipped = _fit_zoo(Xs, ys, zoo, seed)
-    per_model = {kind: auc_roc(models.predict_proba(m, Xr), yr) for kind, m in fitted.items()}
+    per_model, _, skipped = _score_zoo(Xs, ys, Xr, yr, zoo)
     return max(per_model.values()), per_model, skipped
 
 
@@ -243,13 +228,10 @@ def evaluate(real_train: Dataset, real_test: Dataset, synthetic: Dataset,
 
     Xs, ys, csyn = _split_columns(synthetic)
     Xr, yr, cr = _split_columns(real_test)
-    fitted, skipped = _fit_zoo(Xs, ys, zoo, seed)
-    per_model = {kind: auc_roc(models.predict_proba(m, Xr), yr) for kind, m in fitted.items()}
-    best = max(per_model.values())
-
+    per_model, scores, skipped = _score_zoo(Xs, ys, Xr, yr, zoo)
     deo_vals, dsp_vals = [], []
-    for kind, clf in fitted.items():
-        pred = (models.predict_proba(clf, Xr) >= PREDICTION_THRESHOLD).astype(float)
+    for proba in scores.values():
+        pred = (proba >= PREDICTION_THRESHOLD).astype(float)
         deo_vals.append(deo(pred, yr, cr))
         dsp_vals.append(dsp(pred, cr))
 
@@ -257,7 +239,7 @@ def evaluate(real_train: Dataset, real_test: Dataset, synthetic: Dataset,
     lrd_value = lrd(real_train, synthetic, folds=folds, seed=seed)
 
     return EvalReport(
-        aucroc_best=best,
+        aucroc_best=max(per_model.values()),
         aucroc_per_model=per_model,
         deo=float(np.mean(deo_vals)),
         dsp=float(np.mean(dsp_vals)),

@@ -1,7 +1,7 @@
 """Self-contained classifier zoo for the evaluation metrics.
 
 Four binary classifiers implemented on numpy: L2-regularized logistic
-regression (full-batch gradient descent), Gaussian and Bernoulli naive
+regression (Newton/IRLS with step-halving), Gaussian and Bernoulli naive
 Bayes, and a greedy Gini decision tree. The metrics train these on
 synthetic data and score them on real data, so the zoo is deliberately
 small, deterministic, and dependency-free.
@@ -23,8 +23,12 @@ DECISION_TREE = "decision_tree"
 
 ZOO = (LOGISTIC_REGRESSION, GAUSSIAN_NB, BERNOULLI_NB, DECISION_TREE)
 
+LR_TOLERANCE = 1e-12  # on half the Newton decrement, about the loss left above the optimum
+LR_MAX_ITER = 50
+LR_MAX_HALVINGS = 30
+
 DEFAULT_HYPER = {
-    LOGISTIC_REGRESSION: {"learning_rate": 0.1, "epochs": 500, "l2": 1e-3},
+    LOGISTIC_REGRESSION: {"l2": 1e-3},
     GAUSSIAN_NB: {"var_floor": 1e-9},
     BERNOULLI_NB: {"smoothing": 1.0},
     DECISION_TREE: {"max_depth": 5, "min_leaf": 5},
@@ -77,23 +81,33 @@ def lr_loss(w, b, X, y, l2):
 
 
 def _fit_lr(X, y, hyper):
-    lr, epochs, l2 = hyper["learning_rate"], hyper["epochs"], hyper["l2"]
+    l2 = hyper["l2"]
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
-    Xs = (X - mean) / std
-    n, d = Xs.shape
-    w = np.zeros(d)
-    b = 0.0
-    trace = np.empty(epochs + 1)
-    trace[0] = lr_loss(w, b, Xs, y, l2)
-    for t in range(epochs):
-        r = _sigmoid(Xs @ w + b) - y
-        w -= lr * (Xs.T @ r / n + l2 * w)
-        b -= lr * float(r.mean())
-        trace[t + 1] = lr_loss(w, b, Xs, y, l2)
-    return {"w": _frozen(w), "b": b, "mean": _frozen(mean), "std": _frozen(std),
-            "loss_trace": _frozen(trace)}
+    n, d = X.shape
+    Xa = np.hstack([(X - mean) / std, np.ones((n, 1))])  # bias last, unpenalized
+    penalty = np.append(np.full(d, l2), 0.0)
+    theta = np.zeros(d + 1)
+    trace = [lr_loss(theta[:d], theta[d], Xa[:, :d], y, l2)]
+    for _ in range(LR_MAX_ITER):
+        p = _sigmoid(Xa @ theta)
+        grad = Xa.T @ (p - y) / n + penalty * theta
+        hess = (Xa.T * (p * (1.0 - p))) @ Xa / n + np.diag(penalty)
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        if 0.5 * float(grad @ step) < LR_TOLERANCE:
+            break
+        for t in 0.5 ** np.arange(LR_MAX_HALVINGS):
+            cand = theta - t * step
+            loss = lr_loss(cand[:d], cand[d], Xa[:, :d], y, l2)
+            if loss <= trace[-1]:
+                break
+        else:
+            break  # no step lowers the loss: converged to rounding
+        theta = cand
+        trace.append(loss)
+    return {"w": _frozen(theta[:d]), "b": float(theta[d]), "mean": _frozen(mean),
+            "std": _frozen(std), "loss_trace": _frozen(trace)}
 
 
 def _fit_gnb(X, y, hyper):
@@ -169,14 +183,12 @@ def _grow_tree(X, y, depth, max_depth, min_leaf):
             _grow_tree(X[~mask], y[~mask], depth + 1, max_depth, min_leaf))
 
 
-def fit(kind: str, X, y, hyperparameters: dict | None = None, seed: int = 0) -> Classifier:
-    """Train one zoo member. Deterministic for fixed inputs and seed."""
+def fit(kind: str, X, y) -> Classifier:
+    """Train one zoo member. Deterministic for fixed inputs."""
     if kind not in ZOO:
         raise DataError(f"unknown classifier kind {kind!r}")
     X, y = _check_xy(X, y)
     hyper = dict(DEFAULT_HYPER[kind])
-    if hyperparameters:
-        hyper.update(hyperparameters)
     if kind == LOGISTIC_REGRESSION:
         params = _fit_lr(X, y, hyper)
     elif kind == GAUSSIAN_NB:

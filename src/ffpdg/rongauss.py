@@ -28,6 +28,7 @@ from .data import (
     ColumnSpec,
     Dataset,
     Schema,
+    average_ranks,
     interp_quantiles,
 )
 from .dp import (PrivacyBudget, covariance_noise_scale, dp_covariance, dp_mean,
@@ -355,22 +356,9 @@ def _gaussian_draws(sigma: np.ndarray, count: int, rng: np.random.Generator) -> 
     return root @ rng.standard_normal((sigma.shape[0], count))
 
 
-def _rank_positions(values: np.ndarray) -> np.ndarray:
-    # average fractional rank in (0, 1), ties averaged
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    ranks[order] = np.arange(1, len(values) + 1)
-    # average duplicate ranks
-    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    sums = np.zeros(len(uniq))
-    np.add.at(sums, inverse, ranks)
-    ranks = sums[inverse] / counts[inverse]
-    return (ranks - 0.5) / len(values)
-
-
 def _match_quantiles(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     levels = np.linspace(0.0, 1.0, len(grid))
-    return np.interp(_rank_positions(values), levels, grid)
+    return np.interp((average_ranks(values) - 0.5) / len(values), levels, grid)
 
 
 def _threshold_by_rate(values: np.ndarray, rate: float) -> np.ndarray:

@@ -3,9 +3,10 @@
 Each oracle is deliberately built on a different method than the library
 code it checks: the constrained-entropy reference solves the primal
 problem with an off-the-shelf SQP optimizer (the library descends the
-dual), the AUC reference counts pairs one by one, and the codebook and
-decode references work on rows of bits (the library packs each code into
-one byte-string key).
+dual), the logistic-regression reference runs quasi-Newton L-BFGS (the
+library takes exact Newton steps), the AUC reference counts pairs one by
+one, and the codebook and decode references work on rows of bits (the
+library packs each code into one byte-string key).
 """
 
 import bisect
@@ -49,6 +50,25 @@ def kl_projection(prior_probs, features, targets):
     if not result.success:
         raise RuntimeError(f"reference KL projection failed: {result.message}")
     return np.clip(result.x, 0.0, None) / np.clip(result.x, 0.0, None).sum()
+
+
+def lbfgs_lr_optimum(loss, X, y, l2):
+    """Minimum of loss(w, b, X, y, l2), the L2-regularized mean log loss
+    with an unpenalized bias, found by L-BFGS with an analytic gradient."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, d = X.shape
+
+    def objective(theta):
+        return loss(theta[:d], theta[d], X, y, l2)
+
+    def gradient(theta):
+        r = 1.0 / (1.0 + np.exp(-(X @ theta[:d] + theta[d]))) - y
+        return np.append(X.T @ r / n + l2 * theta[:d], r.mean())
+
+    result = minimize(objective, np.zeros(d + 1), jac=gradient, method="L-BFGS-B",
+                      options={"maxiter": 10000, "ftol": 1e-16, "gtol": 1e-12})
+    return float(result.fun)
 
 
 def pairwise_auc(scores, labels):

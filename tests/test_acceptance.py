@@ -234,7 +234,7 @@ def test_criterion_6_headline_fairness_and_utility():
 
 def test_criterion_7_identity_generator_baseline():
     train, holdout = _load_pair("adult")
-    best, _, _ = tstr(train, holdout, seed=0)
+    best, _, _ = tstr(train, holdout)
     assert 0.84 - 0.03 <= best <= 0.84 + 0.03, best
     # identity synthetic = the training extract; the discriminator compares
     # it against held-out real rows, so 0.5 means indistinguishable
@@ -244,8 +244,8 @@ def test_criterion_7_identity_generator_baseline():
 
 
 def test_criterion_8_speed_and_growth():
-    # wall-clock bound measured with BLAS and zoo parallelism pinned to one
-    # thread in a fresh interpreter
+    # wall-clock bound measured with BLAS pinned to one thread in a fresh
+    # interpreter
     code = "\n".join([
         "import sys, time",
         f"sys.path.insert(0, {str(TESTS)!r})",
@@ -261,7 +261,7 @@ def test_criterion_8_speed_and_growth():
     env = dict(os.environ,
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1", NUMEXPR_NUM_THREADS="1",
-               VECLIB_MAXIMUM_THREADS="1", FFPDG_THREADS="1")
+               VECLIB_MAXIMUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -106,3 +106,10 @@ def test_missing_input_exits_1_and_names_path(workdir):
                    "--input", workdir / "nope.csv", "--output", workdir / "x.csv")
     assert proc.returncode == 1
     assert "nope.csv" in proc.stderr
+
+
+def test_runtime_imports_without_scipy():
+    code = "import sys, ffpdg, ffpdg.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from conftest import mixed_dataset
 from ffpdg.data import (
@@ -15,6 +16,7 @@ from ffpdg.data import (
     ROLE_LABEL,
     ROLE_PROTECTED,
     Schema,
+    average_ranks,
     column_stats,
     load_csv,
     load_schema,
@@ -169,3 +171,12 @@ def test_split_rejects_degenerate_fraction():
     for f in (0.0, 1.0, -0.1):
         with pytest.raises(DataError):
             split(ds, f, seed=0)
+
+
+def test_average_ranks_match_scipy_with_ties():
+    r = np.random.default_rng(13)
+    for n in (1, 2, 7, 50, 500):
+        values = r.integers(0, 6, size=n).astype(float)  # heavy ties
+        assert np.array_equal(average_ranks(values), rankdata(values))
+        values = r.normal(size=n)
+        assert np.array_equal(average_ranks(values), rankdata(values))

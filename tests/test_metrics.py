@@ -137,7 +137,7 @@ def test_tstr_cannot_see_the_protected_column():
     # a leak would give AUC ~1, a clean split leaves it near chance.
     ds = binary_group_dataset(1500, 0.0, 1.0, seed=3, n_features=4)
     train, test = ds.take(np.arange(1000)), ds.take(np.arange(1000, 1500))
-    best, per_model, skipped = tstr(train, test, seed=0)
+    best, per_model, skipped = tstr(train, test)
     assert best < 0.6
     assert set(per_model) == {"logistic_regression", "gaussian_nb",
                               "bernoulli_nb", "decision_tree"}

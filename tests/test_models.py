@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from benchdata import make_adult
+from oracles import lbfgs_lr_optimum
 from ffpdg import models
 from ffpdg.errors import DataError
 from ffpdg.metrics import auc_roc
@@ -56,9 +58,21 @@ def test_lr_loss_trace_is_nonincreasing():
     X, y = blobs(200, 3, gap=1.0, seed=3)
     clf = models.fit(models.LOGISTIC_REGRESSION, X, y)
     trace = np.asarray(clf.params["loss_trace"])
-    assert len(trace) == clf.hyper["epochs"] + 1
+    assert len(trace) <= models.LR_MAX_ITER + 1
     assert np.all(np.diff(trace) <= 1e-12)
     assert trace[-1] < trace[0]
+
+
+def test_logistic_regression_reaches_the_optimum():
+    data = make_adult(10000, 3)
+    schema = data.schema
+    keep = [j for j in range(schema.d) if j not in (schema.label_index, schema.protected_index)]
+    X, y = data.values[:, keep], data.values[:, schema.label_index]
+    clf = models.fit(models.LOGISTIC_REGRESSION, X, y)
+    p, l2 = clf.params, clf.hyper["l2"]
+    Xs = (X - p["mean"]) / p["std"]
+    fitted = models.lr_loss(p["w"], p["b"], Xs, y, l2)
+    assert abs(fitted - lbfgs_lr_optimum(models.lr_loss, Xs, y, l2)) <= 1e-9
 
 
 def test_gaussian_nb_approaches_bayes_on_its_own_model():
@@ -133,8 +147,8 @@ def test_all_models_deterministic_and_probabilities_in_range():
     X, y = blobs(150, 3, gap=0.8, seed=9)
     Xt, _ = blobs(100, 3, gap=0.8, seed=10)
     for kind in models.ZOO:
-        a = models.predict_proba(models.fit(kind, X, y, seed=1), Xt)
-        b = models.predict_proba(models.fit(kind, X, y, seed=1), Xt)
+        a = models.predict_proba(models.fit(kind, X, y), Xt)
+        b = models.predict_proba(models.fit(kind, X, y), Xt)
         assert np.array_equal(a, b), kind
         assert np.all((a >= 0.0) & (a <= 1.0)), kind
 
@@ -160,9 +174,3 @@ def test_fitted_parameters_are_immutable():
         clf.params["w"] = np.zeros(2)
     with pytest.raises(ValueError):
         clf.params["w"][0] = 1.0
-
-
-def test_hyperparameter_override():
-    X, y = blobs(50, 2, gap=1.0, seed=12)
-    clf = models.fit(models.LOGISTIC_REGRESSION, X, y, hyperparameters={"epochs": 7})
-    assert len(clf.params["loss_trace"]) == 8
