@@ -8,6 +8,7 @@ index. The schema carries the interpretation.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -204,12 +205,19 @@ def save_schema(schema: Schema, path):
 
 # -- CSV I/O -----------------------------------------------------------------
 
+# Rows converted per block: enough to amortize the per-column numpy calls,
+# few enough that a block's cell strings add little to peak memory.
+_BLOCK_ROWS = 256
+
+
 def load_csv(path, schema: Schema) -> Dataset:
     """Parse a header-first CSV into a Dataset, validating every cell.
 
-    Continuous cells must parse as decimal numbers, binary cells as 0/1,
+    Continuous cells must parse as decimal numbers (Python ``float``
+    syntax, surrounding whitespace ignored), binary cells as 0/1,
     categorical cells must be a declared level string. Errors name the
-    offending row and column.
+    path, the offending column and the row, counted from 0 over the data
+    rows (the header is not counted).
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -227,63 +235,98 @@ def load_csv(path, schema: Schema) -> Dataset:
             {lvl: float(i) for i, lvl in enumerate(c.levels)} if c.kind == CATEGORICAL else None
             for c in schema.columns
         ]
-        rows = []
-        for rownum, cells in enumerate(reader):
-            if len(cells) != schema.d:
-                raise DataError(f"{path}: row {rownum} has {len(cells)} cells, expected {schema.d}")
-            parsed = np.empty(schema.d)
-            for j, (cell, col) in enumerate(zip(cells, schema.columns)):
-                cell = cell.strip()
-                if col.kind == CATEGORICAL:
-                    try:
-                        parsed[j] = level_maps[j][cell]
-                    except KeyError:
-                        raise DataError(
-                            f"{path}: row {rownum}, column {col.name!r}: unknown level {cell!r}"
-                        ) from None
-                else:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {rownum}, column {col.name!r}: cannot parse {cell!r}"
-                        ) from None
-                    if col.kind == BINARY and value not in (0.0, 1.0):
-                        raise DataError(
-                            f"{path}: row {rownum}, column {col.name!r}: binary cell must be 0 or 1, got {cell!r}"
-                        )
-                    parsed[j] = value
-            rows.append(parsed)
-    if not rows:
+        blocks = []
+        first = 0
+        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+            if set(map(len, rows)) != {schema.d}:
+                short = next(k for k, cells in enumerate(rows) if len(cells) != schema.d)
+                # cells of earlier rows are reported first, as in a row-by-row parse
+                _parse_block(rows[:short], schema, level_maps, path, first)
+                raise DataError(
+                    f"{path}: row {first + short} has {len(rows[short])} cells, expected {schema.d}"
+                )
+            blocks.append(_parse_block(rows, schema, level_maps, path, first))
+            first += len(rows)
+    if not blocks:
         raise DataError(f"{path}: no data rows")
-    return Dataset(schema, np.vstack(rows))
+    return Dataset(schema, np.vstack(blocks))
+
+
+def _parse_block(rows, schema: Schema, level_maps, path, first: int) -> np.ndarray:
+    """Convert a block of equal-length rows one column at a time.
+
+    A column that fails is rescanned cell by cell so the error names the
+    same row and column as a row-by-row parse would: the earliest row,
+    then the leftmost column.
+    """
+    block = np.empty((len(rows), schema.d))
+    faults = []
+    for j, (cells, col, levels) in enumerate(zip(zip(*rows), schema.columns, level_maps)):
+        try:
+            if col.kind == CATEGORICAL:
+                block[:, j] = list(map(levels.__getitem__, map(str.strip, cells)))
+            else:
+                # float() semantics per cell, whitespace included
+                block[:, j] = np.array(cells, dtype=np.float64)
+                if col.kind == BINARY and not np.all((block[:, j] == 0.0) | (block[:, j] == 1.0)):
+                    raise ValueError
+        except (KeyError, ValueError):
+            k, why = _first_bad_cell(cells, col, levels)
+            faults.append((k, j, why))
+    if faults:
+        k, j, why = min(faults)
+        raise DataError(f"{path}: row {first + k}, column {schema.columns[j].name!r}: {why}")
+    return block
+
+
+def _first_bad_cell(cells, col: ColumnSpec, levels) -> tuple[int, str]:
+    """Block-relative row and reason of the first cell in a column that fails to parse."""
+    for k, cell in enumerate(cells):
+        cell = cell.strip()
+        if col.kind == CATEGORICAL:
+            if cell not in levels:
+                return k, f"unknown level {cell!r}"
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            return k, f"cannot parse {cell!r}"
+        if col.kind == BINARY and value not in (0.0, 1.0):
+            return k, f"binary cell must be 0 or 1, got {cell!r}"
+    raise AssertionError(f"numpy rejected column {col.name!r}, but float() parses every cell")
 
 
 def save_csv(dataset: Dataset, path):
     """Write a Dataset as CSV so that load_csv(save_csv(D)) == D.
 
-    Binary and categorical cells are written exactly (categorical as level
-    strings); continuous cells use up to 17 significant digits, enough for
-    a bit-exact float64 round trip.
+    The header is the schema's column names. Rows go through the ``csv``
+    module's default writer: fields that hold a comma, a quote or a line
+    break are quoted, and every line ends in ``\\r\\n``. Binary cells are
+    written as 0/1 and categorical cells as their level strings;
+    continuous cells are formatted ``.17g``, enough significant digits
+    for a bit-exact float64 round trip.
     """
     schema = dataset.schema
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+    levels = [np.array(c.levels, dtype=object) for c in schema.columns]
     with fh:
         writer = csv.writer(fh)
         writer.writerow(schema.names)
-        for row in dataset.values:
-            cells = []
-            for value, col in zip(row, schema.columns):
+        for first in range(0, dataset.n, _BLOCK_ROWS):
+            block = dataset.values[first:first + _BLOCK_ROWS]
+            columns = []
+            for j, col in enumerate(schema.columns):
+                v = block[:, j]
                 if col.kind == CATEGORICAL:
-                    cells.append(col.levels[int(value)])
+                    columns.append(levels[j][v.astype(np.intp)].tolist())
                 elif col.kind == BINARY:
-                    cells.append(str(int(value)))
+                    columns.append(np.where(v == 1.0, "1", "0").tolist())
                 else:
-                    cells.append(format(value, ".17g"))
-            writer.writerow(cells)
+                    columns.append([format(x, ".17g") for x in v.tolist()])
+            writer.writerows(zip(*columns))
 
 
 # -- statistics and splitting -------------------------------------------------

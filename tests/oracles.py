@@ -5,14 +5,20 @@ code it checks: the constrained-entropy reference solves the primal
 problem with an off-the-shelf SQP optimizer (the library descends the
 dual), the logistic-regression reference runs quasi-Newton L-BFGS (the
 library takes exact Newton steps), the AUC reference counts pairs one by
-one, and the codebook and decode references work on rows of bits (the
-library packs each code into one byte-string key).
+one, the codebook and decode references work on rows of bits (the
+library packs each code into one byte-string key), and the CSV references
+parse and format one cell at a time (the library converts blocks of rows
+one column at a time).
 """
 
 import bisect
+import csv
 
 import numpy as np
 from scipy.optimize import minimize
+
+from ffpdg.data import BINARY, CATEGORICAL, Dataset
+from ffpdg.errors import DataError
 
 
 def kl_projection(prior_probs, features, targets):
@@ -118,3 +124,71 @@ def tuple_search_decode(codes, keys, row_groups, rows, seed):
         where = np.flatnonzero(inverse == u)
         out[where] = rows[rng.choice(row_groups[idx], size=len(where))]
     return out
+
+
+def cellwise_load_csv(path, schema):
+    """Parse a header-first CSV row by row, calling float() on each cell."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if header != schema.names:
+            raise DataError(f"{path}: header {header!r} does not match schema columns {schema.names!r}")
+        level_maps = [
+            {lvl: float(i) for i, lvl in enumerate(c.levels)} if c.kind == CATEGORICAL else None
+            for c in schema.columns
+        ]
+        rows = []
+        for rownum, cells in enumerate(reader):
+            if len(cells) != schema.d:
+                raise DataError(f"{path}: row {rownum} has {len(cells)} cells, expected {schema.d}")
+            parsed = np.empty(schema.d)
+            for j, (cell, col) in enumerate(zip(cells, schema.columns)):
+                cell = cell.strip()
+                if col.kind == CATEGORICAL:
+                    try:
+                        parsed[j] = level_maps[j][cell]
+                    except KeyError:
+                        raise DataError(
+                            f"{path}: row {rownum}, column {col.name!r}: unknown level {cell!r}"
+                        ) from None
+                else:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {rownum}, column {col.name!r}: cannot parse {cell!r}"
+                        ) from None
+                    if col.kind == BINARY and value not in (0.0, 1.0):
+                        raise DataError(
+                            f"{path}: row {rownum}, column {col.name!r}: binary cell must be 0 or 1, got {cell!r}"
+                        )
+                    parsed[j] = value
+            rows.append(parsed)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return Dataset(schema, np.vstack(rows))
+
+
+def cellwise_save_csv(dataset, path):
+    """Write a Dataset row by row, formatting each cell on its own."""
+    schema = dataset.schema
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(schema.names)
+        for row in dataset.values:
+            cells = []
+            for value, col in zip(row, schema.columns):
+                if col.kind == CATEGORICAL:
+                    cells.append(col.levels[int(value)])
+                elif col.kind == BINARY:
+                    cells.append(str(int(value)))
+                else:
+                    cells.append(format(value, ".17g"))
+            writer.writerow(cells)

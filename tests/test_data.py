@@ -1,6 +1,8 @@
 """Schema parsing, dataset validation, CSV round-trips, percentiles, splits."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.stats import rankdata
 
 from conftest import mixed_dataset
 from ffpdg.data import (
+    _BLOCK_ROWS,
     BINARY,
     CATEGORICAL,
     CONTINUOUS,
@@ -28,6 +31,10 @@ from ffpdg.data import (
     split,
 )
 from ffpdg.errors import DataError, SchemaError
+from oracles import cellwise_load_csv, cellwise_save_csv
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+B = _BLOCK_ROWS
 
 
 def two_col_schema():
@@ -119,6 +126,163 @@ def test_load_csv_rejects_header_mismatch(tmp_path):
     path.write_text("x,y\n0,1\n")
     with pytest.raises(DataError, match="header"):
         load_csv(path, two_col_schema())
+
+
+# levels that the csv module must quote: a comma, quotes, both
+QUOTED_LEVELS = ("plain", "a,b", 'say "hi"', 'x,"y"', "ünï")
+
+# float64 values whose .17g form differs from repr or needs all 17 digits
+AWKWARD = (0.1, 0.1 + 0.2, 1 / 3, 2 / 3 * 1e-300, 5e-324, 1.7976931348623157e308,
+           -0.0, 123456789.12345679, 1e22, 1e16 + 2)
+
+
+def quoting_schema():
+    return Schema((
+        ColumnSpec("score", CONTINUOUS),
+        ColumnSpec("tag", CATEGORICAL, levels=QUOTED_LEVELS),
+        ColumnSpec("member", BINARY, role=ROLE_PROTECTED),
+        ColumnSpec("share", CONTINUOUS),
+        ColumnSpec("outcome", CATEGORICAL, role=ROLE_LABEL, levels=("no", "yes")),
+    ))
+
+
+def quoting_dataset(n, seed):
+    r = np.random.default_rng(seed)
+    score = r.normal(size=n) * 10.0 ** r.integers(-20, 21, n)
+    where = r.choice(n, size=min(n, len(AWKWARD)), replace=False)
+    score[where] = AWKWARD[:len(where)]
+    tag = r.integers(0, len(QUOTED_LEVELS), n)
+    tag[:min(n, 3)] = (2, 1, 3)[:min(n, 3)]
+    return Dataset(quoting_schema(), np.column_stack([
+        score, tag, r.random(n) < 0.4, r.random(n), r.random(n) < 0.5,
+    ]).astype(float))
+
+
+def rewrite_rows(src, dst, edit):
+    """Copy a CSV through csv.reader/csv.writer, passing each data row through edit(k, cells)."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(edit(k, cells) for k, cells in enumerate(rows))
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+def test_csv_io_matches_the_cellwise_oracle(tmp_path, n):
+    ds = quoting_dataset(n, seed=n)
+    assert any(format(x, ".17g") != repr(x) for x in ds.values[:, 0].tolist())
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    save_csv(ds, ours)
+    cellwise_save_csv(ds, ref)
+    written = ours.read_bytes()
+    assert written == ref.read_bytes()
+    assert written.count(b"\r\n") == n + 1 and b'"say ""hi"""' in written
+    for path in (ours, ref):
+        back = load_csv(path, ds.schema)
+        assert back.values.tobytes() == ds.values.tobytes()
+        assert back.values.tobytes() == cellwise_load_csv(path, ds.schema).values.tobytes()
+
+    pads = (" ", "\t", "  ", " \t ")
+    r = np.random.default_rng(n)
+    padded = tmp_path / "padded.csv"
+    rewrite_rows(ours, padded, lambda k, cells: [
+        pads[r.integers(4)] + cell + pads[r.integers(4)] for cell in cells])
+    back = load_csv(padded, ds.schema)
+    assert back.values.tobytes() == ds.values.tobytes()
+    assert back.values.tobytes() == cellwise_load_csv(padded, ds.schema).values.tobytes()
+
+
+def test_load_csv_follows_float_syntax(tmp_path):
+    """Continuous cells parse as float() does: underscores, Unicode digits, signs, underflow."""
+    schema = Schema((ColumnSpec("x", CONTINUOUS), ColumnSpec("c", BINARY, role=ROLE_PROTECTED)))
+    cells = ["1_0", "\t2.5 ", "\u0661\u0662", "+.5", "-0", "1e-400", "1E5", " 1.0 "]
+    path = tmp_path / "floats.csv"
+    path.write_text("x,c\n" + "".join(f"{x},{x if k == len(cells) - 1 else 0}\n"
+                                       for k, x in enumerate(cells)), encoding="utf-8")
+    back = load_csv(path, schema)
+    assert back.values[:, 0].tolist() == [10.0, 2.5, 12.0, 0.5, -0.0, 0.0, 1e5, 1.0]
+    assert back.values.tobytes() == cellwise_load_csv(path, schema).values.tobytes()
+    for cell in ("nan", "-inf", "1e400"):
+        path.write_text(f"x,c\n1,0\n{cell},1\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            load_csv(path, schema)
+        assert str(err.value) == "non-finite value at row 1, column 'x'"
+
+
+@pytest.mark.parametrize("column, cell, why", [
+    ("score", "12abc", "cannot parse '12abc'"),
+    ("member", "2", "binary cell must be 0 or 1, got '2'"),
+    ("tag", "nope", "unknown level 'nope'"),
+])
+def test_load_csv_names_a_bad_cell_past_a_block_boundary(tmp_path, column, cell, why):
+    ds = quoting_dataset(2 * B + 3, seed=4)
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    save_csv(ds, good)
+    j = ds.schema.index_of(column)
+    rewrite_rows(good, bad, lambda k, cells: (
+        cells[:j] + [f" {cell} "] + cells[j + 1:] if k == B + 3 else cells))
+    with pytest.raises(DataError) as err:
+        load_csv(bad, ds.schema)
+    assert str(err.value) == f"{bad}: row {B + 3}, column {column!r}: {why}"
+    with pytest.raises(DataError) as ref:
+        cellwise_load_csv(bad, ds.schema)
+    assert str(err.value) == str(ref.value)
+
+
+def test_load_csv_names_a_short_row_past_a_block_boundary(tmp_path):
+    ds = quoting_dataset(2 * B + 3, seed=5)
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    save_csv(ds, good)
+    rewrite_rows(good, bad, lambda k, cells: cells[:-1] if k == B + 3 else cells)
+    with pytest.raises(DataError) as err:
+        load_csv(bad, ds.schema)
+    assert str(err.value) == f"{bad}: row {B + 3} has 4 cells, expected 5"
+    with pytest.raises(DataError) as ref:
+        cellwise_load_csv(bad, ds.schema)
+    assert str(err.value) == str(ref.value)
+
+
+def test_load_csv_reports_the_first_of_several_faults_like_the_oracle(tmp_path):
+    """Faults in several rows and columns: the earliest row wins, then the leftmost column."""
+    ds = quoting_dataset(B + 40, seed=6)
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    save_csv(ds, good)
+    faults = {0: "1.5.5", 1: "nope", 2: "0.5", 3: "x", 4: "maybe", "short": None}
+    rows = (0, 1, 7, B - 1, B, B + 3)
+    r = np.random.default_rng(6)
+    for _ in range(40):
+        planted = {}
+        for _ in range(int(r.integers(1, 4))):
+            k = int(r.choice(rows))
+            kind = list(faults)[r.integers(len(faults))]
+            planted.setdefault(k, []).append(kind)
+
+        def edit(k, cells, planted=planted):
+            cells = list(cells)
+            for kind in planted.get(k, ()):
+                if kind == "short":
+                    cells = cells[:2]
+                elif len(cells) == ds.d:
+                    cells[kind] = faults[kind]
+            return cells
+
+        rewrite_rows(good, bad, edit)
+        with pytest.raises(DataError) as err:
+            load_csv(bad, ds.schema)
+        with pytest.raises(DataError) as ref:
+            cellwise_load_csv(bad, ds.schema)
+        assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("name", ["adult_sample", "adult_holdout", "compas_sample", "compas_holdout"])
+def test_bundled_data_round_trips_byte_for_byte(tmp_path, name):
+    """The bundled files are the writer's own output: CRLF line ends, .17g continuous cells."""
+    src = DATA / f"{name}.csv"
+    schema = load_schema(DATA / f"{name.split('_')[0]}.schema")
+    out = tmp_path / "out.csv"
+    save_csv(load_csv(src, schema), out)
+    assert out.read_bytes() == src.read_bytes()
 
 
 def test_nearest_rank_matches_direct_formula():
