@@ -9,8 +9,10 @@ code in Hamming distance.
 This module alone decides how a code is keyed. `pack_codes` packs each
 0/1 row into bytes with np.packbits, which is big-endian, and views the
 bytes as one fixed-width np.void key. Comparing keys byte by byte then
-compares the rows lexicographically at any width, so a 1-d np.unique or
-np.searchsorted over keys stands in for a row-wise search over bits.
+compares the rows lexicographically at any width, so one stable
+np.lexsort over the byte columns (`distinct_codes`) groups equal codes in
+key order, and np.searchsorted over keys stands in for a row-wise search
+over bits.
 """
 
 from __future__ import annotations
@@ -40,18 +42,21 @@ class CodeBook:
 
     Entry i is the code `keys[i]`, whose packed key (see pack_codes) is
     `packed[i]`; `counts[i]` source rows carry it, listed in ascending
-    order in `row_groups[i]`. Entries are sorted by packed key, which is
-    the lexicographic order of the codes.
+    order in `row_order[row_starts[i]:row_starts[i + 1]]` (compressed
+    sparse rows: one index array, one offset per entry plus the end).
+    Entries are sorted by packed key, which is the lexicographic order of
+    the codes.
     """
 
     schema: Schema
     m: int
     bit_layout: tuple[BitGroup, ...]
-    keys: np.ndarray      # (k, m) uint8, lexicographically sorted, unique
-    packed: np.ndarray    # (k,) np.void packed keys, same order
-    counts: np.ndarray    # (k,) source rows per key
-    row_groups: tuple[np.ndarray, ...]  # row indices into `rows` per key
-    rows: np.ndarray      # original-space values the indices point into
+    keys: np.ndarray        # (k, m) uint8, lexicographically sorted, unique
+    packed: np.ndarray      # (k,) np.void packed keys, same order
+    counts: np.ndarray      # (k,) source rows per key
+    row_order: np.ndarray   # (n,) indices into `rows`, grouped by key
+    row_starts: np.ndarray  # (k + 1,) offsets of each key's group in row_order
+    rows: np.ndarray        # original-space values the indices point into
 
     def entry_count(self) -> int:
         return len(self.keys)
@@ -91,13 +96,26 @@ def pack_codes(bits) -> np.ndarray:
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def _distinct_codes(bits: np.ndarray):
-    """Sorted distinct packed keys of a 0/1 matrix, the first row carrying
-    each, how many rows carry each, and those rows in ascending order."""
-    keys, first, inverse, counts = np.unique(
-        pack_codes(bits), return_index=True, return_inverse=True, return_counts=True)
-    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
-    return keys, first, counts, groups
+def distinct_codes(bits):
+    """Group the rows of a 0/1 matrix by code with one stable sort.
+
+    Returns (keys, first, order, starts): the k distinct packed keys in
+    ascending order, the first row carrying each, every row index grouped
+    by key (ascending within a key), and the (k + 1,) offsets of the
+    groups in `order`, so key i has `starts[i + 1] - starts[i]` rows.
+    np.lexsort over the packed byte columns, most significant byte last,
+    sorts in the byte order of the np.void keys.
+    """
+    packed = pack_codes(bits)
+    columns = packed.view(np.uint8).reshape(len(packed), packed.dtype.itemsize)
+    order = np.lexsort(columns.T[::-1])
+    ordered = columns[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    starts = np.append(np.flatnonzero(new), len(order))
+    first = order[starts[:-1]]
+    return packed[first], first, order, starts
 
 
 def _column_bits(col: ColumnSpec, values: np.ndarray, bins: int, offset: int):
@@ -137,15 +155,16 @@ def build_codebook(dataset: Dataset, bins_per_continuous: int = 1) -> tuple[np.n
         layout.append(group)
         offset += bits.shape[1]
     binary = np.hstack(blocks)
-    packed, first, counts, groups = _distinct_codes(binary)
+    packed, first, order, starts = distinct_codes(binary)
     codebook = CodeBook(
         schema=dataset.schema,
         m=binary.shape[1],
         bit_layout=tuple(layout),
         keys=binary[first],
         packed=packed,
-        counts=counts,
-        row_groups=tuple(groups),
+        counts=np.diff(starts),
+        row_order=order,
+        row_starts=starts,
         rows=dataset.values,
     )
     return binary, codebook
@@ -163,13 +182,15 @@ def _nearest_key_index(code: np.ndarray, keys: np.ndarray) -> int:
 def decode_codes(codes: np.ndarray, codebook: CodeBook, seed: int) -> np.ndarray:
     """Invert a batch of codes to original-space rows with one shared generator.
 
-    The queries are packed and deduplicated by one 1-d unique. Exact hits
-    are found by np.searchsorted over the codebook's packed keys; only the
-    misses fall back to the nearest key in Hamming distance (ties go to
-    the lexicographically smallest key). Each distinct code then draws its
-    rows uniformly among the source rows stored under its key, one
-    rng.choice per distinct code in ascending key order, so a fixed seed
-    fixes the output. Row order follows the input.
+    The queries are packed and grouped by distinct code (distinct_codes).
+    Exact hits are found by np.searchsorted over the codebook's packed
+    keys; only the misses fall back to the nearest key in Hamming distance
+    (ties go to the lexicographically smallest key). Each distinct query
+    code then draws its rows uniformly among the source rows stored under
+    its key. A key with one source row has nothing to draw: all such
+    queries are filled by one take and consume no randomness. Every other
+    distinct query code calls rng.choice once, in ascending query-code
+    order, so a fixed seed fixes the output. Row order follows the input.
 
     `generate` always decodes exact hits: it samples codes from a prior
     whose support is the codebook's keys. The Hamming fallback serves
@@ -178,12 +199,19 @@ def decode_codes(codes: np.ndarray, codebook: CodeBook, seed: int) -> np.ndarray
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[1] != codebook.m:
         raise DataError(f"codes must be (n, {codebook.m})")
-    uniq, first, _, where_groups = _distinct_codes(codes)
+    uniq, first, where_order, where_starts = distinct_codes(codes)
     idx = np.minimum(np.searchsorted(codebook.packed, uniq), codebook.entry_count() - 1)
     for u in np.flatnonzero(codebook.packed[idx] != uniq):
         idx[u] = _nearest_key_index(codes[first[u]], codebook.keys)
-    rng = np.random.default_rng(seed)
     out = np.empty((len(codes), codebook.schema.d))
-    for key, where in zip(idx, where_groups):
-        out[where] = codebook.rows[rng.choice(codebook.row_groups[key], size=len(where))]
+    starts = codebook.row_starts
+    sizes = np.diff(where_starts)
+    lone = codebook.counts[idx] == 1
+    source = codebook.row_order[starts[idx[lone]]]
+    out[where_order[np.repeat(lone, sizes)]] = codebook.rows[np.repeat(source, sizes[lone])]
+    rng = np.random.default_rng(seed)
+    for u in np.flatnonzero(~lone):
+        where = where_order[where_starts[u]:where_starts[u + 1]]
+        group = codebook.row_order[starts[idx[u]]:starts[idx[u] + 1]]
+        out[where] = codebook.rows[rng.choice(group, size=len(where))]
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binarize import pack_codes
+from .binarize import distinct_codes
 from .errors import ConvergenceError, DataError, FeasibilityError
 
 
@@ -35,7 +35,7 @@ class DiscreteDistribution:
             raise DataError("negative probability")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise DataError(f"probabilities sum to {probs.sum()!r}, not 1")
-        if len(np.unique(pack_codes(support))) != len(support):
+        if len(distinct_codes(support)[0]) != len(support):
             raise DataError("support codes must be unique")
         object.__setattr__(self, "support", support.astype(np.uint8, copy=False))
         object.__setattr__(self, "probs", probs)
@@ -138,17 +138,14 @@ def feature_matrix(support: np.ndarray, constraints: ParityConstraints) -> np.nd
     return np.hstack([support, product[:, None]])
 
 
-def _dual_value(lam, log_q, features, targets):
+def _dual(lam, log_q, features, targets):
+    """Dual objective log Z(lam) - <lam, targets> and the distribution p_lam,
+    both from one exponentiation."""
     z = log_q + features @ lam
     zmax = z.max()
-    return float(zmax + np.log(np.exp(z - zmax).sum()) - lam @ targets)
-
-
-def _dual_probs(lam, log_q, features):
-    z = log_q + features @ lam
-    z -= z.max()
-    p = np.exp(z)
-    return p / p.sum()
+    p = np.exp(z - zmax)
+    total = p.sum()
+    return float(zmax + np.log(total) - lam @ targets), p / total
 
 
 def solve_maxent(prior: DiscreteDistribution, constraints: ParityConstraints,
@@ -157,9 +154,12 @@ def solve_maxent(prior: DiscreteDistribution, constraints: ParityConstraints,
 
     Backtracking line search (Armijo, shrink factor 0.5 from step 1.0);
     the gradient is E_p[phi] - targets, so its max-norm at termination is
-    exactly the constraint residual. Raises FeasibilityError when a target
-    falls outside the support's reachable box, ConvergenceError (carrying
-    the partial solution) when max_iter is hit first.
+    exactly the constraint residual. Each evaluated lambda is exponentiated
+    once: the accepted candidate's distribution gives the next gradient
+    and, at the end, the returned distribution. Raises FeasibilityError
+    when a target falls outside the support's reachable box,
+    ConvergenceError (carrying the partial solution) when max_iter is hit
+    first.
     """
     if len(prior.support) == 0:
         raise DataError("empty support")
@@ -177,11 +177,11 @@ def solve_maxent(prior: DiscreteDistribution, constraints: ParityConstraints,
 
     log_q = np.log(prior.probs)
     lam = np.zeros(features.shape[1])
-    value = _dual_value(lam, log_q, features, targets)
+    value, probs = _dual(lam, log_q, features, targets)
     trace = [value]
     iterations = 0
     converged = False
-    grad = features.T @ _dual_probs(lam, log_q, features) - targets
+    grad = features.T @ probs - targets
     while iterations < max_iter:
         if np.abs(grad).max() <= tol:
             converged = True
@@ -190,7 +190,7 @@ def solve_maxent(prior: DiscreteDistribution, constraints: ParityConstraints,
         gnorm2 = float(grad @ grad)
         while True:
             candidate = lam - step * grad
-            cand_value = _dual_value(candidate, log_q, features, targets)
+            cand_value, cand_probs = _dual(candidate, log_q, features, targets)
             if cand_value <= value - 1e-4 * step * gnorm2:
                 break
             step *= 0.5
@@ -199,12 +199,11 @@ def solve_maxent(prior: DiscreteDistribution, constraints: ParityConstraints,
                 break
         if candidate is None:
             break
-        lam, value = candidate, cand_value
+        lam, value, probs = candidate, cand_value, cand_probs
         trace.append(value)
-        grad = features.T @ _dual_probs(lam, log_q, features) - targets
+        grad = features.T @ probs - targets
         iterations += 1
 
-    probs = _dual_probs(lam, log_q, features)
     residual = float(np.abs(features.T @ probs - targets).max())
     converged = converged or residual <= tol
     solution = MaxEntSolution(

@@ -1,14 +1,17 @@
-"""Independent reference implementations the tests compare against.
+"""Reference implementations the tests compare against.
 
-Each oracle is deliberately built on a different method than the library
-code it checks: the constrained-entropy reference solves the primal
-problem with an off-the-shelf SQP optimizer (the library descends the
-dual), the logistic-regression reference runs quasi-Newton L-BFGS (the
-library takes exact Newton steps), the AUC reference counts pairs one by
-one, the codebook and decode references work on rows of bits (the
-library packs each code into one byte-string key), and the CSV references
-parse and format one cell at a time (the library converts blocks of rows
-one column at a time).
+Most oracles are deliberately built on a different method than the
+library code they check: the constrained-entropy reference solves the
+primal problem with an off-the-shelf SQP optimizer (the library descends
+the dual), the logistic-regression reference runs quasi-Newton L-BFGS
+(the library takes exact Newton steps), the AUC reference counts pairs
+one by one, the codebook and decode references work on rows of bits (the
+library packs each code into one byte-string key), and the CSV
+references parse and format one cell at a time (the library converts
+blocks of rows one column at a time). The dual-descent reference is the
+exception: it runs the library's own algorithm but computes the dual
+objective and the distribution in two separate exponentiations, where
+the library shares one, and the tests require bitwise equality.
 """
 
 import bisect
@@ -19,6 +22,7 @@ from scipy.optimize import minimize
 
 from ffpdg.data import BINARY, CATEGORICAL, Dataset
 from ffpdg.errors import DataError
+from ffpdg.maxent import feature_matrix
 
 
 def kl_projection(prior_probs, features, targets):
@@ -56,6 +60,61 @@ def kl_projection(prior_probs, features, targets):
     if not result.success:
         raise RuntimeError(f"reference KL projection failed: {result.message}")
     return np.clip(result.x, 0.0, None) / np.clip(result.x, 0.0, None).sum()
+
+
+def two_pass_dual_descent(prior, constraints, tol=1e-6, max_iter=10000):
+    """The max-entropy dual descent with the objective and the distribution
+    computed by two helpers, each exponentiating on its own.
+
+    Same Armijo backtracking (shrink 0.5 from step 1.0) and stopping rule
+    as `solve_maxent`, but the distribution is recomputed from lambda for
+    every gradient and for the final residual. Returns a dict with lam,
+    objective_trace, probs, iterations, residual and backtracks (the
+    number of rejected step sizes).
+    """
+    features = feature_matrix(prior.support, constraints)
+    targets = constraints.targets
+
+    def dual_value(lam):
+        z = log_q + features @ lam
+        zmax = z.max()
+        return float(zmax + np.log(np.exp(z - zmax).sum()) - lam @ targets)
+
+    def dual_probs(lam):
+        z = log_q + features @ lam
+        z -= z.max()
+        p = np.exp(z)
+        return p / p.sum()
+
+    log_q = np.log(prior.probs)
+    lam = np.zeros(features.shape[1])
+    value = dual_value(lam)
+    trace = [value]
+    iterations = backtracks = 0
+    grad = features.T @ dual_probs(lam) - targets
+    while iterations < max_iter and np.abs(grad).max() > tol:
+        step = 1.0
+        gnorm2 = float(grad @ grad)
+        while True:
+            candidate = lam - step * grad
+            cand_value = dual_value(candidate)
+            if cand_value <= value - 1e-4 * step * gnorm2:
+                break
+            step *= 0.5
+            backtracks += 1
+            if step < 1e-20:
+                candidate = None
+                break
+        if candidate is None:
+            break
+        lam, value = candidate, cand_value
+        trace.append(value)
+        grad = features.T @ dual_probs(lam) - targets
+        iterations += 1
+    probs = dual_probs(lam)
+    return {"lam": lam, "objective_trace": np.asarray(trace), "probs": probs,
+            "iterations": iterations, "backtracks": backtracks,
+            "residual": float(np.abs(features.T @ probs - targets).max())}
 
 
 def lbfgs_lr_optimum(loss, X, y, l2):

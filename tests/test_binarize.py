@@ -22,6 +22,11 @@ from ffpdg.data import (
 from ffpdg.errors import DataError
 
 
+def group(book, i):
+    """Source rows stored under codebook entry i."""
+    return book.row_order[book.row_starts[i]:book.row_starts[i + 1]]
+
+
 def with_continuous(values):
     schema = Schema((
         ColumnSpec("x", CONTINUOUS),
@@ -72,7 +77,7 @@ def test_keys_sorted_unique_and_groups_partition_rows():
     as_tuples = [tuple(k) for k in keys]
     assert as_tuples == sorted(as_tuples)
     assert len(set(as_tuples)) == len(as_tuples)
-    all_rows = np.sort(np.concatenate(book.row_groups))
+    all_rows = np.sort(np.concatenate([group(book, i) for i in range(len(keys))]))
     assert np.array_equal(all_rows, np.arange(80))
 
 
@@ -81,7 +86,7 @@ def test_observed_code_inverts_to_one_of_its_rows():
     binary, book = build_codebook(ds, 1)
     code = binary[17]
     row = decode_codes(code[None, :], book, seed=5)[0]
-    members = [g for k, g in zip(book.keys, book.row_groups) if np.array_equal(k, code)]
+    members = [group(book, i) for i, k in enumerate(book.keys) if np.array_equal(k, code)]
     candidates = ds.values[members[0]]
     assert any(np.array_equal(row, cand) for cand in candidates)
 
@@ -97,7 +102,7 @@ def test_unseen_code_uses_minimum_hamming_key():
         dists = np.abs(book.keys.astype(int) - code.astype(int)).sum(axis=1)
         best = dists.min()
         winners = [i for i in range(len(book.keys)) if dists[i] == best]
-        allowed = np.vstack([ds.values[book.row_groups[i]] for i in winners])
+        allowed = np.vstack([ds.values[group(book, i)] for i in winners])
         assert any(np.array_equal(row, cand) for cand in allowed)
 
 
@@ -190,25 +195,61 @@ def all_binary_dataset(binary):
     return Dataset(schema, binary.astype(float))
 
 
-@pytest.mark.parametrize("m", [2, 5, 8, 9, 28, 64, 65, 202])
-def test_packed_codebook_and_decode_match_row_oracle(m):
-    r = np.random.default_rng(m)
-    base = r.integers(0, 2, (40, m)).astype(np.uint8)
-    binary = base[r.integers(0, len(base), 300)]  # repeated rows
+def assert_codebook_and_decode_match_row_oracle(binary, queries):
     built, book = build_codebook(all_binary_dataset(binary), 1)
     assert np.array_equal(built, binary)
     keys, counts, groups = row_codebook(binary)
     assert np.array_equal(book.keys, keys)
     assert np.array_equal(book.counts, counts)
-    assert len(book.row_groups) == len(groups)
-    assert all(np.array_equal(a, b) for a, b in zip(book.row_groups, groups))
+    assert len(book.row_starts) - 1 == len(groups)
+    assert all(np.array_equal(group(book, i), g) for i, g in enumerate(groups))
     # rows of one code are identical here, so give every row its own
     # values to make the draw within a group visible
     book = replace(book, rows=np.arange(binary.size, dtype=float).reshape(binary.shape))
+    for seed in (0, 7):
+        want = tuple_search_decode(queries, keys, groups, book.rows, seed)
+        assert np.array_equal(decode_codes(queries, book, seed), want)
+    return counts
+
+
+@pytest.mark.parametrize("m", [2, 5, 8, 9, 28, 64, 65, 202])
+def test_packed_codebook_and_decode_match_row_oracle(m):
+    r = np.random.default_rng(m)
+    base = r.integers(0, 2, (40, m)).astype(np.uint8)
+    binary = base[r.integers(0, len(base), 300)]  # repeated rows
     # observed codes mixed with fresh random ones, most of them unseen
     queries = np.vstack([binary[r.integers(0, len(binary), 200)],
                          r.integers(0, 2, (60, m)).astype(np.uint8)])
     queries = queries[r.permutation(len(queries))]
-    for seed in (0, 7):
-        want = tuple_search_decode(queries, keys, groups, book.rows, seed)
-        assert np.array_equal(decode_codes(queries, book, seed), want)
+    assert_codebook_and_decode_match_row_oracle(binary, queries)
+
+
+def test_single_row_keys_decode_like_the_row_oracle():
+    # 300 rows over about 290 codes: nearly every key has one source row,
+    # a few have several, and the queries interleave both with unseen codes
+    r = np.random.default_rng(28)
+    base = r.integers(0, 2, (290, 28)).astype(np.uint8)
+    binary = base[np.concatenate([np.arange(290), r.integers(0, 290, 10)])]
+    binary = binary[r.permutation(len(binary))]
+    queries = np.vstack([binary[r.integers(0, len(binary), 440)],
+                         r.integers(0, 2, (60, 28)).astype(np.uint8)])
+    queries = queries[r.permutation(len(queries))]
+    counts = assert_codebook_and_decode_match_row_oracle(binary, queries)
+    assert np.sum(counts == 1) > 250 and np.sum(counts > 1) >= 5
+
+
+def test_empty_batch_decodes_to_no_rows():
+    ds = mixed_dataset(20, seed=0)
+    _, book = build_codebook(ds, 1)
+    out = decode_codes(np.zeros((0, book.m), dtype=np.uint8), book, seed=0)
+    assert out.shape == (0, ds.schema.d)
+
+
+@pytest.mark.parametrize("value", [3, 2.5])
+def test_choice_from_one_element_draws_nothing(value):
+    # decode_codes skips rng.choice for one-row keys; the draws for the
+    # other keys stay the same only because such a call consumes nothing
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert np.array_equal(rng.choice(np.array([value]), size=7), np.full(7, value))
+    assert rng.bit_generator.state == state

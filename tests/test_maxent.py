@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import kl_projection, row_codebook
+from benchdata import make_adult
+from oracles import kl_projection, row_codebook, two_pass_dual_descent
+from ffpdg.binarize import build_codebook
 from ffpdg.errors import ConvergenceError, DataError, FeasibilityError
 from ffpdg.maxent import (
     DiscreteDistribution,
@@ -202,3 +204,55 @@ def test_distribution_validation():
     for bad in ([[0, 2], [1, 0]], [[0.7, 1], [1, 0]]):
         with pytest.raises(DataError, match="only 0 and 1"):
             DiscreteDistribution(np.array(bad), np.full(2, 0.5))
+
+
+def adult_like_problem():
+    ds = make_adult(3000, 5)
+    binary, book = build_codebook(ds, 2)
+    protected = book.bit_for_column(ds.schema.protected_index)
+    label = book.bit_layout[ds.schema.label_index].bit_indices[0]
+    return empirical_prior(book.keys, book.counts), fair_marginals(binary, protected, label)
+
+
+def wide_like_problem():
+    # 28 near-uniform bits over 3000 rows: almost every code is distinct
+    r = np.random.default_rng(3)
+    binary = (r.random((3000, 28)) < 0.5).astype(np.uint8)
+    binary[:, -1] = r.random(3000) < 0.3 + 0.4 * binary[:, 0]
+    return prior_of(binary), fair_marginals(binary, 0, 27)
+
+
+def backtracking_problem():
+    # twelve copies of one feature bit make the dual steep along the
+    # gradient, so the unit step overshoots and Armijo halves it
+    r = np.random.default_rng(4)
+    c, f = r.random(400) < 0.5, r.random(400) < 0.5
+    y = r.random(400) < np.where(c, 0.7, 0.3)
+    binary = np.column_stack([c, y] + [f] * 12).astype(np.uint8)
+    return prior_of(binary), fair_marginals(binary, 0, 1)
+
+
+def assert_matches_two_pass_descent(sol, want):
+    assert np.array_equal(sol.lam, want["lam"])
+    assert np.array_equal(sol.objective_trace, want["objective_trace"])
+    assert np.array_equal(sol.distribution.probs, want["probs"])
+    assert sol.iterations == want["iterations"]
+    assert sol.residual == want["residual"]
+
+
+@pytest.mark.parametrize("problem", [adult_like_problem, wide_like_problem, backtracking_problem])
+def test_solver_is_bitwise_the_two_pass_descent(problem):
+    prior, constraints = problem()
+    want = two_pass_dual_descent(prior, constraints)
+    assert_matches_two_pass_descent(solve_maxent(prior, constraints), want)
+    if problem is backtracking_problem:
+        assert want["backtracks"] > 0
+
+
+def test_convergence_error_solution_is_bitwise_the_two_pass_descent():
+    prior, constraints = adult_like_problem()
+    want = two_pass_dual_descent(prior, constraints, max_iter=5)
+    with pytest.raises(ConvergenceError) as err:
+        solve_maxent(prior, constraints, max_iter=5)
+    assert want["iterations"] == 5
+    assert_matches_two_pass_descent(err.value.solution, want)
