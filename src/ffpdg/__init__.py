@@ -8,18 +8,7 @@ disparate impact), and a real-vs-synthetic discriminator score.
 """
 
 from .binarize import CodeBook, build_codebook, decode_codes
-from .data import (
-    ColumnSpec,
-    ColumnStats,
-    Dataset,
-    Schema,
-    column_stats,
-    load_csv,
-    load_schema,
-    save_csv,
-    save_schema,
-    split,
-)
+from .data import ColumnSpec, Dataset, Schema, load_csv, load_schema, save_csv, save_schema
 from .dp import PrivacyBudget, dp_covariance, dp_mean, laplace_sample, psd_repair
 from .errors import (
     ConvergenceError,
@@ -58,8 +47,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CodeBook", "build_codebook", "decode_codes",
-    "ColumnSpec", "ColumnStats", "Dataset", "Schema", "column_stats",
-    "load_csv", "load_schema", "save_csv", "save_schema", "split",
+    "ColumnSpec", "Dataset", "Schema",
+    "load_csv", "load_schema", "save_csv", "save_schema",
     "PrivacyBudget", "dp_covariance", "dp_mean", "laplace_sample", "psd_repair",
     "ConvergenceError", "DataError", "FeasibilityError", "FfpdgError",
     "SchemaError", "StageError",

@@ -15,6 +15,7 @@ import numpy as np
 from .data import Schema, schema_from_text, schema_to_text
 from .errors import DataError
 from .rongauss import (
+    FAIR_PRIOR_SMOOTH,
     ColumnCoding,
     ColumnPost,
     GenerationConfig,
@@ -181,7 +182,7 @@ def render_audit(result: GenerationResult, config: GenerationConfig, seconds: fl
         f"mode={result.model.mode}",
         f"seed={config.seed}",
         f"rate={_fmt(config.rate)}",
-        f"smooth={_fmt(config.smooth)}",
+        f"smooth={_fmt(FAIR_PRIOR_SMOOTH)}",
         f"categorical_noise_sigma={_fmt(config.categorical_noise_sigma)}",
         f"generate_seconds={seconds:.3f}",
         "",

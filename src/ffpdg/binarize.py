@@ -2,9 +2,8 @@
 
 A CodeBook remembers how each source column maps to bits (quantile
 thresholds for continuous columns, identity for binary, one-hot for
-categorical) and which original rows produced each observed code. Codes
-that were never observed are inverted through their nearest observed
-code in Hamming distance.
+categorical) and which original rows produced each observed code. Only
+observed codes can be inverted: each maps back to one of its own rows.
 
 This module alone decides how a code is keyed. `pack_codes` packs each
 0/1 row into bytes with np.packbits, which is big-endian, and views the
@@ -170,48 +169,37 @@ def build_codebook(dataset: Dataset, bins_per_continuous: int = 1) -> tuple[np.n
     return binary, codebook
 
 
-def _nearest_key_index(code: np.ndarray, keys: np.ndarray) -> int:
-    """Index of the minimum-Hamming key; ties go to the lexicographically smallest.
-
-    Keys are stored sorted, so the first argmin is the lexicographic winner.
-    """
-    distances = np.abs(keys.astype(np.int16) - code.astype(np.int16)).sum(axis=1)
-    return int(np.argmin(distances))
-
-
 def decode_codes(codes: np.ndarray, codebook: CodeBook, seed: int) -> np.ndarray:
-    """Invert a batch of codes to original-space rows with one shared generator.
+    """Invert a batch of observed codes to original-space rows.
 
-    The queries are packed and grouped by distinct code (distinct_codes).
-    Exact hits are found by np.searchsorted over the codebook's packed
-    keys; only the misses fall back to the nearest key in Hamming distance
-    (ties go to the lexicographically smallest key). Each distinct query
-    code then draws its rows uniformly among the source rows stored under
-    its key. A key with one source row has nothing to draw: all such
-    queries are filled by one take and consume no randomness. Every other
-    distinct query code calls rng.choice once, in ascending query-code
-    order, so a fixed seed fixes the output. Row order follows the input.
-
-    `generate` always decodes exact hits: it samples codes from a prior
-    whose support is the codebook's keys. The Hamming fallback serves
-    direct callers only.
+    The queries are packed, grouped by distinct code (distinct_codes) and
+    matched to the codebook's packed keys by np.searchsorted; a code the
+    codebook does not hold raises DataError. One stable argsort of the
+    exact uint64 key `entry << 32 | 32 random bits` shuffles every
+    entry's row_order slice at once. The j-th query of an entry, counting
+    in input order, takes row j mod count of its shuffled slice, so an
+    entry's rows are drawn without replacement until its queries outnumber
+    them, and no source row is returned more than ceil(queries / count)
+    times. A fixed seed fixes the output; row order follows the input.
     """
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[1] != codebook.m:
         raise DataError(f"codes must be (n, {codebook.m})")
-    uniq, first, where_order, where_starts = distinct_codes(codes)
-    idx = np.minimum(np.searchsorted(codebook.packed, uniq), codebook.entry_count() - 1)
-    for u in np.flatnonzero(codebook.packed[idx] != uniq):
-        idx[u] = _nearest_key_index(codes[first[u]], codebook.keys)
-    out = np.empty((len(codes), codebook.schema.d))
-    starts = codebook.row_starts
+    uniq, _, where_order, where_starts = distinct_codes(codes)
+    entry = np.minimum(np.searchsorted(codebook.packed, uniq), codebook.entry_count() - 1)
+    unseen = int(np.count_nonzero(codebook.packed[entry] != uniq))
+    if unseen:
+        raise DataError(f"{unseen} of {len(uniq)} distinct codes are not in the codebook")
+    counts = codebook.counts
+    sort_key = np.repeat(np.arange(len(counts), dtype=np.uint64), counts) << np.uint64(32)
+    sort_key |= np.random.default_rng(seed).integers(0, 1 << 32, size=len(sort_key), dtype=np.uint64)
+    # stable: two rows of an entry that drew the same 32 bits keep their
+    # order on every platform, whichever sort numpy dispatches to
+    shuffled = codebook.row_order[np.argsort(sort_key, kind="stable")]
     sizes = np.diff(where_starts)
-    lone = codebook.counts[idx] == 1
-    source = codebook.row_order[starts[idx[lone]]]
-    out[where_order[np.repeat(lone, sizes)]] = codebook.rows[np.repeat(source, sizes[lone])]
-    rng = np.random.default_rng(seed)
-    for u in np.flatnonzero(~lone):
-        where = where_order[where_starts[u]:where_starts[u + 1]]
-        group = codebook.row_order[starts[idx[u]]:starts[idx[u] + 1]]
-        out[where] = codebook.rows[rng.choice(group, size=len(where))]
+    query_entry = np.repeat(entry, sizes)
+    rank = np.arange(len(codes)) - np.repeat(where_starts[:-1], sizes)
+    source = shuffled[codebook.row_starts[query_entry] + rank % counts[query_entry]]
+    out = np.empty((len(codes), codebook.schema.d))
+    out[where_order] = codebook.rows[source]
     return out

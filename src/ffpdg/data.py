@@ -1,4 +1,4 @@
-"""Typed tabular datasets: schema declaration, CSV I/O, column statistics.
+"""Typed tabular datasets: schema declaration, CSV I/O, quantiles and ranks.
 
 Values are stored in a single float64 matrix. Continuous columns hold the
 raw value, binary columns hold 0/1, categorical columns hold the level
@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -329,26 +328,7 @@ def save_csv(dataset: Dataset, path):
             writer.writerows(zip(*columns))
 
 
-# -- statistics and splitting -------------------------------------------------
-
-@dataclass(frozen=True)
-class ColumnStats:
-    """Per-column min/max/mean and nearest-rank percentiles."""
-
-    quantiles: tuple[float, ...]
-    mins: np.ndarray
-    maxs: np.ndarray
-    means: np.ndarray
-    percentiles: np.ndarray  # shape (len(quantiles), d)
-    positive_rates: np.ndarray = field(default=None)  # binary columns only; NaN elsewhere
-
-
-def nearest_rank(sorted_values: np.ndarray, q: float) -> float:
-    """Nearest-rank percentile: the ceil(q*n)-th smallest value (1-indexed)."""
-    n = len(sorted_values)
-    rank = max(1, math.ceil(q * n))
-    return float(sorted_values[rank - 1])
-
+# -- quantiles and ranks ------------------------------------------------------
 
 def interp_quantiles(sorted_values: np.ndarray, levels) -> np.ndarray:
     """Linear-interpolation quantiles of a sorted 1-d array at each level in [0, 1]."""
@@ -371,42 +351,3 @@ def average_ranks(values) -> np.ndarray:
     # a tie run holds ranks starts+1 .. ends, whose mean is exact in float64
     ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     return ranks
-
-
-def column_stats(dataset: Dataset, quantiles=(0.25, 0.5, 0.75)) -> ColumnStats:
-    quantiles = tuple(float(q) for q in quantiles)
-    if not quantiles:
-        raise DataError("quantile list must be nonempty")
-    for q in quantiles:
-        if not 0.0 <= q <= 1.0:
-            raise DataError(f"quantile {q} outside [0, 1]")
-    values = dataset.values
-    order = np.sort(values, axis=0)
-    pct = np.empty((len(quantiles), dataset.d))
-    for i, q in enumerate(quantiles):
-        for j in range(dataset.d):
-            pct[i, j] = nearest_rank(order[:, j], q)
-    rates = np.full(dataset.d, np.nan)
-    for j, col in enumerate(dataset.schema.columns):
-        if col.kind == BINARY:
-            rates[j] = values[:, j].mean()
-    return ColumnStats(
-        quantiles=quantiles,
-        mins=order[0].copy(),
-        maxs=order[-1].copy(),
-        means=values.mean(axis=0),
-        percentiles=pct,
-        positive_rates=rates,
-    )
-
-
-def split(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Disjoint row partition of sizes (ceil(f*n), n - ceil(f*n)), seeded."""
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"fraction {fraction} outside (0, 1)")
-    if dataset.n < 2:
-        raise DataError("need at least two rows to split")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(dataset.n)
-    k = math.ceil(fraction * dataset.n)
-    return dataset.take(perm[:k]), dataset.take(perm[k:])

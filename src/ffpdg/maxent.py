@@ -225,21 +225,20 @@ def solve_maxent(prior: DiscreteDistribution, constraints: ParityConstraints,
 
 
 def sample_codes(distribution: DiscreteDistribution, k: int, seed: int) -> np.ndarray:
-    """k codes with cell counts allocated by largest remainder, then shuffled.
+    """k codes by systematic sampling, in support order.
 
-    Deterministic counts reproduce the distribution up to 1/k per cell;
-    i.i.d. draws would stack binomial noise on top of the solved
-    re-weighting and every downstream stage would inherit it.
+    One uniform offset u places k evenly spaced points (u + j)/k on the
+    cumulative distribution; a code is taken once per point in its cell.
+    Cell i therefore appears floor(k p_i) or ceil(k p_i) times, which
+    reproduces the distribution up to 1/k per cell, and over seeds each
+    cell's mean count is exactly k p_i. i.i.d. draws would stack binomial
+    noise on top of the solved re-weighting; one fixed rounding of every
+    share can rebuild the source table when most shares are close to 1.
+    Points past the last cumulative sum (by rounding) fall in the last
+    cell.
     """
     if k < 1:
         raise DataError("k must be >= 1")
-    rng = np.random.default_rng(seed)
-    share = distribution.probs * k
-    counts = np.floor(share).astype(np.int64)
-    short = k - int(counts.sum())
-    if short > 0:
-        order = np.argsort(-(share - counts), kind="stable")
-        counts[order[:short]] += 1
-    idx = np.repeat(np.arange(len(counts)), counts)
-    rng.shuffle(idx)
-    return distribution.support[idx].copy()
+    u = np.random.default_rng(seed).random()
+    cells = np.searchsorted(np.cumsum(distribution.probs)[:-1], (u + np.arange(k)) / k, side="right")
+    return distribution.support[cells]

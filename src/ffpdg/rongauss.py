@@ -46,6 +46,12 @@ _MODES = (MODE_UNSUPERVISED, MODE_CLASSIFICATION, MODE_REGRESSION)
 # post-processing; the levels are evenly spaced on [0, 1].
 DEFAULT_QUANTILE_POINTS = 257
 
+# Fair stage: additive smoothing of the empirical prior over observed
+# codes, and the max-entropy solver's residual tolerance and step limit.
+FAIR_PRIOR_SMOOTH = 0.1
+MAXENT_TOL = 1e-6
+MAXENT_MAX_ITER = 10000
+
 
 @dataclass(frozen=True)
 class RonProjection:
@@ -108,10 +114,7 @@ class GenerationConfig:
     seed: int = 0
     categorical_noise_sigma: float = 0.01
     bins: int = 1                 # discretization bits per continuous column
-    smooth: float = 0.1           # prior smoothing for the fair stage
     rate: float = 1.0             # statistical-rate target (1 = exact parity)
-    maxent_tol: float = 1e-6
-    maxent_max_iter: int = 10000
     quantile_points: int = DEFAULT_QUANTILE_POINTS
 
     def __post_init__(self):
@@ -473,9 +476,9 @@ def generate_with_artifacts(dataset: Dataset, protected: str | None = None,
     label_bit = codebook.bit_layout[schema.label_index].bit_indices[0]
 
     try:
-        prior = maxent.empirical_prior(codebook.keys, codebook.counts, config.smooth)
+        prior = maxent.empirical_prior(codebook.keys, codebook.counts, FAIR_PRIOR_SMOOTH)
         constraints = maxent.fair_marginals(binary, protected_bit, label_bit, config.rate)
-        solution = maxent.solve_maxent(prior, constraints, config.maxent_tol, config.maxent_max_iter)
+        solution = maxent.solve_maxent(prior, constraints, MAXENT_TOL, MAXENT_MAX_ITER)
     except (FeasibilityError, ConvergenceError, DataError) as exc:
         raise StageError("fair redistribution", 2, exc) from exc
 

@@ -5,16 +5,15 @@ library code they check: the constrained-entropy reference solves the
 primal problem with an off-the-shelf SQP optimizer (the library descends
 the dual), the logistic-regression reference runs quasi-Newton L-BFGS
 (the library takes exact Newton steps), the AUC reference counts pairs
-one by one, the codebook and decode references work on rows of bits (the
-library packs each code into one byte-string key), and the CSV
-references parse and format one cell at a time (the library converts
-blocks of rows one column at a time). The dual-descent reference is the
+one by one, the codebook reference works on rows of bits (the library
+packs each code into one byte-string key), and the CSV references parse
+and format one cell at a time (the library converts blocks of rows one
+column at a time). The dual-descent reference is the
 exception: it runs the library's own algorithm but computes the dual
 objective and the distribution in two separate exponentiations, where
 the library shares one, and the tests require bitwise equality.
 """
 
-import bisect
 import csv
 
 import numpy as np
@@ -162,27 +161,6 @@ def row_codebook(binary):
     inverse = inverse.ravel()
     groups = [np.flatnonzero(inverse == i) for i in range(len(keys))]
     return keys.astype(np.uint8), counts, groups
-
-
-def tuple_search_decode(codes, keys, row_groups, rows, seed):
-    """Decode code by code: a binary search over key tuples for exact hits,
-    a full Hamming scan for misses (first minimum, i.e. the lexicographically
-    smallest key), then one rng.choice per distinct code in sorted order.
-    """
-    codes = np.asarray(codes, dtype=np.uint8)
-    rng = np.random.default_rng(seed)
-    key_tuples = [tuple(int(b) for b in k) for k in keys]
-    uniq, inverse = np.unique(codes, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    out = np.empty((len(codes), rows.shape[1]))
-    for u, code in enumerate(uniq):
-        code_t = tuple(int(b) for b in code)
-        idx = bisect.bisect_left(key_tuples, code_t)
-        if idx == len(key_tuples) or key_tuples[idx] != code_t:
-            idx = int(np.argmin(np.abs(keys.astype(int) - code.astype(int)).sum(axis=1)))
-        where = np.flatnonzero(inverse == u)
-        out[where] = rows[rng.choice(row_groups[idx], size=len(where))]
-    return out
 
 
 def cellwise_load_csv(path, schema):

@@ -1,4 +1,4 @@
-"""Discretization codebook: thresholds, packed keys, nearest-code inversion."""
+"""Discretization codebook: thresholds, packed keys, inversion of observed codes."""
 
 from dataclasses import replace
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import mixed_dataset
-from oracles import row_codebook, tuple_search_decode
+from oracles import row_codebook
 from ffpdg.binarize import build_codebook, decode_codes, pack_codes
 from ffpdg.data import (
     BINARY,
@@ -91,23 +91,24 @@ def test_observed_code_inverts_to_one_of_its_rows():
     assert any(np.array_equal(row, cand) for cand in candidates)
 
 
-def test_unseen_code_uses_minimum_hamming_key():
+def test_unseen_code_raises_data_error():
     ds = mixed_dataset(60, seed=8)
     binary, book = build_codebook(ds, 1)
+    observed = {tuple(k) for k in book.keys}
     r = np.random.default_rng(3)
-    for _ in range(50):
-        code = r.integers(0, 2, book.m).astype(np.uint8)
-        row = decode_codes(code[None, :], book, seed=11)[0]
-        # brute-force oracle: scan every key for the Hamming minimum
-        dists = np.abs(book.keys.astype(int) - code.astype(int)).sum(axis=1)
-        best = dists.min()
-        winners = [i for i in range(len(book.keys)) if dists[i] == best]
-        allowed = np.vstack([ds.values[group(book, i)] for i in winners])
-        assert any(np.array_equal(row, cand) for cand in allowed)
+    unseen = [c for c in r.integers(0, 2, (50, book.m)).astype(np.uint8) if tuple(c) not in observed]
+    assert unseen
+    for code in unseen:
+        with pytest.raises(DataError, match="1 of 1 distinct codes are not in the codebook"):
+            decode_codes(code[None, :], book, seed=11)
+    # one unseen code fails the whole batch, however many observed codes it holds
+    batch = np.vstack([binary, unseen[0]])
+    with pytest.raises(DataError, match="not in the codebook"):
+        decode_codes(batch, book, seed=11)
 
 
-def test_hamming_ties_break_lexicographically():
-    # keys 00 and 11 are both distance 1 from 01 and from 10
+def test_code_equidistant_from_two_keys_raises_data_error():
+    # 01 and 10 are both distance 1 from keys 00 and 11; neither is picked
     schema = Schema((
         ColumnSpec("a", BINARY, role=ROLE_PROTECTED),
         ColumnSpec("b", BINARY),
@@ -115,8 +116,10 @@ def test_hamming_ties_break_lexicographically():
     ds = Dataset(schema, np.array([[0.0, 0.0], [1.0, 1.0]]))
     _, book = build_codebook(ds, 1)
     for probe in ([0, 1], [1, 0]):
-        row = decode_codes(np.array([probe], dtype=np.uint8), book, seed=0)[0]
-        assert np.array_equal(row, [0.0, 0.0])  # key 00 < 11
+        with pytest.raises(DataError, match="1 of 1 distinct codes are not in the codebook"):
+            decode_codes(np.array([probe], dtype=np.uint8), book, seed=0)
+    with pytest.raises(DataError, match="2 of 3 distinct codes are not in the codebook"):
+        decode_codes(np.array([[0, 1], [1, 1], [1, 0], [0, 1]], dtype=np.uint8), book, seed=0)
 
 
 def test_inverse_draw_frequencies_are_uniform_over_group():
@@ -195,7 +198,7 @@ def all_binary_dataset(binary):
     return Dataset(schema, binary.astype(float))
 
 
-def assert_codebook_and_decode_match_row_oracle(binary, queries):
+def assert_codebook_matches_row_oracle_and_decode_draws_from_groups(binary, queries):
     built, book = build_codebook(all_binary_dataset(binary), 1)
     assert np.array_equal(built, binary)
     keys, counts, groups = row_codebook(binary)
@@ -205,10 +208,24 @@ def assert_codebook_and_decode_match_row_oracle(binary, queries):
     assert all(np.array_equal(group(book, i), g) for i, g in enumerate(groups))
     # rows of one code are identical here, so give every row its own
     # values to make the draw within a group visible
+    m = binary.shape[1]
     book = replace(book, rows=np.arange(binary.size, dtype=float).reshape(binary.shape))
+    key_of = {tuple(k): i for i, k in enumerate(keys)}
+    wanted = np.array([key_of[tuple(q)] for q in queries])
     for seed in (0, 7):
-        want = tuple_search_decode(queries, keys, groups, book.rows, seed)
-        assert np.array_equal(decode_codes(queries, book, seed), want)
+        out = decode_codes(queries, book, seed)
+        assert np.array_equal(out, decode_codes(queries, book, seed))
+        source = out[:, 0].astype(int) // m
+        assert np.array_equal(out, book.rows[source])
+        # each query row comes from its own key's group ...
+        assert np.array_equal(binary[source], queries)
+        # ... and no source row is used more than ceil(queries / group size) times
+        asked = np.bincount(wanted, minlength=len(keys))
+        used = np.bincount(source, minlength=len(binary))
+        rows_key = np.empty(len(binary), dtype=int)
+        for i, g in enumerate(groups):
+            rows_key[g] = i
+        assert np.all(used <= -(-asked[rows_key] // counts[rows_key]))
     return counts
 
 
@@ -217,25 +234,37 @@ def test_packed_codebook_and_decode_match_row_oracle(m):
     r = np.random.default_rng(m)
     base = r.integers(0, 2, (40, m)).astype(np.uint8)
     binary = base[r.integers(0, len(base), 300)]  # repeated rows
-    # observed codes mixed with fresh random ones, most of them unseen
-    queries = np.vstack([binary[r.integers(0, len(binary), 200)],
-                         r.integers(0, 2, (60, m)).astype(np.uint8)])
-    queries = queries[r.permutation(len(queries))]
-    assert_codebook_and_decode_match_row_oracle(binary, queries)
+    queries = binary[r.integers(0, len(binary), 260)]
+    assert_codebook_matches_row_oracle_and_decode_draws_from_groups(binary, queries)
 
 
 def test_single_row_keys_decode_like_the_row_oracle():
     # 300 rows over about 290 codes: nearly every key has one source row,
-    # a few have several, and the queries interleave both with unseen codes
+    # a few have several, and the queries interleave both
     r = np.random.default_rng(28)
     base = r.integers(0, 2, (290, 28)).astype(np.uint8)
     binary = base[np.concatenate([np.arange(290), r.integers(0, 290, 10)])]
     binary = binary[r.permutation(len(binary))]
-    queries = np.vstack([binary[r.integers(0, len(binary), 440)],
-                         r.integers(0, 2, (60, 28)).astype(np.uint8)])
-    queries = queries[r.permutation(len(queries))]
-    counts = assert_codebook_and_decode_match_row_oracle(binary, queries)
+    queries = binary[r.integers(0, len(binary), 500)]
+    counts = assert_codebook_matches_row_oracle_and_decode_draws_from_groups(binary, queries)
     assert np.sum(counts == 1) > 250 and np.sum(counts > 1) >= 5
+
+
+def test_decode_draws_without_replacement_while_the_group_lasts():
+    # one code carries 50 source rows; 50 queries use each row once, 120
+    # queries use each row two or three times (ceil(120 / 50) = 3)
+    schema = Schema((
+        ColumnSpec("x", CONTINUOUS),
+        ColumnSpec("c", BINARY, role=ROLE_PROTECTED),
+    ))
+    x = np.concatenate([np.arange(50.0), 100.0 + np.arange(50.0)])
+    ds = Dataset(schema, np.column_stack([x, np.zeros(100)]))
+    binary, book = build_codebook(ds, 1)
+    assert book.counts.tolist() == [50, 50]
+    for asked, most in ((50, 1), (120, 3)):
+        out = decode_codes(np.tile(binary[0], (asked, 1)), book, seed=3)
+        _, used = np.unique(out[:, 0], return_counts=True)
+        assert len(used) == 50 and used.max() == most and used.min() >= asked // 50
 
 
 def test_empty_batch_decodes_to_no_rows():
@@ -243,13 +272,3 @@ def test_empty_batch_decodes_to_no_rows():
     _, book = build_codebook(ds, 1)
     out = decode_codes(np.zeros((0, book.m), dtype=np.uint8), book, seed=0)
     assert out.shape == (0, ds.schema.d)
-
-
-@pytest.mark.parametrize("value", [3, 2.5])
-def test_choice_from_one_element_draws_nothing(value):
-    # decode_codes skips rng.choice for one-row keys; the draws for the
-    # other keys stay the same only because such a call consumes nothing
-    rng = np.random.default_rng(5)
-    state = rng.bit_generator.state
-    assert np.array_equal(rng.choice(np.array([value]), size=7), np.full(7, value))
-    assert rng.bit_generator.state == state

@@ -1,7 +1,6 @@
-"""Schema parsing, dataset validation, CSV round-trips, percentiles, splits."""
+"""Schema parsing, dataset validation, CSV round-trips, quantiles and ranks."""
 
 import csv
-import math
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +19,12 @@ from ffpdg.data import (
     ROLE_PROTECTED,
     Schema,
     average_ranks,
-    column_stats,
     load_csv,
     load_schema,
-    nearest_rank,
     save_csv,
     save_schema,
     schema_from_text,
     schema_to_text,
-    split,
 )
 from ffpdg.errors import DataError, SchemaError
 from oracles import cellwise_load_csv, cellwise_save_csv
@@ -283,58 +279,6 @@ def test_bundled_data_round_trips_byte_for_byte(tmp_path, name):
     out = tmp_path / "out.csv"
     save_csv(load_csv(src, schema), out)
     assert out.read_bytes() == src.read_bytes()
-
-
-def test_nearest_rank_matches_direct_formula():
-    r = np.random.default_rng(11)
-    for _ in range(200):
-        n = int(r.integers(1, 60))
-        vals = np.sort(r.normal(size=n))
-        q = float(r.random())
-        want = vals[max(1, math.ceil(q * n)) - 1]
-        assert nearest_rank(vals, q) == want
-
-
-def test_nearest_rank_median_of_four_is_two():
-    assert nearest_rank(np.array([1.0, 2.0, 3.0, 4.0]), 0.5) == 2.0
-
-
-def test_column_stats_values():
-    schema = Schema((
-        ColumnSpec("x", CONTINUOUS),
-        ColumnSpec("c", BINARY, role=ROLE_PROTECTED),
-    ))
-    ds = Dataset(schema, np.column_stack([
-        np.array([1.0, 2.0, 3.0, 4.0]),
-        np.array([0.0, 1.0, 1.0, 1.0]),
-    ]))
-    stats = column_stats(ds, quantiles=(0.5,))
-    assert stats.percentiles[0, 0] == 2.0
-    assert stats.mins[0] == 1.0 and stats.maxs[0] == 4.0
-    assert stats.means[0] == 2.5
-    assert stats.positive_rates[1] == 0.75
-    assert np.isnan(stats.positive_rates[0])
-
-
-def test_split_sizes_disjoint_and_seeded():
-    ds = mixed_dataset(103, seed=5)
-    a, b = split(ds, 0.7, seed=9)
-    assert a.n == math.ceil(0.7 * 103) and a.n + b.n == ds.n
-    joined = np.vstack([a.values, b.values])
-    assert np.array_equal(
-        np.sort(joined, axis=0), np.sort(ds.values, axis=0)
-    )
-    a2, b2 = split(ds, 0.7, seed=9)
-    assert np.array_equal(a.values, a2.values)
-    a3, _ = split(ds, 0.7, seed=10)
-    assert not np.array_equal(a.values, a3.values)
-
-
-def test_split_rejects_degenerate_fraction():
-    ds = mixed_dataset(10, seed=0)
-    for f in (0.0, 1.0, -0.1):
-        with pytest.raises(DataError):
-            split(ds, f, seed=0)
 
 
 def test_average_ranks_match_scipy_with_ties():

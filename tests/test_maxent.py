@@ -162,34 +162,53 @@ def test_empirical_prior_smoothing_formula():
         empirical_prior(support, np.array([3, 1, 2]))
 
 
-def test_sample_codes_uses_largest_remainder_counts():
-    support = full_support(2)[:3]
-    dist = DiscreteDistribution(support, np.array([0.24, 0.26, 0.5]))
-    codes = sample_codes(dist, 10, seed=0)
-    # shares 2.4, 2.6, 5.0 -> floors 2, 2, 5 and the leftover goes to the
-    # largest remainder
-    _, counts = np.unique(codes, axis=0, return_counts=True)
-    assert sorted(counts.tolist()) == [2, 3, 5]
-    key_counts = {tuple(k): c for k, c in
-                  zip(*np.unique(codes, axis=0, return_counts=True))}
-    assert key_counts[tuple(support[1])] == 3
+def test_sample_code_counts_are_floors_or_ceilings_of_the_shares():
+    r = np.random.default_rng(17)
+    support = full_support(6)
+    for trial in range(200):
+        probs = r.dirichlet(np.full(len(support), r.choice([0.05, 1.0, 20.0])))
+        k = int(r.integers(1, 400))
+        codes = sample_codes(DiscreteDistribution(support, probs), k, seed=trial)
+        assert codes.shape == (k, 6)
+        # full_support lists codes in binary order, so a code's cell is its value
+        counts = np.bincount(codes @ (1 << np.arange(5, -1, -1)), minlength=len(support))
+        share = probs * k
+        assert np.all((counts == np.floor(share)) | (counts == np.ceil(share)))
 
 
-def test_sample_codes_counts_stable_across_seeds():
+def test_sample_code_counts_move_by_at_most_one_across_seeds_and_average_the_share():
     r = np.random.default_rng(17)
     support = full_support(3)
     dist = DiscreteDistribution(support, r.dirichlet(np.ones(8)))
-    a = sample_codes(dist, 503, seed=1)
-    b = sample_codes(dist, 503, seed=2)
+    counts = np.array([np.bincount(sample_codes(dist, 503, seed) @ [4, 2, 1], minlength=8)
+                       for seed in range(1, 41)])
+    assert np.all(counts.max(axis=0) - counts.min(axis=0) <= 1)
+    assert np.array_equal(sample_codes(dist, 503, seed=1), sample_codes(dist, 503, seed=1))
+    # shares 2.4, 2.6, 5.0: the seed decides floor or ceiling, and over many
+    # seeds each cell's mean count is its share (one fixed rounding would
+    # stay 0.4 away from two of them)
+    dist = DiscreteDistribution(full_support(2)[:3], np.array([0.24, 0.26, 0.5]))
+    mean = np.mean([np.bincount(sample_codes(dist, 10, seed) @ [2, 1], minlength=3)
+                    for seed in range(400)], axis=0)
+    assert np.allclose(mean, [2.4, 2.6, 5.0], atol=0.1)
 
-    def cell_counts(codes):
-        keys, counts = np.unique(codes, axis=0, return_counts=True)
-        return {tuple(k): int(c) for k, c in zip(keys, counts)}
 
-    assert cell_counts(a) == cell_counts(b)  # counts deterministic, only order is seeded
-    assert not np.array_equal(a, b)
-    same = sample_codes(dist, 503, seed=1)
-    assert np.array_equal(a, same)
+def test_sample_codes_keeps_the_solved_parity_on_a_wide_support():
+    # about 5k distinct 16-bit codes from 6k rows: nearly every share p*n
+    # is close to 1, where rounding each share to a count would restore the
+    # source table's group gap (about 0.19 here) instead of the solution's
+    r = np.random.default_rng(5)
+    n = 6000
+    c = r.random(n) < 0.6
+    y = r.random(n) < np.where(c, 0.68, 0.49)
+    binary = np.column_stack([c, y, r.random((n, 14)) < 0.5]).astype(np.uint8)
+    sol = solve_maxent(prior_of(binary), fair_marginals(binary, 0, 1))
+    assert len(sol.distribution.support) > 4500
+    rates_before = group_rates(binary, 0, 1)
+    assert abs(rates_before[0] - rates_before[1]) > 0.15
+    for seed in range(5):
+        rates = group_rates(sample_codes(sol.distribution, n, seed), 0, 1)
+        assert abs(rates[0] - rates[1]) <= 0.01
 
 
 def test_distribution_validation():
