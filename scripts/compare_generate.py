@@ -11,7 +11,9 @@ perfbench/simulate.py at seed 1), each at `--bins` 1 and 3. Each tree
 runs every case in one child process, with BLAS pinned to one thread.
 A case is identical when both trees exit with the same code, write the
 same CSV bytes and the same audit once its `generate_seconds=` line is
-dropped. Prints `N of M identical` and exits 1 on any difference.
+dropped. Each differing case prints everything that differs: exit code,
+CSV bytes and the names of the audit `[section]`s. Then prints
+`N of M identical` and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -83,26 +85,40 @@ def child(out: Path) -> None:
     (out / "codes.json").write_text(json.dumps(codes), encoding="utf-8")
 
 
-def _stable_audit(path: Path) -> list[str]:
-    return [line for line in path.read_text(encoding="utf-8").splitlines()
-            if not line.startswith(VOLATILE_AUDIT_PREFIX)]
+def _audit_sections(path: Path) -> dict[str, str]:
+    """An audit's text by `[section]` header, without its
+    `generate_seconds=` line and the blank lines that end each section;
+    lines before the first header go under `(preamble)`."""
+    sections = {"(preamble)": []}
+    lines = sections["(preamble)"]
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("[") and line.endswith("]"):
+            lines = sections.setdefault(line, [])
+        elif not line.startswith(VOLATILE_AUDIT_PREFIX):
+            lines.append(line)
+    return {header: "\n".join(lines).rstrip("\n") for header, lines in sections.items()}
 
 
 def difference(name: str, old: Path, new: Path, old_code: int, new_code: int) -> str | None:
-    """Why case `name` differs between the two output directories, or None."""
+    """Everything that differs for case `name` between the two output
+    directories, joined by "; ", or None: the exit codes, an output written
+    by one tree only, the CSV bytes, and the audit sections by name."""
+    found = []
     if old_code != new_code:
-        return f"exit code {old_code} != {new_code}"
-    for suffix in (".csv", ".audit"):
-        a, b = old / f"{name}{suffix}", new / f"{name}{suffix}"
-        if a.exists() != b.exists():
-            return f"{suffix} written by one tree only"
+        found.append(f"exit code {old_code} != {new_code}")
     csv_a, csv_b = old / f"{name}.csv", new / f"{name}.csv"
-    if csv_a.exists() and not filecmp.cmp(csv_a, csv_b, shallow=False):
-        return "CSV bytes differ"
     audit_a, audit_b = old / f"{name}.audit", new / f"{name}.audit"
-    if audit_a.exists() and _stable_audit(audit_a) != _stable_audit(audit_b):
-        return "audit differs"
-    return None
+    for suffix, a, b in ((".csv", csv_a, csv_b), (".audit", audit_a, audit_b)):
+        if a.exists() != b.exists():
+            found.append(f"{suffix} written by one tree only")
+    if csv_a.exists() and csv_b.exists() and not filecmp.cmp(csv_a, csv_b, shallow=False):
+        found.append("CSV bytes differ")
+    if audit_a.exists() and audit_b.exists():
+        sections_a, sections_b = _audit_sections(audit_a), _audit_sections(audit_b)
+        changed = [s for s in {**sections_a, **sections_b} if sections_a.get(s) != sections_b.get(s)]
+        if changed:
+            found.append("audit differs in " + " ".join(changed))
+    return "; ".join(found) or None
 
 
 def compare(old_src, new_src, cases: list[dict], work: Path) -> dict[str, str | None]:

@@ -7,6 +7,13 @@ term x_protected * x_label. Matching the bit means preserves every
 marginal (including the protected-group representation rate) while the
 product-term target moves both group-conditional positive rates to the
 overall positive rate.
+
+lambda minimizes the convex dual log Z(lambda) - <lambda, targets>,
+whose gradient is the constraint gap E_p[phi] - targets and whose
+Hessian is the covariance of phi under p. `solve_maxent` takes damped
+Newton steps: a minimum-norm least-squares solve (`np.linalg.lstsq`)
+against that singular covariance, then Armijo backtracking along the
+Newton direction.
 """
 
 from __future__ import annotations
@@ -149,17 +156,23 @@ def _dual(lam, log_q, features, targets):
 
 
 def solve_maxent(prior: DiscreteDistribution, constraints: ParityConstraints,
-                 tol: float = 1e-6, max_iter: int = 10000) -> MaxEntSolution:
-    """Minimize the dual log Z(lambda) - <lambda, targets> by gradient descent.
+                 tol: float = 1e-6, max_iter: int = 100) -> MaxEntSolution:
+    """Minimize the dual log Z(lambda) - <lambda, targets> by damped Newton steps.
 
-    Backtracking line search (Armijo, shrink factor 0.5 from step 1.0);
-    the gradient is E_p[phi] - targets, so its max-norm at termination is
-    exactly the constraint residual. Each evaluated lambda is exponentiated
-    once: the accepted candidate's distribution gives the next gradient
-    and, at the end, the returned distribution. Raises FeasibilityError
-    when a target falls outside the support's reachable box,
-    ConvergenceError (carrying the partial solution) when max_iter is hit
-    first.
+    The gradient is E_p[phi] - targets, so its max-norm at termination is
+    exactly the constraint residual; the Hessian is the covariance of phi
+    under p. That covariance is singular by construction (the bits of a
+    one-hot block sum to 1, copied bits are dependent), so the Newton
+    direction is its minimum-norm least-squares solve: from lambda = 0
+    every step stays in the Hessian's row space, which makes the returned
+    lambda the unique minimum-norm optimum. Armijo backtracking (shrink
+    factor 0.5 from step 1.0) on the Newton step keeps the dual
+    nonincreasing. Each evaluated lambda is exponentiated once: the
+    accepted candidate's distribution gives the next gradient and
+    Hessian and, at the end, the returned distribution. Raises
+    FeasibilityError when a target falls outside the support's reachable
+    box, ConvergenceError (carrying the partial solution) when max_iter
+    is hit first.
     """
     if len(prior.support) == 0:
         raise DataError("empty support")
@@ -181,17 +194,20 @@ def solve_maxent(prior: DiscreteDistribution, constraints: ParityConstraints,
     trace = [value]
     iterations = 0
     converged = False
-    grad = features.T @ probs - targets
     while iterations < max_iter:
+        mean = features.T @ probs
+        grad = mean - targets
         if np.abs(grad).max() <= tol:
             converged = True
             break
+        hessian = (features.T * probs) @ features - np.outer(mean, mean)
+        direction = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        slope = float(grad @ direction)
         step = 1.0
-        gnorm2 = float(grad @ grad)
         while True:
-            candidate = lam - step * grad
+            candidate = lam - step * direction
             cand_value, cand_probs = _dual(candidate, log_q, features, targets)
-            if cand_value <= value - 1e-4 * step * gnorm2:
+            if cand_value <= value - 1e-4 * step * slope:
                 break
             step *= 0.5
             if step < 1e-20:
@@ -201,7 +217,6 @@ def solve_maxent(prior: DiscreteDistribution, constraints: ParityConstraints,
             break
         lam, value, probs = candidate, cand_value, cand_probs
         trace.append(value)
-        grad = features.T @ probs - targets
         iterations += 1
 
     residual = float(np.abs(features.T @ probs - targets).max())

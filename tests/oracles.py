@@ -1,17 +1,15 @@
 """Reference implementations the tests compare against.
 
-Most oracles are deliberately built on a different method than the
-library code they check: the constrained-entropy reference solves the
-primal problem with an off-the-shelf SQP optimizer (the library descends
-the dual), the logistic-regression reference runs quasi-Newton L-BFGS
-(the library takes exact Newton steps), the AUC reference counts pairs
-one by one, the codebook reference works on rows of bits (the library
-packs each code into one byte-string key), and the CSV references parse
-and format one cell at a time (the library converts blocks of rows one
-column at a time). The dual-descent reference is the
-exception: it runs the library's own algorithm but computes the dual
-objective and the distribution in two separate exponentiations, where
-the library shares one, and the tests require bitwise equality.
+Each oracle is deliberately built on a different method than the library
+code it checks: the constrained-entropy reference solves the primal
+problem with an off-the-shelf SQP optimizer and the dual-descent
+reference runs gradient descent on the dual (the library takes Newton
+steps on the dual), the logistic-regression reference runs quasi-Newton
+L-BFGS (the library takes exact Newton steps), the AUC reference counts
+pairs one by one, the codebook reference works on rows of bits (the
+library packs each code into one byte-string key), and the CSV
+references parse and format one cell at a time (the library converts
+blocks of rows one column at a time).
 """
 
 import csv
@@ -62,12 +60,15 @@ def kl_projection(prior_probs, features, targets):
 
 
 def two_pass_dual_descent(prior, constraints, tol=1e-6, max_iter=10000):
-    """The max-entropy dual descent with the objective and the distribution
-    computed by two helpers, each exponentiating on its own.
+    """The max-entropy dual minimized by gradient descent, with the objective
+    and the distribution computed by two helpers, each exponentiating on
+    its own.
 
-    Same Armijo backtracking (shrink 0.5 from step 1.0) and stopping rule
-    as `solve_maxent`, but the distribution is recomputed from lambda for
-    every gradient and for the final residual. Returns a dict with lam,
+    Same dual, Armijo constant (shrink 0.5 from step 1.0) and stopping
+    rule as `solve_maxent`, but along the gradient rather than the Newton
+    direction, so it takes hundreds of steps where the library takes a
+    few; the distribution is recomputed from lambda for every gradient
+    and for the final residual. Returns a dict with lam,
     objective_trace, probs, iterations, residual and backtracks (the
     number of rejected step sizes).
     """

@@ -31,10 +31,18 @@ def test_difference_names_what_differs(tmp_path):
     for d in (old, new):
         d.mkdir()
         (d / "case.csv").write_text("a\n1\n")
-        (d / "case.audit").write_text(f"generate_seconds={len(d.name)}\nseed=1\n")
+        (d / "case.audit").write_text(
+            f"ffpdg audit 1\n\n[config]\nseed=1\ngenerate_seconds={len(d.name)}\n\n"
+            "[maxent]\niterations=3\n\n[rates]\ngap_after=0\n")
     assert script.difference("case", old, new, 0, 0) is None  # wall clock ignored
     assert script.difference("case", old, new, 0, 2) == "exit code 0 != 2"
-    (new / "case.audit").write_text("seed=2\n")
-    assert script.difference("case", old, new, 0, 0) == "audit differs"
+    (new / "case.audit").write_text(
+        "ffpdg audit 1\n\n[config]\nseed=1\n\n[maxent]\niterations=4\n\n"
+        "[rates]\ngap_after=0\n\n[model]\np=4\n")
+    assert script.difference("case", old, new, 0, 0) == "audit differs in [maxent] [model]"
     (new / "case.csv").write_text("a\n2\n")
-    assert script.difference("case", old, new, 0, 0) == "CSV bytes differ"
+    assert (script.difference("case", old, new, 0, 0)
+            == "CSV bytes differ; audit differs in [maxent] [model]")
+    (new / "case.audit").unlink()
+    assert (script.difference("case", old, new, 0, 1)
+            == "exit code 0 != 1; .audit written by one tree only; CSV bytes differ")
