@@ -42,7 +42,7 @@ print("dual objective tail:", np.round(trace[-3:], 6))
 assert np.all(np.diff(trace) <= 1e-12), "dual objective must never increase"
 
 print(f"\ncodebook: {result.codebook.entry_count()} distinct codes "
-      f"over {result.binary.shape[1]} bits")
+      f"over {result.codebook.m} bits")
 
 # the fair intermediate sample is real rows re-drawn under the fair weights
 fair = result.fair_dataset

@@ -7,7 +7,10 @@ of two checkouts):
 
 Cases: data/{adult,compas}_sample.csv at seeds 0-9, plus the inputs of
 the benchmark's adult-300k and wide-codes workloads (built with
-perfbench/simulate.py at seed 1), each at `--bins` 1 and 3. Each tree
+perfbench/simulate.py at seed 1), each at `--bins` 1 and 3; and both
+extracts at seed 0 once per set of the other generate flags (budget and
+split, projected dimension, output rows, unsupervised mode, relaxed
+rate, quantile count), and once with all of them. Each tree
 runs every case in one child process, with BLAS pinned to one thread.
 A case is identical when both trees exit with the same code, write the
 same CSV bytes and the same audit once its `generate_seconds=` line is
@@ -34,17 +37,30 @@ DATA = ROOT / "data"
 SEEDS = range(10)
 BINS = (1, 3)
 SIMULATED_SEED = 1
+FLAG_CASES = {
+    "epsilon": ["--epsilon", "4", "--epsilon-split", "1:3"],
+    "p": ["--p", "3"],
+    "n-out": ["--n-out", "1700"],
+    "unsupervised": ["--mode", "unsupervised"],
+    "rate": ["--rate", "0.8"],
+    "quantiles": ["--quantiles", "33"],
+}
+FLAG_CASES["all"] = [arg for args in FLAG_CASES.values() for arg in args] + ["--bins", "2"]
 THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 VOLATILE_AUDIT_PREFIX = "generate_seconds="
 
 
 def bundled_cases() -> list[dict]:
-    """The bundled 1000-row extracts at every seed and bin count."""
-    return [
-        {"name": f"{stem}-seed{seed}-bins{bins}", "schema": str(DATA / f"{stem}.schema"),
-         "input": str(DATA / f"{stem}_sample.csv"), "seed": seed, "bins": bins}
-        for stem in ("adult", "compas") for seed in SEEDS for bins in BINS
-    ]
+    """The bundled 1000-row extracts at every seed and bin count, then at
+    seed 0 under each set of `FLAG_CASES`."""
+    def case(stem, name, seed, args):
+        return {"name": f"{stem}-seed{seed}-{name}", "schema": str(DATA / f"{stem}.schema"),
+                "input": str(DATA / f"{stem}_sample.csv"), "seed": seed, "args": args}
+
+    stems = ("adult", "compas")
+    return ([case(stem, f"bins{bins}", seed, ["--bins", str(bins)])
+             for stem in stems for seed in SEEDS for bins in BINS]
+            + [case(stem, name, 0, args) for stem in stems for name, args in FLAG_CASES.items()])
 
 
 def simulated_cases(work: Path) -> list[dict]:
@@ -57,7 +73,8 @@ def simulated_cases(work: Path) -> list[dict]:
                                      ("wide-codes", simulate.make_wide, simulate.WIDE_SCHEMA, 20_000)):
         schema_path, csv_path = simulate.write_inputs(work, name, schema, make(rows, SIMULATED_SEED))
         cases += [{"name": f"{name}-seed{SIMULATED_SEED}-bins{bins}", "schema": str(schema_path),
-                   "input": str(csv_path), "seed": SIMULATED_SEED, "bins": bins} for bins in BINS]
+                   "input": str(csv_path), "seed": SIMULATED_SEED, "args": ["--bins", str(bins)]}
+                  for bins in BINS]
     return cases
 
 
@@ -79,7 +96,7 @@ def child(out: Path) -> None:
         stem = out / case["name"]
         argv = ["generate", "--schema", case["schema"], "--input", case["input"],
                 "--output", f"{stem}.csv", "--audit", f"{stem}.audit",
-                "--seed", str(case["seed"]), "--bins", str(case["bins"])]
+                "--seed", str(case["seed"]), *case["args"]]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes[case["name"]] = cli.main(argv)
     (out / "codes.json").write_text(json.dumps(codes), encoding="utf-8")

@@ -14,8 +14,9 @@ import numpy as np
 
 from .data import Schema, schema_from_text, schema_to_text
 from .errors import DataError
+from .maxent import FAIR_PRIOR_SMOOTH
 from .rongauss import (
-    FAIR_PRIOR_SMOOTH,
+    CATEGORICAL_NOISE_SIGMA,
     ColumnCoding,
     ColumnPost,
     GenerationConfig,
@@ -183,7 +184,7 @@ def render_audit(result: GenerationResult, config: GenerationConfig, seconds: fl
         f"seed={config.seed}",
         f"rate={_fmt(config.rate)}",
         f"smooth={_fmt(FAIR_PRIOR_SMOOTH)}",
-        f"categorical_noise_sigma={_fmt(config.categorical_noise_sigma)}",
+        f"categorical_noise_sigma={_fmt(CATEGORICAL_NOISE_SIGMA)}",
         f"generate_seconds={seconds:.3f}",
         "",
         "[codebook]",
@@ -193,7 +194,7 @@ def render_audit(result: GenerationResult, config: GenerationConfig, seconds: fl
         f"entries={result.codebook.entry_count()}",
         "",
         "[maxent]",
-        f"bits={result.binary.shape[1]}",
+        f"bits={result.codebook.m}",
         f"residual={_fmt(sol.residual)}",
         f"iterations={sol.iterations}",
         f"converged={int(sol.converged)}",
@@ -224,8 +225,7 @@ def write_audit(path, result: GenerationResult, config: GenerationConfig, second
 def read_audit(path) -> dict:
     """Parse an audit file into {sections, model}."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
+        lines = fh.read().splitlines()
     if not lines or lines[0] != FORMAT_LINE:
         raise DataError(f"{path}: not an audit file (missing format line)")
     sections = _section_map(lines)
@@ -234,4 +234,4 @@ def read_audit(path) -> dict:
             raise DataError(f"{path}: audit file missing [{needed}] section")
     model_lines = lines[lines.index("[model]"):] if "[model]" in lines else []
     model = parse_model_section(model_lines) if model_lines else None
-    return {"sections": sections, "model": model, "text": text}
+    return {"sections": sections, "model": model}

@@ -1,5 +1,7 @@
 """Command-line surface: generate, evaluate, bench, inspect.
 
+Each command reads the parsed argparse namespace; `generate` and `bench`
+share the flags that build a GenerationConfig.
 Exit codes: 0 success, 1 runtime or domain error, 2 usage error.
 Every command is deterministic given --seed.
 """
@@ -9,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,79 +21,47 @@ from .dp import PrivacyBudget
 from .errors import FfpdgError
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed command line with every knob and its default."""
-
-    command: str
-    input: str | None = None
-    schema: str | None = None
-    output: str | None = None
-    test: str | None = None
-    synthetic: str | None = None
-    audit: str | None = None
-    report: str | None = None
-    epsilon: float = 1.0
-    epsilon_split: str = "0.3:0.7"
-    p: int | None = None
-    n_out: int | None = None
-    bins: int = 1
-    mode: str = "auto"
-    seed: int = 0
-    folds: int = 5
-    rate: float = 1.0
-    quantiles: int = rongauss.DEFAULT_QUANTILE_POINTS
-    max_n: int | None = None
-
-    def budget(self) -> PrivacyBudget:
-        try:
-            mu_part, sigma_part = (float(t) for t in self.epsilon_split.split(":"))
-        except ValueError:
-            raise FfpdgError(f"bad --epsilon-split {self.epsilon_split!r}, expected MU:SIGMA") from None
-        total = mu_part + sigma_part
-        if total <= 0 or mu_part <= 0 or sigma_part <= 0:
-            raise FfpdgError("--epsilon-split parts must be positive")
-        return PrivacyBudget.from_total(self.epsilon, mu_fraction=mu_part / total)
-
-    def generation_config(self) -> rongauss.GenerationConfig:
-        return rongauss.GenerationConfig(
-            budget=self.budget(), p=self.p, n_out=self.n_out, mode=self.mode,
-            seed=self.seed, bins=self.bins, rate=self.rate,
-            quantile_points=self.quantiles,
-        )
+def _generation_config(args, **more) -> rongauss.GenerationConfig:
+    """The budget and generation config named by the shared generation flags."""
+    try:
+        mu_part, sigma_part = (float(t) for t in args.epsilon_split.split(":"))
+    except ValueError:
+        raise FfpdgError(f"bad --epsilon-split {args.epsilon_split!r}, expected MU:SIGMA") from None
+    if mu_part <= 0 or sigma_part <= 0:
+        raise FfpdgError("--epsilon-split parts must be positive")
+    budget = PrivacyBudget.from_total(args.epsilon, mu_fraction=mu_part / (mu_part + sigma_part))
+    return rongauss.GenerationConfig(budget=budget, p=args.p, bins=args.bins, mode=args.mode,
+                                     seed=args.seed, **more)
 
 
-def _load(config: RunConfig, path: str) -> Dataset:
-    if config.schema is None:
-        raise FfpdgError("--schema is required")
-    schema = load_schema(config.schema)
-    return load_csv(path, schema)
+def _load(args, path: str) -> Dataset:
+    return load_csv(path, load_schema(args.schema))
 
 
-def cmd_generate(config: RunConfig) -> int:
-    dataset = _load(config, config.input)
-    gen_config = config.generation_config()
+def cmd_generate(args) -> int:
+    dataset = _load(args, args.input)
+    config = _generation_config(args, n_out=args.n_out, rate=args.rate,
+                                quantile_points=args.quantiles)
     start = time.perf_counter()
-    result = rongauss.generate_with_artifacts(dataset, config=gen_config)
+    result = rongauss.generate_with_artifacts(dataset, config=config)
     seconds = time.perf_counter() - start
-    save_csv(result.dataset, config.output)
-    if config.audit:
-        audit_mod.write_audit(config.audit, result, gen_config, seconds)
+    save_csv(result.dataset, args.output)
+    if args.audit:
+        audit_mod.write_audit(args.audit, result, config, seconds)
     print(f"generate_seconds={seconds:.3f}")
-    print(f"rows={result.dataset.n} output={config.output}")
+    print(f"rows={result.dataset.n} output={args.output}")
     return 0
 
 
-def cmd_evaluate(config: RunConfig) -> int:
-    real_train = _load(config, config.input)
-    real_test = _load(config, config.test)
-    synthetic = _load(config, config.synthetic)
-    report = metrics.evaluate(real_train, real_test, synthetic,
-                              seed=config.seed, folds=config.folds)
+def cmd_evaluate(args) -> int:
+    real_train = _load(args, args.input)
+    real_test = _load(args, args.test)
+    synthetic = _load(args, args.synthetic)
+    report = metrics.evaluate(real_train, real_test, synthetic, seed=args.seed, folds=args.folds)
     text = report.to_text() + "\n\n" + report.to_kv() + "\n"
     sys.stdout.write(text)
-    if config.report:
-        with open(config.report, "w", encoding="utf-8") as fh:
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text)
     return 0
 
@@ -118,17 +87,17 @@ def fit_growth_exponent(sizes, seconds) -> float:
     return float(slope)
 
 
-def cmd_bench(config: RunConfig) -> int:
-    dataset = _load(config, config.input)
-    gen_config = config.generation_config()
-    rng = np.random.default_rng(config.seed)
+def cmd_bench(args) -> int:
+    dataset = _load(args, args.input)
+    config = _generation_config(args)
+    rng = np.random.default_rng(args.seed)
     order = rng.permutation(dataset.n)
-    sizes = bench_sizes(dataset.n, config.max_n)
+    sizes = bench_sizes(dataset.n, args.max_n)
     times = []
     for size in sizes:
         subset = dataset.take(order[:size])
         start = time.perf_counter()
-        rongauss.generate(subset, config=gen_config)
+        rongauss.generate(subset, config=config)
         elapsed = time.perf_counter() - start
         times.append(elapsed)
         print(f"n={size} seconds={elapsed:.3f}")
@@ -142,8 +111,8 @@ def cmd_bench(config: RunConfig) -> int:
     return 0
 
 
-def cmd_inspect(config: RunConfig) -> int:
-    parsed = audit_mod.read_audit(config.audit)
+def cmd_inspect(args) -> int:
+    parsed = audit_mod.read_audit(args.audit)
     sections = parsed["sections"]
     for name in ("config", "codebook", "maxent", "rates", "privacy"):
         print(f"[{name}]")
@@ -179,20 +148,24 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--schema", required=True, help="schema text file")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--input", required=True, help="real training CSV")
+
+    def add_generation(p):
+        p.add_argument("--epsilon", type=float, default=1.0, help="privacy budget (default 1)")
+        p.add_argument("--epsilon-split", default="0.3:0.7",
+                       help="mean:covariance budget split (default 0.3:0.7)")
+        p.add_argument("--p", type=int, default=None,
+                       help="projected dimension (default min(d_eff-1, 8))")
+        p.add_argument("--bins", type=int, default=1, help="bits per continuous column (default 1)")
+        p.add_argument("--mode", default="auto",
+                       choices=["auto", "unsupervised", "classification", "regression"])
 
     g = sub.add_parser("generate", help="synthesize a fair private dataset")
     add_common(g)
-    g.add_argument("--input", required=True, help="real training CSV")
+    add_generation(g)
     g.add_argument("--output", required=True, help="synthetic CSV destination")
     g.add_argument("--audit", help="write the audit file here")
-    g.add_argument("--epsilon", type=float, default=1.0, help="privacy budget (default 1)")
-    g.add_argument("--epsilon-split", default="0.3:0.7",
-                   help="mean:covariance budget split (default 0.3:0.7)")
-    g.add_argument("--p", type=int, default=None, help="projected dimension (default min(d_eff-1, 8))")
     g.add_argument("--n-out", type=int, default=None, help="synthetic rows (default: input size)")
-    g.add_argument("--bins", type=int, default=1, help="bits per continuous column (default 1)")
-    g.add_argument("--mode", default="auto",
-                   choices=["auto", "unsupervised", "classification", "regression"])
     g.add_argument("--rate", type=float, default=1.0,
                    help="statistical-rate target, 1 = exact parity (default 1)")
     g.add_argument("--quantiles", type=int, default=rongauss.DEFAULT_QUANTILE_POINTS,
@@ -200,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("evaluate", help="score synthetic against real data")
     add_common(e)
-    e.add_argument("--input", required=True, help="real training CSV")
     e.add_argument("--test", required=True, help="real held-out CSV")
     e.add_argument("--synthetic", required=True, help="synthetic CSV")
     e.add_argument("--folds", type=int, default=5, help="discriminator CV folds (default 5)")
@@ -208,13 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="time generation over a size ladder")
     add_common(b)
-    b.add_argument("--input", required=True, help="real training CSV")
-    b.add_argument("--epsilon", type=float, default=1.0)
-    b.add_argument("--epsilon-split", default="0.3:0.7")
-    b.add_argument("--p", type=int, default=None)
-    b.add_argument("--bins", type=int, default=1)
-    b.add_argument("--mode", default="auto",
-                   choices=["auto", "unsupervised", "classification", "regression"])
+    add_generation(b)
     b.add_argument("--max-n", type=int, default=None, help="cap the ladder at this size")
 
     i = sub.add_parser("inspect", help="print a generation audit")
@@ -223,16 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__ if hasattr(args, f)}
-    config = RunConfig(**fields)
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[config.command](config)
-    except FfpdgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+        return COMMANDS[args.command](args)
+    except (FfpdgError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -67,7 +67,7 @@ def dp_mean(X: np.ndarray, epsilon_mu: float, seed) -> np.ndarray:
         j = int(np.argmax(np.abs(norms - 1.0)))
         raise DataError(f"column {j} has norm {norms[j]:.12g}, expected 1")
     d, n = X.shape
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     return X.mean(axis=1) + laplace_sample(mean_noise_scale(d, n, epsilon_mu), rng, size=d)
 
 
@@ -98,7 +98,7 @@ def dp_covariance(X: np.ndarray, epsilon_sigma: float, seed) -> np.ndarray:
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise DataError("X must be p x n with p, n >= 1")
     p, n = X.shape
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     S = (X @ X.T) / n
     Z = symmetrize_noise(p, covariance_noise_scale(p, n, epsilon_sigma), rng)
     return psd_repair(S + Z)

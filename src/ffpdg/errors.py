@@ -31,8 +31,7 @@ class ConvergenceError(FfpdgError):
 class StageError(FfpdgError):
     """Failure inside one stage of the generation pipeline, tagged by stage."""
 
-    def __init__(self, stage, step, cause):
-        super().__init__(f"step {step} ({stage}): {cause}")
+    def __init__(self, stage, cause):
+        super().__init__(f"{stage}: {cause}")
         self.stage = stage
-        self.step = step
         self.cause = cause

@@ -25,6 +25,14 @@ import numpy as np
 from .binarize import distinct_codes
 from .errors import ConvergenceError, DataError, FeasibilityError
 
+# Additive smoothing of the empirical prior over observed codes, and the
+# solver's residual tolerance and Newton step limit (a few steps converge
+# on every bundled and benchmark input, so a problem that needs 100 is
+# reported rather than ground through).
+FAIR_PRIOR_SMOOTH = 0.1
+MAXENT_TOL = 1e-6
+MAXENT_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
@@ -69,7 +77,6 @@ class ParityConstraints:
 @dataclass(frozen=True)
 class MaxEntSolution:
     lam: np.ndarray                  # dual variables, one per constraint
-    theta: np.ndarray                # bit-mean targets
     distribution: DiscreteDistribution
     residual: float                  # max |E_p[phi] - target| at termination
     iterations: int
@@ -77,7 +84,8 @@ class MaxEntSolution:
     objective_trace: np.ndarray      # dual objective after each accepted step
 
 
-def empirical_prior(support: np.ndarray, counts: np.ndarray, smooth: float = 0.1) -> DiscreteDistribution:
+def empirical_prior(support: np.ndarray, counts: np.ndarray,
+                    smooth: float = FAIR_PRIOR_SMOOTH) -> DiscreteDistribution:
     """Smoothed relative frequencies over distinct codes and their row counts.
 
     q(x) = (count(x) + smooth) / (n + smooth * #distinct), n = sum of counts.
@@ -156,7 +164,7 @@ def _dual(lam, log_q, features, targets):
 
 
 def solve_maxent(prior: DiscreteDistribution, constraints: ParityConstraints,
-                 tol: float = 1e-6, max_iter: int = 100) -> MaxEntSolution:
+                 tol: float = MAXENT_TOL, max_iter: int = MAXENT_MAX_ITER) -> MaxEntSolution:
     """Minimize the dual log Z(lambda) - <lambda, targets> by damped Newton steps.
 
     The gradient is E_p[phi] - targets, so its max-norm at termination is
@@ -223,7 +231,6 @@ def solve_maxent(prior: DiscreteDistribution, constraints: ParityConstraints,
     converged = converged or residual <= tol
     solution = MaxEntSolution(
         lam=lam,
-        theta=np.asarray(constraints.theta, dtype=np.float64),
         distribution=DiscreteDistribution(prior.support, probs),
         residual=residual,
         iterations=iterations,

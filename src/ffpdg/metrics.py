@@ -44,7 +44,7 @@ def _split_columns(dataset: Dataset):
     return X, dataset.values[:, schema.label_index], dataset.values[:, schema.protected_index]
 
 
-def _score_zoo(Xs, ys, Xr, yr, zoo):
+def _score_zoo(Xs, ys, Xr, yr):
     """Fit each zoo model once on synthetic rows and score it once on real rows.
 
     Returns (per-model AUCs, per-model class-1 probabilities on the real
@@ -52,7 +52,7 @@ def _score_zoo(Xs, ys, Xr, yr, zoo):
     skipped and recorded rather than fatal.
     """
     scores, skipped = {}, {}
-    for kind in zoo:  # fixed order keeps reports deterministic
+    for kind in models.ZOO:  # fixed order keeps reports deterministic
         try:
             clf = models.fit(kind, Xs, ys)
         except DataError as exc:
@@ -65,14 +65,14 @@ def _score_zoo(Xs, ys, Xr, yr, zoo):
     return per_model, scores, skipped
 
 
-def tstr(synthetic: Dataset, real_test: Dataset, zoo=models.ZOO):
+def tstr(synthetic: Dataset, real_test: Dataset):
     """Fit each zoo model on synthetic rows, score AUC on real rows.
 
     Returns (best AUC, per-model AUCs, skipped models with their errors).
     """
     Xs, ys, _ = _split_columns(synthetic)
     Xr, yr, _ = _split_columns(real_test)
-    per_model, _, skipped = _score_zoo(Xs, ys, Xr, yr, zoo)
+    per_model, _, skipped = _score_zoo(Xs, ys, Xr, yr)
     return max(per_model.values()), per_model, skipped
 
 
@@ -170,9 +170,7 @@ class EvalReport:
     disparate_impact_ratio: float
     disparate_impact_flag: bool
     lrd: float
-    models_used: tuple
     models_skipped: dict = field(default_factory=dict)
-    seeds: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("aucroc_best", "deo", "dsp", "lrd"):
@@ -214,21 +212,15 @@ class EvalReport:
 
 
 def evaluate(real_train: Dataset, real_test: Dataset, synthetic: Dataset,
-             protected: str | None = None, label: str | None = None,
-             seed: int = 0, folds: int = 5, zoo=models.ZOO) -> EvalReport:
+             seed: int = 0, folds: int = 5) -> EvalReport:
     """Full metric suite over (real train, real test, synthetic)."""
     for other in (real_test, synthetic):
         if other.schema.columns != real_train.schema.columns:
             raise DataError("dataset schemas are inconsistent")
-    schema = real_train.schema
-    if protected is not None and schema.index_of(protected) != schema.protected_index:
-        raise DataError(f"column {protected!r} is not the schema's protected column")
-    if label is not None and schema.index_of(label) != schema.label_index:
-        raise DataError(f"column {label!r} is not the schema's label column")
 
     Xs, ys, csyn = _split_columns(synthetic)
     Xr, yr, cr = _split_columns(real_test)
-    per_model, scores, skipped = _score_zoo(Xs, ys, Xr, yr, zoo)
+    per_model, scores, skipped = _score_zoo(Xs, ys, Xr, yr)
     deo_vals, dsp_vals = [], []
     for proba in scores.values():
         pred = (proba >= PREDICTION_THRESHOLD).astype(float)
@@ -246,7 +238,5 @@ def evaluate(real_train: Dataset, real_test: Dataset, synthetic: Dataset,
         disparate_impact_ratio=ratio,
         disparate_impact_flag=flag,
         lrd=lrd_value,
-        models_used=tuple(k for k in zoo if k not in skipped),
         models_skipped=skipped,
-        seeds={"seed": seed, "folds": folds},
     )

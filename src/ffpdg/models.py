@@ -27,12 +27,11 @@ LR_TOLERANCE = 1e-12  # on half the Newton decrement, about the loss left above 
 LR_MAX_ITER = 50
 LR_MAX_HALVINGS = 30
 
-DEFAULT_HYPER = {
-    LOGISTIC_REGRESSION: {"l2": 1e-3},
-    GAUSSIAN_NB: {"var_floor": 1e-9},
-    BERNOULLI_NB: {"smoothing": 1.0},
-    DECISION_TREE: {"max_depth": 5, "min_leaf": 5},
-}
+LR_L2 = 1e-3            # L2 penalty on the standardized weights, bias unpenalized
+GNB_VAR_FLOOR = 1e-9    # smallest per-class feature variance
+BNB_SMOOTHING = 1.0     # additive smoothing of the per-class bit rates
+TREE_MAX_DEPTH = 5
+TREE_MIN_LEAF = 5
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,6 @@ class Classifier:
     kind: str
     d: int
     params: MappingProxyType
-    hyper: MappingProxyType
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -80,16 +78,15 @@ def lr_loss(w, b, X, y, l2):
     return loss + 0.5 * l2 * float(w @ w)
 
 
-def _fit_lr(X, y, hyper):
-    l2 = hyper["l2"]
+def _fit_lr(X, y):
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     n, d = X.shape
     Xa = np.hstack([(X - mean) / std, np.ones((n, 1))])  # bias last, unpenalized
-    penalty = np.append(np.full(d, l2), 0.0)
+    penalty = np.append(np.full(d, LR_L2), 0.0)
     theta = np.zeros(d + 1)
-    trace = [lr_loss(theta[:d], theta[d], Xa[:, :d], y, l2)]
+    trace = [lr_loss(theta[:d], theta[d], Xa[:, :d], y, LR_L2)]
     for _ in range(LR_MAX_ITER):
         p = _sigmoid(Xa @ theta)
         grad = Xa.T @ (p - y) / n + penalty * theta
@@ -99,7 +96,7 @@ def _fit_lr(X, y, hyper):
             break
         for t in 0.5 ** np.arange(LR_MAX_HALVINGS):
             cand = theta - t * step
-            loss = lr_loss(cand[:d], cand[d], Xa[:, :d], y, l2)
+            loss = lr_loss(cand[:d], cand[d], Xa[:, :d], y, LR_L2)
             if loss <= trace[-1]:
                 break
         else:
@@ -110,24 +107,23 @@ def _fit_lr(X, y, hyper):
             "std": _frozen(std), "loss_trace": _frozen(trace)}
 
 
-def _fit_gnb(X, y, hyper):
-    floor = hyper["var_floor"]
+def _fit_gnb(X, y):
     params = {"prior1": float(y.mean())}
     for c in (0, 1):
         rows = X[y == c]
         params[f"mean{c}"] = _frozen(rows.mean(axis=0))
-        params[f"var{c}"] = _frozen(np.maximum(rows.var(axis=0), floor))
+        params[f"var{c}"] = _frozen(np.maximum(rows.var(axis=0), GNB_VAR_FLOOR))
     return params
 
 
-def _fit_bnb(X, y, hyper):
-    a = hyper["smoothing"]
+def _fit_bnb(X, y):
     cut = X.mean(axis=0)
     B = (X > cut).astype(float)
     params = {"cut": _frozen(cut), "prior1": float(y.mean())}
     for c in (0, 1):
         rows = B[y == c]
-        params[f"rate{c}"] = _frozen((rows.sum(axis=0) + a) / (len(rows) + 2 * a))
+        rate = (rows.sum(axis=0) + BNB_SMOOTHING) / (len(rows) + 2 * BNB_SMOOTHING)
+        params[f"rate{c}"] = _frozen(rate)
     return params
 
 
@@ -138,7 +134,7 @@ def _gini_pair(pos, tot):
     return tot * (1.0 - p * p - (1.0 - p) * (1.0 - p))
 
 
-def _best_split(X, y, min_leaf):
+def _best_split(X, y):
     """(feature, threshold, score) of the best Gini split, or None.
 
     Ties break toward the lowest feature index and then the lowest
@@ -154,7 +150,7 @@ def _best_split(X, y, min_leaf):
         cum = np.cumsum(ys)
         # candidate split after position i (1-based size of the left side)
         sizes = np.arange(1, n)
-        valid = (xs[1:] > xs[:-1]) & (sizes >= min_leaf) & (n - sizes >= min_leaf)
+        valid = (xs[1:] > xs[:-1]) & (sizes >= TREE_MIN_LEAF) & (n - sizes >= TREE_MIN_LEAF)
         if not valid.any():
             continue
         left_pos = cum[:-1]
@@ -166,11 +162,11 @@ def _best_split(X, y, min_leaf):
     return best
 
 
-def _grow_tree(X, y, depth, max_depth, min_leaf):
+def _grow_tree(X, y, depth):
     prob = float(y.mean())
-    if depth >= max_depth or len(y) < 2 * min_leaf or prob in (0.0, 1.0):
+    if depth >= TREE_MAX_DEPTH or len(y) < 2 * TREE_MIN_LEAF or prob in (0.0, 1.0):
         return ("leaf", prob)
-    split = _best_split(X, y, min_leaf)
+    split = _best_split(X, y)
     if split is None:
         return ("leaf", prob)
     j, t, score = split
@@ -179,8 +175,8 @@ def _grow_tree(X, y, depth, max_depth, min_leaf):
         return ("leaf", prob)
     mask = X[:, j] < t
     return ("node", j, t,
-            _grow_tree(X[mask], y[mask], depth + 1, max_depth, min_leaf),
-            _grow_tree(X[~mask], y[~mask], depth + 1, max_depth, min_leaf))
+            _grow_tree(X[mask], y[mask], depth + 1),
+            _grow_tree(X[~mask], y[~mask], depth + 1))
 
 
 def fit(kind: str, X, y) -> Classifier:
@@ -188,17 +184,15 @@ def fit(kind: str, X, y) -> Classifier:
     if kind not in ZOO:
         raise DataError(f"unknown classifier kind {kind!r}")
     X, y = _check_xy(X, y)
-    hyper = dict(DEFAULT_HYPER[kind])
     if kind == LOGISTIC_REGRESSION:
-        params = _fit_lr(X, y, hyper)
+        params = _fit_lr(X, y)
     elif kind == GAUSSIAN_NB:
-        params = _fit_gnb(X, y, hyper)
+        params = _fit_gnb(X, y)
     elif kind == BERNOULLI_NB:
-        params = _fit_bnb(X, y, hyper)
+        params = _fit_bnb(X, y)
     else:
-        params = {"tree": _grow_tree(X, y, 0, hyper["max_depth"], hyper["min_leaf"])}
-    return Classifier(kind=kind, d=X.shape[1],
-                      params=MappingProxyType(params), hyper=MappingProxyType(hyper))
+        params = {"tree": _grow_tree(X, y, 0)}
+    return Classifier(kind=kind, d=X.shape[1], params=MappingProxyType(params))
 
 
 def _tree_proba(tree, X):

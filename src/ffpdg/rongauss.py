@@ -46,13 +46,9 @@ _MODES = (MODE_UNSUPERVISED, MODE_CLASSIFICATION, MODE_REGRESSION)
 # post-processing; the levels are evenly spaced on [0, 1].
 DEFAULT_QUANTILE_POINTS = 257
 
-# Fair stage: additive smoothing of the empirical prior over observed
-# codes, and the max-entropy solver's residual tolerance and Newton step
-# limit (a few steps converge on every bundled and benchmark input, so a
-# problem that needs 100 is reported rather than ground through).
-FAIR_PRIOR_SMOOTH = 0.1
-MAXENT_TOL = 1e-6
-MAXENT_MAX_ITER = 100
+# Std of the Gaussian noise added to every one-hot entry of a categorical
+# column before normalization.
+CATEGORICAL_NOISE_SIGMA = 0.01
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,6 @@ class GenerationConfig:
     n_out: int | None = None      # None: size of the training data
     mode: str = MODE_AUTO
     seed: int = 0
-    categorical_noise_sigma: float = 0.01
     bins: int = 1                 # discretization bits per continuous column
     rate: float = 1.0             # statistical-rate target (1 = exact parity)
     quantile_points: int = DEFAULT_QUANTILE_POINTS
@@ -126,8 +121,6 @@ class GenerationConfig:
             raise DataError("p must be >= 1")
         if self.n_out is not None and self.n_out < 1:
             raise DataError("n_out must be >= 1")
-        if self.categorical_noise_sigma < 0:
-            raise DataError("categorical_noise_sigma must be >= 0")
         if self.quantile_points < 2:
             raise DataError("quantile_points must be >= 2")
 
@@ -170,7 +163,7 @@ def pre_normalize(dataset: Dataset, categorical_noise_sigma: float, seed,
     direction), then every sample (column of the result) is scaled to
     unit Euclidean norm.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if columns is None:
         columns = range(dataset.schema.d)
     blocks = []
@@ -206,7 +199,7 @@ def pre_normalize(dataset: Dataset, categorical_noise_sigma: float, seed,
 
 def center_and_renormalize(X: np.ndarray, budget: PrivacyBudget, seed) -> tuple[np.ndarray, np.ndarray]:
     """Subtract the DP mean, then rescale each sample back to unit norm."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     mu = dp_mean(X, budget.epsilon_mu, rng)
     Xbar = X - mu[:, None]
     norms = np.linalg.norm(Xbar, axis=0)
@@ -226,7 +219,7 @@ def make_ron(d: int, p: int, seed) -> RonProjection:
     """
     if not 1 <= p < d:
         raise DataError(f"need 1 <= p < d, got p={p}, d={d}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     while True:
         A = rng.standard_normal((d, d))
         Q, R = np.linalg.qr(A)
@@ -270,7 +263,7 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
         np.random.default_rng(s) for s in seq.spawn(5)
     )
 
-    X, coding = pre_normalize(dataset, config.categorical_noise_sigma, rng_noise, columns=modeled)
+    X, coding = pre_normalize(dataset, CATEGORICAL_NOISE_SIGMA, rng_noise, columns=modeled)
     d_eff = X.shape[0]
     p = config.p if config.p is not None else min(d_eff - 1, 8)
     if not 1 <= p < d_eff:
@@ -386,7 +379,7 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
     """
     if n_out < 1:
         raise DataError("n_out must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     p = model.projection.p
 
     label_values = None
@@ -438,33 +431,23 @@ class GenerationResult:
 
     dataset: Dataset
     fair_dataset: Dataset
-    binary: np.ndarray
     codebook: binarize.CodeBook
-    prior: maxent.DiscreteDistribution
-    constraints: maxent.ParityConstraints
     solution: maxent.MaxEntSolution
     model: RonGaussModel
     rates_before: tuple[float, float]
     rates_after: tuple[float, float]
 
 
-def generate(dataset: Dataset, protected: str | None = None, label: str | None = None,
-             config: GenerationConfig | None = None) -> Dataset:
+def generate(dataset: Dataset, config: GenerationConfig | None = None) -> Dataset:
     """Full pipeline: fair re-distribution of codes, then private generation."""
-    return generate_with_artifacts(dataset, protected, label, config).dataset
+    return generate_with_artifacts(dataset, config).dataset
 
 
-def generate_with_artifacts(dataset: Dataset, protected: str | None = None,
-                            label: str | None = None,
-                            config: GenerationConfig | None = None) -> GenerationResult:
+def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = None) -> GenerationResult:
     config = config or GenerationConfig()
     schema = dataset.schema
-    if protected is not None and schema.index_of(protected) != schema.protected_index:
-        raise SchemaError(f"column {protected!r} is not the schema's protected column")
     if schema.label_index is None:
         raise SchemaError("the fair stage needs a label column; use fit/sample directly for label-free data")
-    if label is not None and schema.index_of(label) != schema.label_index:
-        raise SchemaError(f"column {label!r} is not the schema's label column")
 
     seq = np.random.SeedSequence(config.seed)
     seed_codes, seed_decode, seed_fit, seed_sample = (int(s.generate_state(1)[0]) for s in seq.spawn(4))
@@ -472,35 +455,35 @@ def generate_with_artifacts(dataset: Dataset, protected: str | None = None,
     try:
         binary, codebook = binarize.build_codebook(dataset, config.bins)
     except Exception as exc:
-        raise StageError("binarize", 1, exc) from exc
+        raise StageError("binarize", exc) from exc
 
     protected_bit = codebook.bit_for_column(schema.protected_index)
     label_bit = codebook.bit_layout[schema.label_index].bit_indices[0]
 
     try:
-        prior = maxent.empirical_prior(codebook.keys, codebook.counts, FAIR_PRIOR_SMOOTH)
+        prior = maxent.empirical_prior(codebook.keys, codebook.counts)
         constraints = maxent.fair_marginals(binary, protected_bit, label_bit, config.rate)
-        solution = maxent.solve_maxent(prior, constraints, MAXENT_TOL, MAXENT_MAX_ITER)
+        solution = maxent.solve_maxent(prior, constraints)
     except (FeasibilityError, ConvergenceError, DataError) as exc:
-        raise StageError("fair redistribution", 2, exc) from exc
+        raise StageError("fair redistribution", exc) from exc
 
     try:
         codes = maxent.sample_codes(solution.distribution, dataset.n, seed_codes)
         fair_values = binarize.decode_codes(codes, codebook, seed_decode)
         fair_dataset = Dataset(schema, fair_values)
     except Exception as exc:
-        raise StageError("code inversion", 3, exc) from exc
+        raise StageError("code inversion", exc) from exc
 
     try:
         model = fit(fair_dataset, replace(config, seed=seed_fit))
     except Exception as exc:
-        raise StageError("projection fit", 4, exc) from exc
+        raise StageError("projection fit", exc) from exc
 
     n_out = config.n_out if config.n_out is not None else dataset.n
     try:
         synth = sample(model, n_out, seed_sample)
     except Exception as exc:
-        raise StageError("gaussian sampling", 8, exc) from exc
+        raise StageError("gaussian sampling", exc) from exc
 
     rates_before = maxent.group_rates(binary, protected_bit, label_bit)
     fair_c = fair_dataset.values[:, schema.protected_index]
@@ -512,10 +495,7 @@ def generate_with_artifacts(dataset: Dataset, protected: str | None = None,
     return GenerationResult(
         dataset=synth,
         fair_dataset=fair_dataset,
-        binary=binary,
         codebook=codebook,
-        prior=prior,
-        constraints=constraints,
         solution=solution,
         model=model,
         rates_before=rates_before,

@@ -50,7 +50,7 @@ def test_read_audit_round_trip(tmp_path, artifacts):
     path = tmp_path / "run.audit"
     write_audit(path, result, config, 1.5)
     parsed = read_audit(path)
-    assert set(parsed) == {"sections", "model", "text"}
+    assert set(parsed) == {"sections", "model"}
     assert "config" in parsed["sections"]
     a = sample(result.model, 100, seed=1)
     b = sample(parsed["model"], 100, seed=1)

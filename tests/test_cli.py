@@ -1,12 +1,13 @@
-"""End-to-end CLI runs through subprocess."""
+"""End-to-end CLI runs, through subprocess and in-process through `cli.main`."""
 
 import subprocess
 import sys
 
 import pytest
 
-from conftest import binary_group_dataset
-from ffpdg.audit import FORMAT_LINE
+from conftest import binary_group_dataset, mixed_dataset
+from ffpdg import cli
+from ffpdg.audit import FORMAT_LINE, read_audit
 from ffpdg.data import load_csv, save_csv, save_schema
 
 
@@ -113,3 +114,48 @@ def test_runtime_imports_without_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.fixture(scope="module")
+def mixed_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_mixed")
+    data = mixed_dataset(600, seed=32)
+    save_schema(data.schema, root / "mixed.schema")
+    save_csv(data, root / "mixed.csv")
+    return root
+
+
+def test_generate_maps_every_flag_into_the_run(mixed_dir, capsys):
+    out, audit = mixed_dir / "flags.csv", mixed_dir / "flags.audit"
+    rc = cli.main(["generate", "--schema", str(mixed_dir / "mixed.schema"),
+                   "--input", str(mixed_dir / "mixed.csv"), "--output", str(out),
+                   "--audit", str(audit), "--epsilon", "3", "--epsilon-split", "1:2",
+                   "--p", "3", "--n-out", "250", "--bins", "2", "--mode", "unsupervised",
+                   "--rate", "0.9", "--quantiles", "17", "--seed", "4"])
+    assert rc == 0, capsys.readouterr().err
+    sections = read_audit(audit)["sections"]
+    config = dict(line.split("=", 1) for line in sections["config"] if "=" in line)
+    assert {k: config[k] for k in ("epsilon", "eps_mu", "eps_sigma", "p", "n_out", "bins",
+                                   "mode", "seed", "rate")} == {
+        "epsilon": "3", "eps_mu": "1", "eps_sigma": "2", "p": "3", "n_out": "250",
+        "bins": "2", "mode": "unsupervised", "seed": "4", "rate": "0.90000000000000002"}
+    post = next(line for line in sections["model.post"] if line.startswith("post=height "))
+    assert len(post.split("grid:", 1)[1].split()) == 17
+    assert "rows=250" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("split", ["0.3", "a:b", "0:1"])
+def test_malformed_epsilon_split_exits_1_and_names_the_flag(mixed_dir, capsys, split):
+    rc = cli.main(["generate", "--schema", str(mixed_dir / "mixed.schema"),
+                   "--input", str(mixed_dir / "mixed.csv"), "--output", str(mixed_dir / "x.csv"),
+                   "--epsilon-split", split])
+    assert rc == 1
+    assert "--epsilon-split" in capsys.readouterr().err
+    assert not (mixed_dir / "x.csv").exists()
+
+
+def test_bench_reads_the_shared_generation_flags(mixed_dir, capsys):
+    rc = cli.main(["bench", "--schema", str(mixed_dir / "mixed.schema"),
+                   "--input", str(mixed_dir / "mixed.csv"), "--bins", "0"])
+    assert rc == 1
+    assert "binarize: " in capsys.readouterr().err

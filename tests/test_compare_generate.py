@@ -16,11 +16,11 @@ def load_script():
 
 def test_tree_against_itself_is_identical(tmp_path):
     script = load_script()
-    cases = [c for c in script.bundled_cases()
-             if c["name"] in ("adult-seed0-bins1", "compas-seed3-bins3")]
-    assert len(cases) == 2
+    names = ("adult-seed0-bins1", "compas-seed3-bins3", "compas-seed0-all")
+    cases = [c for c in script.bundled_cases() if c["name"] in names]
+    assert len(cases) == 3
     results = script.compare(ROOT / "src", ROOT / "src", cases, tmp_path)
-    assert results == {"adult-seed0-bins1": None, "compas-seed3-bins3": None}
+    assert results == dict.fromkeys(names)
     for tree in ("old", "new"):
         assert (tmp_path / tree / "adult-seed0-bins1.csv").stat().st_size > 0
 

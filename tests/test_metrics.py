@@ -166,7 +166,7 @@ def test_evaluate_report_contents_and_kv_keys():
     synthetic = informative_dataset(600, seed=5)
     report = evaluate(train, test, synthetic, seed=0)
     assert 0.6 <= report.aucroc_best <= 1.0
-    assert len(report.models_used) == 4
+    assert len(report.aucroc_per_model) == 4
     kv_lines = report.to_kv().splitlines()
     assert [line.split("=")[0] for line in kv_lines] == [
         "aucroc_best", "deo", "dsp", "di_ratio", "lrd",
@@ -182,14 +182,10 @@ def test_evaluate_checks_schema_and_column_names():
     other = mixed_dataset(200, seed=7)
     with pytest.raises(DataError, match="inconsistent"):
         evaluate(real, real, other)
-    with pytest.raises(DataError, match="protected"):
-        evaluate(real, real, real, protected="y")
-    with pytest.raises(DataError, match="label"):
-        evaluate(real, real, real, label="c")
 
 
 def test_report_rejects_out_of_range_metrics():
     with pytest.raises(DataError, match="outside"):
         EvalReport(aucroc_best=1.2, aucroc_per_model={}, deo=0.0, dsp=0.0,
                    disparate_impact_ratio=1.0, disparate_impact_flag=False,
-                   lrd=0.5, models_used=())
+                   lrd=0.5)

@@ -69,7 +69,7 @@ def test_logistic_regression_reaches_the_optimum():
     keep = [j for j in range(schema.d) if j not in (schema.label_index, schema.protected_index)]
     X, y = data.values[:, keep], data.values[:, schema.label_index]
     clf = models.fit(models.LOGISTIC_REGRESSION, X, y)
-    p, l2 = clf.params, clf.hyper["l2"]
+    p, l2 = clf.params, models.LR_L2
     Xs = (X - p["mean"]) / p["std"]
     fitted = models.lr_loss(p["w"], p["b"], Xs, y, l2)
     assert abs(fitted - lbfgs_lr_optimum(models.lr_loss, Xs, y, l2)) <= 1e-9
@@ -139,8 +139,8 @@ def test_decision_tree_respects_depth_and_leaf_bounds():
     y = (r.random(500) < 0.5).astype(float)  # pure noise forces deep search
     clf = models.fit(models.DECISION_TREE, X, y)
     tree = clf.params["tree"]
-    assert tree_depth(tree) <= clf.hyper["max_depth"]
-    assert min(leaf_sizes(tree, X, y)) >= clf.hyper["min_leaf"]
+    assert tree_depth(tree) <= models.TREE_MAX_DEPTH
+    assert min(leaf_sizes(tree, X, y)) >= models.TREE_MIN_LEAF
 
 
 def test_all_models_deterministic_and_probabilities_in_range():
