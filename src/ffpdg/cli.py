@@ -27,8 +27,8 @@ def _generation_config(args, **more) -> rongauss.GenerationConfig:
         mu_part, sigma_part = (float(t) for t in args.epsilon_split.split(":"))
     except ValueError:
         raise FfpdgError(f"bad --epsilon-split {args.epsilon_split!r}, expected MU:SIGMA") from None
-    if mu_part <= 0 or sigma_part <= 0:
-        raise FfpdgError("--epsilon-split parts must be positive")
+    if not (0 < mu_part < np.inf and 0 < sigma_part < np.inf):
+        raise FfpdgError("--epsilon-split parts must be positive and finite")
     budget = PrivacyBudget.from_total(args.epsilon, mu_fraction=mu_part / (mu_part + sigma_part))
     return rongauss.GenerationConfig(budget=budget, p=args.p, bins=args.bins, mode=args.mode,
                                      seed=args.seed, **more)

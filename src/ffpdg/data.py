@@ -8,6 +8,7 @@ index. The schema carries the interpretation.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from dataclasses import dataclass
 
@@ -48,6 +49,10 @@ class ColumnSpec:
                 raise SchemaError(f"categorical column {self.name!r} needs >= 2 levels")
             if len(set(self.levels)) != len(self.levels):
                 raise SchemaError(f"duplicate levels in column {self.name!r}")
+            padded = next((lvl for lvl in self.levels if lvl != lvl.strip()), None)
+            if padded is not None:
+                # load_csv strips categorical cells, so this level could not be read back
+                raise SchemaError(f"level {padded!r} of column {self.name!r} has surrounding whitespace")
         elif self.levels:
             raise SchemaError(f"levels given for non-categorical column {self.name!r}")
         if self.role == ROLE_PROTECTED and self.kind != BINARY:
@@ -298,34 +303,43 @@ def _first_bad_cell(cells, col: ColumnSpec, levels) -> tuple[int, str]:
 def save_csv(dataset: Dataset, path):
     """Write a Dataset as CSV so that load_csv(save_csv(D)) == D.
 
-    The header is the schema's column names. Rows go through the ``csv``
-    module's default writer: fields that hold a comma, a quote or a line
-    break are quoted, and every line ends in ``\\r\\n``. Binary cells are
-    written as 0/1 and categorical cells as their level strings;
-    continuous cells are formatted ``.17g``, enough significant digits
-    for a bit-exact float64 round trip.
+    The header is the schema's column names. Every row is written as the
+    ``csv`` module's default writer would write it: fields that hold a
+    comma, a quote or a line break are quoted, and every line ends in
+    ``\\r\\n``. Binary cells are written as 0/1 and categorical cells as
+    their level strings; continuous cells are formatted ``.17g``, enough
+    significant digits for a bit-exact float64 round trip.
     """
     schema = dataset.schema
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
-    levels = [np.array(c.levels, dtype=object) for c in schema.columns]
+    row = ",".join("%.17g" if c.kind == CONTINUOUS else "%s" for c in schema.columns) + "\r\n"
+    levels = [np.array([_csv_field(lvl) for lvl in c.levels], dtype=object) for c in schema.columns]
     with fh:
-        writer = csv.writer(fh)
-        writer.writerow(schema.names)
+        csv.writer(fh).writerow(schema.names)
         for first in range(0, dataset.n, _BLOCK_ROWS):
             block = dataset.values[first:first + _BLOCK_ROWS]
-            columns = []
+            cells = block.astype(object)
             for j, col in enumerate(schema.columns):
-                v = block[:, j]
                 if col.kind == CATEGORICAL:
-                    columns.append(levels[j][v.astype(np.intp)].tolist())
+                    cells[:, j] = levels[j][block[:, j].astype(np.intp)]
                 elif col.kind == BINARY:
-                    columns.append(np.where(v == 1.0, "1", "0").tolist())
-                else:
-                    columns.append([format(x, ".17g") for x in v.tolist()])
-            writer.writerows(zip(*columns))
+                    cells[:, j] = np.where(block[:, j] == 1.0, "1", "0")
+            # printf-style %.17g and the .17g format spec share one C formatter
+            fh.write((row * len(block)) % tuple(cells.ravel().tolist()))
+
+
+def _csv_field(text: str) -> str:
+    """text as the csv module's default writer writes it inside a row, quoted if needed.
+
+    The field is written second of two, so the writer's rule for a row that
+    is one empty field does not apply.
+    """
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", text])
+    return buf.getvalue()[1:-2]
 
 
 # -- quantiles and ranks ------------------------------------------------------

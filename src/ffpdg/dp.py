@@ -23,6 +23,8 @@ class PrivacyBudget:
     epsilon_sigma: float
 
     def __post_init__(self):
+        if not all(map(np.isfinite, (self.epsilon_total, self.epsilon_mu, self.epsilon_sigma))):
+            raise DataError("all epsilon values must be finite")
         if self.epsilon_total <= 0 or self.epsilon_mu <= 0 or self.epsilon_sigma <= 0:
             raise DataError("all epsilon values must be > 0")
         if abs(self.epsilon_mu + self.epsilon_sigma - self.epsilon_total) > 1e-12:

@@ -154,6 +154,24 @@ def test_malformed_epsilon_split_exits_1_and_names_the_flag(mixed_dir, capsys, s
     assert not (mixed_dir / "x.csv").exists()
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--epsilon", "nan"], "epsilon values must be finite"),
+    (["--epsilon", "inf"], "epsilon values must be finite"),
+    (["--epsilon-split", "nan:1"], "--epsilon-split"),
+], ids=["epsilon-nan", "epsilon-inf", "split-nan"])
+def test_non_finite_budget_exits_1_before_any_stage(mixed_dir, capsys, flags, error):
+    rc = cli.main(["generate", "--schema", str(mixed_dir / "mixed.schema"),
+                   "--input", str(mixed_dir / "mixed.csv"), "--output", str(mixed_dir / "x.csv"),
+                   *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert error in err
+    for stage in ("binarize", "fair redistribution", "code inversion", "projection fit",
+                  "gaussian sampling"):
+        assert stage not in err
+    assert not (mixed_dir / "x.csv").exists()
+
+
 def test_bench_reads_the_shared_generation_flags(mixed_dir, capsys):
     rc = cli.main(["bench", "--schema", str(mixed_dir / "mixed.schema"),
                    "--input", str(mixed_dir / "mixed.csv"), "--bins", "0"])

@@ -87,6 +87,12 @@ def test_schema_rejects_duplicates_and_bad_kinds():
         ColumnSpec("a", CATEGORICAL, levels=("only",))
 
 
+@pytest.mark.parametrize("level", [" a", "a ", "\ta", "a\n", "\r\n"])
+def test_schema_rejects_a_level_that_load_csv_would_strip(level):
+    with pytest.raises(SchemaError, match="whitespace"):
+        ColumnSpec("c", CATEGORICAL, levels=(level, "b"))
+
+
 def test_dataset_rejects_bad_values():
     schema = two_col_schema()
     with pytest.raises(DataError, match="non-binary"):
@@ -124,8 +130,9 @@ def test_load_csv_rejects_header_mismatch(tmp_path):
         load_csv(path, two_col_schema())
 
 
-# levels that the csv module must quote: a comma, quotes, both
-QUOTED_LEVELS = ("plain", "a,b", 'say "hi"', 'x,"y"', "ünï")
+# levels that the csv module must quote (a comma, quotes, both, line breaks),
+# plus the empty level that categorical(a||b) declares
+QUOTED_LEVELS = ("plain", "a,b", 'say "hi"', 'x,"y"', "ünï", "line\nbreak", "crlf\r\nbreak", "")
 
 # float64 values whose .17g form differs from repr or needs all 17 digits
 AWKWARD = (0.1, 0.1 + 0.2, 1 / 3, 2 / 3 * 1e-300, 5e-324, 1.7976931348623157e308,
@@ -173,7 +180,12 @@ def test_csv_io_matches_the_cellwise_oracle(tmp_path, n):
     cellwise_save_csv(ds, ref)
     written = ours.read_bytes()
     assert written == ref.read_bytes()
-    assert written.count(b"\r\n") == n + 1 and b'"say ""hi"""' in written
+    tags = [QUOTED_LEVELS[int(t)] for t in ds.values[:, 1]]
+    assert written.count(b"\r\n") == n + 1 + tags.count("crlf\r\nbreak")
+    assert b'"say ""hi"""' in written
+    if n > B:
+        assert set(tags) == set(QUOTED_LEVELS)
+        assert b'"line\nbreak"' in written and b'"crlf\r\nbreak"' in written
     for path in (ours, ref):
         back = load_csv(path, ds.schema)
         assert back.values.tobytes() == ds.values.tobytes()
@@ -187,6 +199,14 @@ def test_csv_io_matches_the_cellwise_oracle(tmp_path, n):
     back = load_csv(padded, ds.schema)
     assert back.values.tobytes() == ds.values.tobytes()
     assert back.values.tobytes() == cellwise_load_csv(padded, ds.schema).values.tobytes()
+
+
+def test_percent_g_formats_like_the_format_spec():
+    """save_csv writes continuous cells through a printf-style %.17g row template."""
+    r = np.random.default_rng(17)
+    bits = np.frombuffer(r.bytes(8 * 10_000), dtype=np.float64)
+    values = [*AWKWARD, *bits[np.isfinite(bits)].tolist()]
+    assert ["%.17g" % x for x in values] == [format(x, ".17g") for x in values]
 
 
 def test_load_csv_follows_float_syntax(tmp_path):

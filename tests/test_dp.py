@@ -143,3 +143,8 @@ def test_privacy_budget_split_and_validation():
         PrivacyBudget(1.0, -0.5, 1.5)
     with pytest.raises(DataError):
         PrivacyBudget.from_total(1.0, mu_fraction=1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="finite"):
+            PrivacyBudget.from_total(bad)
+        with pytest.raises(DataError, match="finite"):
+            PrivacyBudget(bad, 0.5, 0.5)
