@@ -196,10 +196,16 @@ def decode_codes(codes: np.ndarray, codebook: CodeBook, seed: int) -> np.ndarray
     # stable: two rows of an entry that drew the same 32 bits keep their
     # order on every platform, whichever sort numpy dispatches to
     shuffled = codebook.row_order[np.argsort(sort_key, kind="stable")]
+    del sort_key
     sizes = np.diff(where_starts)
     query_entry = np.repeat(entry, sizes)
     rank = np.arange(len(codes)) - np.repeat(where_starts[:-1], sizes)
-    source = shuffled[codebook.row_starts[query_entry] + rank % counts[query_entry]]
-    out = np.empty((len(codes), codebook.schema.d))
-    out[where_order] = codebook.rows[source]
-    return out
+    rank %= counts[query_entry]
+    rank += codebook.row_starts[query_entry]
+    del query_entry
+    # scatter the row indices into query order, so the (n, d) rows are
+    # gathered once, with no n-row index array left but `source`
+    source = np.empty_like(rank)
+    source[where_order] = shuffled[rank]
+    del shuffled, rank, where_order
+    return codebook.rows[source]

@@ -29,7 +29,12 @@ def _generation_config(args, **more) -> rongauss.GenerationConfig:
         raise FfpdgError(f"bad --epsilon-split {args.epsilon_split!r}, expected MU:SIGMA") from None
     if not (0 < mu_part < np.inf and 0 < sigma_part < np.inf):
         raise FfpdgError("--epsilon-split parts must be positive and finite")
-    budget = PrivacyBudget.from_total(args.epsilon, mu_fraction=mu_part / (mu_part + sigma_part))
+    # mu_part + sigma_part can overflow; the ratio overflows only to a share of 0
+    mu_fraction = 1.0 / (1.0 + sigma_part / mu_part)
+    if not 0.0 < mu_fraction < 1.0:
+        raise FfpdgError(f"--epsilon-split {args.epsilon_split!r} gives the mean a share of "
+                         f"{mu_fraction:g}, which must be strictly between 0 and 1")
+    budget = PrivacyBudget.from_total(args.epsilon, mu_fraction=mu_fraction)
     return rongauss.GenerationConfig(budget=budget, p=args.p, bins=args.bins, mode=args.mode,
                                      seed=args.seed, **more)
 

@@ -45,8 +45,8 @@ def laplace_sample(b: float, rng: np.random.Generator, size=None):
     the mapping is exact, so a seeded uniform stream reproduces the same
     noise on any platform. Variance is 2*b^2.
     """
-    if b <= 0:
-        raise DataError("Laplace scale must be > 0")
+    if not 0 < b < np.inf:
+        raise DataError(f"Laplace scale must be positive and finite, got {float(b)}")
     u = rng.random(size) - 0.5
     return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 

@@ -166,35 +166,35 @@ def pre_normalize(dataset: Dataset, categorical_noise_sigma: float, seed,
     rng = np.random.default_rng(seed)
     if columns is None:
         columns = range(dataset.schema.d)
-    blocks = []
+    specs = [(j, dataset.schema.columns[j]) for j in columns]
+    d_eff = sum(len(col.levels) if col.kind == CATEGORICAL else 1 for _, col in specs) + 1
+    X = np.empty((d_eff, dataset.n))
     coding = []
     offset = 0
-    for j in columns:
-        col = dataset.schema.columns[j]
+    for j, col in specs:
         v = dataset.values[:, j]
         if col.kind == CATEGORICAL:
             k = len(col.levels)
-            block = np.zeros((k, dataset.n))
+            block = X[offset:offset + k]
+            block[:] = 0.0
             block[v.astype(int), np.arange(dataset.n)] = 1.0
             if categorical_noise_sigma > 0:
-                block = block + rng.normal(0.0, categorical_noise_sigma, size=block.shape)
+                block += rng.normal(0.0, categorical_noise_sigma, size=block.shape)
             coords = tuple(range(offset, offset + k))
             coding.append(ColumnCoding(col.name, CATEGORICAL, coords, levels=col.levels))
             offset += k
         elif col.kind == CONTINUOUS:
             lo, hi = float(v.min()), float(v.max())
-            block = (v[None, :] - lo) / (hi - lo) if hi > lo else np.full((1, dataset.n), 0.5)
+            X[offset] = (v - lo) / (hi - lo) if hi > lo else 0.5
             coding.append(ColumnCoding(col.name, CONTINUOUS, (offset,), lo=lo, hi=hi))
             offset += 1
         else:
-            block = v[None, :].copy()
+            X[offset] = v
             coding.append(ColumnCoding(col.name, col.kind, (offset,)))
             offset += 1
-        blocks.append(block)
-    blocks.append(np.ones((1, dataset.n)))
-    X = np.vstack(blocks)
-    norms = np.linalg.norm(X, axis=0)
-    return X / norms, tuple(coding)
+    X[offset] = 1.0
+    X /= np.linalg.norm(X, axis=0)
+    return X, tuple(coding)
 
 
 def center_and_renormalize(X: np.ndarray, budget: PrivacyBudget, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +208,8 @@ def center_and_renormalize(X: np.ndarray, budget: PrivacyBudget, seed) -> tuple[
         warnings.warn(f"{int(zero.sum())} samples equal the DP mean; perturbing by 1e-12")
         Xbar[:, zero] += 1e-12
         norms = np.linalg.norm(Xbar, axis=0)
-    return Xbar / norms, mu
+    Xbar /= norms
+    return Xbar, mu
 
 
 def make_ron(d: int, p: int, seed) -> RonProjection:
@@ -270,8 +271,10 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
         raise DataError(f"projected dimension p={p} must satisfy 1 <= p < d_eff={d_eff}")
 
     Xbar, mu = center_and_renormalize(X, config.budget, rng_mu)
+    del X
     projection = make_ron(d_eff, p, rng_ron)
     Xp = projection.W.T @ Xbar
+    del Xbar
 
     posts = tuple(_column_post(schema.columns[j], dataset.values[:, j], config.quantile_points)
                   for j in range(schema.d))
@@ -279,7 +282,8 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
 
     if mode == MODE_CLASSIFICATION:
         labels = dataset.values[:, label_idx]
-        class_values = tuple(sorted(set(labels.tolist())))
+        values, counts = np.unique(labels, return_counts=True)
+        class_values = tuple(float(value) for value in values)
         k = len(class_values)
         if k < 2:
             raise DataError("classification mode needs at least two label values")
@@ -305,7 +309,6 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
             second = dp_covariance(block, eps_class * (1.0 - mu_frac), rng_cov)
             means.append(m)
             sigmas.append(psd_repair(second - np.outer(m, m)))
-        counts = np.array([np.sum(labels == value) for value in class_values], dtype=float)
         weights = counts / dataset.n + laplace_sample(
             2.0 / (dataset.n * config.budget.epsilon_mu), rng_weights, size=k
         )
@@ -390,8 +393,10 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
             idx = np.flatnonzero(assignments == c)
             if len(idx):
                 draws = _gaussian_draws(model.sigma_dp[c], len(idx), rng)
-                projected[:, idx] = model.class_means_dp[c][:, None] + draws
+                draws += model.class_means_dp[c][:, None]
+                projected[:, idx] = draws
         label_values = np.asarray(model.class_values)[assignments]
+        del assignments
     elif model.mode == MODE_REGRESSION:
         joint = _gaussian_draws(model.sigma_dp[0], n_out, rng)
         projected = joint[:p]
@@ -399,7 +404,9 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
     else:
         projected = _gaussian_draws(model.sigma_dp[0], n_out, rng)
 
-    coords = model.projection.W @ projected + model.mu_dp[:, None]
+    coords = model.projection.W @ projected
+    del projected
+    coords += model.mu_dp[:, None]
 
     posts = {post.name: post for post in model.postprocess}
     out = np.empty((n_out, model.schema.d))
@@ -422,6 +429,7 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
             grid = np.asarray(posts[col.name].quantile_grid)
             raw = block[0] * (code.hi - code.lo) + code.lo
             out[:, j] = _match_quantiles(raw, grid)
+    del coords, label_values  # freed before Dataset copies `out`
     return Dataset(model.schema, out)
 
 
@@ -466,11 +474,14 @@ def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = 
         solution = maxent.solve_maxent(prior, constraints)
     except (FeasibilityError, ConvergenceError, DataError) as exc:
         raise StageError("fair redistribution", exc) from exc
+    rates_before = maxent.group_rates(binary, protected_bit, label_bit)
+    del binary
 
     try:
         codes = maxent.sample_codes(solution.distribution, dataset.n, seed_codes)
-        fair_values = binarize.decode_codes(codes, codebook, seed_decode)
-        fair_dataset = Dataset(schema, fair_values)
+        # Dataset keeps its own copy, so the decoded rows are not held here
+        fair_dataset = Dataset(schema, binarize.decode_codes(codes, codebook, seed_decode))
+        del codes
     except Exception as exc:
         raise StageError("code inversion", exc) from exc
 
@@ -485,7 +496,6 @@ def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = 
     except Exception as exc:
         raise StageError("gaussian sampling", exc) from exc
 
-    rates_before = maxent.group_rates(binary, protected_bit, label_bit)
     fair_c = fair_dataset.values[:, schema.protected_index]
     fair_y = fair_dataset.values[:, schema.label_index]
     rates_after = (

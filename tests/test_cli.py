@@ -144,7 +144,9 @@ def test_generate_maps_every_flag_into_the_run(mixed_dir, capsys):
     assert "rows=250" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("split", ["0.3", "a:b", "0:1"])
+# "1:1e-17" and "1e-300:1e300" are well formed but give the mean a share
+# that rounds to 1 and to 0
+@pytest.mark.parametrize("split", ["0.3", "a:b", "0:1", "1:1e-17", "1e-300:1e300"])
 def test_malformed_epsilon_split_exits_1_and_names_the_flag(mixed_dir, capsys, split):
     rc = cli.main(["generate", "--schema", str(mixed_dir / "mixed.schema"),
                    "--input", str(mixed_dir / "mixed.csv"), "--output", str(mixed_dir / "x.csv"),
@@ -169,6 +171,33 @@ def test_non_finite_budget_exits_1_before_any_stage(mixed_dir, capsys, flags, er
     for stage in ("binarize", "fair redistribution", "code inversion", "projection fit",
                   "gaussian sampling"):
         assert stage not in err
+    assert not (mixed_dir / "x.csv").exists()
+
+
+def test_epsilon_split_of_huge_parts_splits_like_their_ratio(mixed_dir, capsys):
+    outputs = []
+    for split in ("1e308:1e308", "1:1"):
+        out = mixed_dir / f"split-{split}.csv"
+        rc = cli.main(["generate", "--schema", str(mixed_dir / "mixed.schema"),
+                       "--input", str(mixed_dir / "mixed.csv"), "--output", str(out),
+                       "--epsilon-split", split, "--seed", "5"])
+        assert rc == 0, capsys.readouterr().err
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flags", [
+    ["--epsilon", "1e-310"],
+    ["--epsilon", "1e-20", "--epsilon-split", "1e-295:1"],
+], ids=["epsilon", "split"])
+def test_infinite_noise_scale_exits_1_and_names_the_scale(mixed_dir, capsys, flags):
+    rc = cli.main(["generate", "--schema", str(mixed_dir / "mixed.schema"),
+                   "--input", str(mixed_dir / "mixed.csv"), "--output", str(mixed_dir / "x.csv"),
+                   *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "projection fit: Laplace scale must be positive and finite, got inf" in err
     assert not (mixed_dir / "x.csv").exists()
 
 

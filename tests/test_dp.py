@@ -45,8 +45,8 @@ def test_laplace_is_inverse_cdf_of_the_uniform_stream():
 
 
 def test_laplace_rejects_nonpositive_scale():
-    for b in (0.0, -1.0):
-        with pytest.raises(DataError):
+    for b in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(DataError, match="Laplace scale"):
             laplace_sample(b, np.random.default_rng(0))
 
 

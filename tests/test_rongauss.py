@@ -132,6 +132,8 @@ def test_fit_sample_classification_round_trip():
     model = fit(ds, GenerationConfig(budget=LOOSE, seed=11))
     assert model.mode == "classification"
     assert model.class_values == (0.0, 1.0)
+    # Python floats, as read_audit rebuilds them, not numpy scalars
+    assert all(type(v) is float for v in model.class_values)
     # loose budget: noised class weights track the empirical proportions
     want = np.array([np.mean(ds.column("y") == v) for v in model.class_values])
     assert np.abs(np.asarray(model.class_weights_dp) - want).max() < 1e-4
