@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,6 +215,9 @@ def save_schema(schema: Schema, path):
 # few enough that a block's cell strings add little to peak memory.
 _BLOCK_ROWS = 256
 
+# The bytes of a plain file: printable ASCII, tab and the line breaks.
+_PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)])
+
 
 def load_csv(path, schema: Schema) -> Dataset:
     """Parse a header-first CSV into a Dataset, validating every cell.
@@ -222,7 +227,66 @@ def load_csv(path, schema: Schema) -> Dataset:
     categorical cells must be a declared level string. Errors name the
     path, the offending column and the row, counted from 0 over the data
     rows (the header is not counted).
+
+    A plain file is read by numpy's C text reader: every byte printable
+    ASCII, tab or a line break, a header that matches the schema, one row
+    per data line and only 0/1 in the binary columns. On such a file that
+    reader returns what the block parser would, without a Python string per
+    cell. Every other file (non-ASCII text, blank lines, quoted line breaks,
+    any cell or row that fails) goes to the block parser, which returns the
+    same values and writes every error message.
     """
+    level_maps = [
+        {lvl: float(i) for i, lvl in enumerate(c.levels)} if c.kind == CATEGORICAL else None
+        for c in schema.columns
+    ]
+    values = _load_plain(path, schema, level_maps)
+    if values is None:
+        values = _load_blocks(path, schema, level_maps)
+    return Dataset(schema, values)
+
+
+def _load_plain(path, schema: Schema, level_maps) -> np.ndarray | None:
+    """The data rows of a plain file as numpy's C reader parses them, or None."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError:
+        return None
+    if raw.translate(None, _PLAIN_BYTES):
+        return None
+    header = next(csv.reader([re.match(rb"[^\r\n]*", raw)[0].decode("ascii")]))
+    # physical lines after the header: a \n, a \r and a \r\n pair each end one
+    lines = raw.count(b"\n") - raw.endswith((b"\n", b"\r"))
+    if b"\r" in raw:
+        lines += raw.count(b"\r") - raw.count(b"\r\n")
+    del raw
+    if header != schema.names or lines < 1:
+        return None
+    # numpy passes each cell with its quotes removed; strip as the block parser does
+    converters = {j: (lambda cell, levels=levels: levels[cell.strip()])
+                  for j, levels in enumerate(level_maps) if levels is not None}
+    try:
+        # a text handle keeps numpy from opening the path itself (it would
+        # decompress a .gz name); universal newlines read a CR as a line end
+        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "no data": the row count below rejects it
+            values = np.loadtxt(fh, dtype=np.float64, delimiter=",", quotechar='"', comments=None,
+                                skiprows=1, ndmin=2, converters=converters, encoding="ascii")
+    except (OSError, ValueError):
+        return None
+    # numpy skips blank lines and joins a quoted line break into one row;
+    # either leaves fewer rows than lines
+    if values.shape != (lines, schema.d):
+        return None
+    binary = values[:, [j for j, c in enumerate(schema.columns) if c.kind == BINARY]]
+    if not np.all((binary == 0.0) | (binary == 1.0)):
+        return None
+    return values
+
+
+def _load_blocks(path, schema: Schema, level_maps) -> np.ndarray:
+    """Parse every data row through ``csv.reader``, one block of rows at a time."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -235,10 +299,6 @@ def load_csv(path, schema: Schema) -> Dataset:
             raise DataError(f"{path}: empty file") from None
         if header != schema.names:
             raise DataError(f"{path}: header {header!r} does not match schema columns {schema.names!r}")
-        level_maps = [
-            {lvl: float(i) for i, lvl in enumerate(c.levels)} if c.kind == CATEGORICAL else None
-            for c in schema.columns
-        ]
         blocks = []
         first = 0
         while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
@@ -253,7 +313,7 @@ def load_csv(path, schema: Schema) -> Dataset:
             first += len(rows)
     if not blocks:
         raise DataError(f"{path}: no data rows")
-    return Dataset(schema, np.vstack(blocks))
+    return np.vstack(blocks)
 
 
 def _parse_block(rows, schema: Schema, level_maps, path, first: int) -> np.ndarray:
@@ -286,17 +346,18 @@ def _parse_block(rows, schema: Schema, level_maps, path, first: int) -> np.ndarr
 def _first_bad_cell(cells, col: ColumnSpec, levels) -> tuple[int, str]:
     """Block-relative row and reason of the first cell in a column that fails to parse."""
     for k, cell in enumerate(cells):
-        cell = cell.strip()
+        text = cell.strip()
         if col.kind == CATEGORICAL:
-            if cell not in levels:
-                return k, f"unknown level {cell!r}"
+            if text not in levels:
+                return k, f"unknown level {text!r}"
             continue
         try:
+            # as numpy reads the column: str.strip() also drops \x1c-\x1f, float() does not
             value = float(cell)
         except ValueError:
-            return k, f"cannot parse {cell!r}"
+            return k, f"cannot parse {text!r}"
         if col.kind == BINARY and value not in (0.0, 1.0):
-            return k, f"binary cell must be 0 or 1, got {cell!r}"
+            return k, f"binary cell must be 0 or 1, got {text!r}"
     raise AssertionError(f"numpy rejected column {col.name!r}, but float() parses every cell")
 
 
@@ -360,8 +421,17 @@ def average_ranks(values) -> np.ndarray:
     order = np.argsort(values)
     ordered = values[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], len(values)]
+    del ordered
+    sizes = np.diff(starts, append=len(values))
+    # a tie run holds ranks starts+1 .. starts+sizes; twice their mean is the
+    # integer 2*starts+1+sizes (built in place), and half of it is exact in float64
+    starts *= 2
+    starts += 1
+    starts += sizes
+    means = 0.5 * starts
+    del starts
+    per_row = np.repeat(means, sizes)
+    del means, sizes
     ranks = np.empty(len(values))
-    # a tie run holds ranks starts+1 .. ends, whose mean is exact in float64
-    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    ranks[order] = per_row
     return ranks

@@ -8,8 +8,9 @@ steps on the dual), the logistic-regression reference runs quasi-Newton
 L-BFGS (the library takes exact Newton steps), the AUC reference counts
 pairs one by one, the codebook reference works on rows of bits (the
 library packs each code into one byte-string key), and the CSV
-references parse and format one cell at a time (the library converts
-blocks of rows one column at a time).
+references parse and format one cell at a time (the library reads a
+plain file with numpy's C text reader and any other file in blocks of
+rows, one column at a time).
 """
 
 import csv
@@ -188,24 +189,25 @@ def cellwise_load_csv(path, schema):
                 raise DataError(f"{path}: row {rownum} has {len(cells)} cells, expected {schema.d}")
             parsed = np.empty(schema.d)
             for j, (cell, col) in enumerate(zip(cells, schema.columns)):
-                cell = cell.strip()
+                text = cell.strip()
                 if col.kind == CATEGORICAL:
                     try:
-                        parsed[j] = level_maps[j][cell]
+                        parsed[j] = level_maps[j][text]
                     except KeyError:
                         raise DataError(
-                            f"{path}: row {rownum}, column {col.name!r}: unknown level {cell!r}"
+                            f"{path}: row {rownum}, column {col.name!r}: unknown level {text!r}"
                         ) from None
                 else:
                     try:
+                        # float() skips less than str.strip(): not \x1c-\x1f
                         value = float(cell)
                     except ValueError:
                         raise DataError(
-                            f"{path}: row {rownum}, column {col.name!r}: cannot parse {cell!r}"
+                            f"{path}: row {rownum}, column {col.name!r}: cannot parse {text!r}"
                         ) from None
                     if col.kind == BINARY and value not in (0.0, 1.0):
                         raise DataError(
-                            f"{path}: row {rownum}, column {col.name!r}: binary cell must be 0 or 1, got {cell!r}"
+                            f"{path}: row {rownum}, column {col.name!r}: binary cell must be 0 or 1, got {text!r}"
                         )
                     parsed[j] = value
             rows.append(parsed)

@@ -10,6 +10,7 @@ from scipy.stats import rankdata
 from conftest import mixed_dataset
 from ffpdg.data import (
     _BLOCK_ROWS,
+    _parse_block,
     BINARY,
     CATEGORICAL,
     CONTINUOUS,
@@ -289,6 +290,122 @@ def test_load_csv_reports_the_first_of_several_faults_like_the_oracle(tmp_path):
         with pytest.raises(DataError) as ref:
             cellwise_load_csv(bad, ds.schema)
         assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("cell", ["\x1c1", "1\x1f"])
+def test_load_csv_rejects_a_number_that_only_str_strip_would_clean(tmp_path, cell):
+    """str.strip() drops \x1c-\x1f, float() and numpy do not: the cell cannot be parsed."""
+    schema = Schema((ColumnSpec("x", CONTINUOUS), ColumnSpec("c", BINARY, role=ROLE_PROTECTED)))
+    path = tmp_path / "sep.csv"
+    path.write_text(f"x,c\n1,0\n{cell},1\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_csv(path, schema)
+    assert str(err.value).startswith(f"{path}: row 1, column 'x': cannot parse")
+    with pytest.raises(DataError) as ref:
+        cellwise_load_csv(path, schema)
+    assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("schema", [two_col_schema(), Schema((ColumnSpec("c", BINARY, role=ROLE_PROTECTED),))])
+@pytest.mark.parametrize("header_end, why", [(None, "empty file"), ("\n", "no data rows"), ("", "no data rows")])
+def test_load_csv_names_a_file_without_data_rows(tmp_path, schema, header_end, why):
+    """One column too: numpy reads a header-only file as shape (0, 1)."""
+    path = tmp_path / "empty.csv"
+    path.write_text("" if header_end is None else ",".join(schema.names) + header_end)
+    with pytest.raises(DataError) as err:
+        load_csv(path, schema)
+    assert str(err.value) == f"{path}: {why}"
+    with pytest.raises(DataError) as ref:
+        cellwise_load_csv(path, schema)
+    assert str(err.value) == str(ref.value)
+
+
+# tag levels a file of printable ASCII can hold on one line
+ONE_LINE_ASCII = [k for k, lvl in enumerate(QUOTED_LEVELS) if lvl.isascii() and "\n" not in lvl]
+
+
+def csv_line(cells, quote=()):
+    """One CSV line: a cell is quoted when it must be, or when its index is in quote."""
+    return ",".join('"' + c.replace('"', '""') + '"' if j in quote or any(ch in c for ch in ',"\r\n') else c
+                    for j, c in enumerate(cells))
+
+
+def edit_rows(kind, r, rows):
+    """(rows as cell lists, line end) after one seeded edit of the kind named."""
+    k = int(r.integers(len(rows)))
+    if kind == "padding":
+        pads = (" ", "\t", "  ", " \t ")
+        rows = [[pads[r.integers(4)] + c + pads[r.integers(4)] for c in cells] for cells in rows]
+    elif kind == "non-ASCII level":
+        rows[k][1] = "ünï"
+    elif kind == "quoted line break":
+        rows[k][1] = ("line\nbreak", "crlf\r\nbreak")[r.integers(2)]
+    elif kind == "underscores":
+        rows[k][0] = "1_000.5"
+    elif kind == "bad cell":
+        j = int(r.integers(5))
+        rows[k][j] = ("12abc", "nope", "2", "0.5x", "maybe")[j]
+    elif kind == "short row":
+        rows[k] = rows[k][:-1]
+    elif kind == "long row":
+        rows[k] = rows[k] + ["0"]
+    return rows, "\r" if kind == "CR line ends" else "\r\n"
+
+
+# edits that keep a file plain, so numpy's reader takes it
+PLAIN_EDITS = ("none", "padding", "quoted numbers", "CR line ends")
+FALLBACK_EDITS = ("blank line", "whitespace line", "quoted line break", "non-ASCII level",
+                  "underscores", "bad cell", "short row", "long row")
+
+
+@pytest.mark.parametrize("kind", PLAIN_EDITS + FALLBACK_EDITS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_load_csv_matches_the_cellwise_oracle_on_edited_files(tmp_path, monkeypatch, kind, seed):
+    """Each edit gives the oracle's value bytes or error text, on the reader the edit calls for."""
+    ds = quoting_dataset(2 * B + 3, seed=seed)
+    ds = ds.take(np.flatnonzero(np.isin(ds.values[:, 1], ONE_LINE_ASCII)))
+    save_csv(ds, tmp_path / "base.csv")
+    with open(tmp_path / "base.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    r = np.random.default_rng(seed)
+    rows, newline = edit_rows(kind, r, rows)
+    lines = [csv_line(header)]
+    for k, cells in enumerate(rows):
+        # quoted numbers: the score, member and share cells of every third row
+        lines.append(csv_line(cells, quote=(0, 2, 3) if kind == "quoted numbers" and k % 3 == 0 else ()))
+    if kind in ("blank line", "whitespace line"):
+        lines.insert(int(r.integers(2, len(lines))), "" if kind == "blank line" else " \t")
+    path = tmp_path / "edited.csv"
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+
+    blocks = []
+
+    def counting_parse_block(*args):
+        blocks.append(args)
+        return _parse_block(*args)
+
+    monkeypatch.setattr("ffpdg.data._parse_block", counting_parse_block)
+    try:
+        ref = cellwise_load_csv(path, ds.schema).values.tobytes()
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            load_csv(path, ds.schema)
+        assert str(err.value) == str(exc)
+    else:
+        assert load_csv(path, ds.schema).values.tobytes() == ref
+    assert (not blocks) == (kind in PLAIN_EDITS)
+
+
+def test_load_csv_reads_a_plain_file_without_the_block_parser(tmp_path, monkeypatch):
+    ds = mixed_dataset(2 * B + 3, seed=8)
+    path = tmp_path / "plain.csv"
+    save_csv(ds, path)
+
+    def refuse(*args):
+        raise AssertionError("the block parser ran on a plain file")
+
+    monkeypatch.setattr("ffpdg.data._parse_block", refuse)
+    assert load_csv(path, ds.schema).values.tobytes() == ds.values.tobytes()
 
 
 @pytest.mark.parametrize("name", ["adult_sample", "adult_holdout", "compas_sample", "compas_holdout"])

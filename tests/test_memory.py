@@ -1,10 +1,11 @@
 """Peak memory of the n-row stages of generate.
 
 Each test bounds the tracemalloc peak above the memory live at the call
-(numpy reports its array buffers to tracemalloc) in units of the input
-table's size, n * d * 8 bytes. Each bound sits below the peak that the
-stage reaches when its intermediates live until it returns, so an
-(n, d)-sized copy kept past its last use crosses it.
+(numpy reports its array buffers to tracemalloc) in units of the input's
+size: the table's n * d * 8 bytes, or one float64 column's n * 8. Each
+bound sits below the peak that the stage reaches when its intermediates
+live until it returns, so an input-sized copy kept past its last use
+crosses it.
 """
 
 import tracemalloc
@@ -14,6 +15,7 @@ import pytest
 
 from benchdata import make_adult
 from ffpdg import binarize, rongauss
+from ffpdg.data import average_ranks
 
 N = 50_000
 
@@ -54,3 +56,11 @@ def test_sample_frees_the_projected_draws_before_the_output(adult):
     synthetic, peak = peak_over_live(rongauss.sample, model, N, 2)
     assert synthetic.values.shape == adult.values.shape
     assert peak <= 4.9 * adult.values.nbytes
+
+
+def test_average_ranks_frees_the_sorted_copy_and_run_bounds_before_the_scatter():
+    # distinct values: one tie run per value, the largest run-bound arrays
+    values = np.random.default_rng(2).normal(size=N)
+    ranks, peak = peak_over_live(average_ranks, values)
+    assert np.array_equal(np.sort(ranks), np.arange(1.0, N + 1))
+    assert peak <= 4.5 * values.nbytes
