@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -211,16 +210,21 @@ def save_schema(schema: Schema, path):
 
 # -- CSV I/O -----------------------------------------------------------------
 
-# Rows converted per block: enough to amortize the per-column numpy calls,
-# few enough that a block's cell strings add little to peak memory.
+# Rows per block read or written: enough to amortize a block's numpy calls,
+# few enough that its Python objects add little to peak memory.
 _BLOCK_ROWS = 256
 
-# The bytes of a plain file: printable ASCII, tab and the line breaks.
-_PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)])
+# The bytes numpy's reader may see: tab, the line breaks, printable ASCII and
+# every byte of a multi-byte UTF-8 character. Not the other C0 controls: numpy
+# skips \x1c-\x1f around a number, float() does not.
+_PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127), *range(128, 256)])
+
+# What float() skips around a number: whitespace other than \x1c-\x1f
+_FLOAT_PADDING = re.compile(r"^[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+$")
 
 
 def load_csv(path, schema: Schema) -> Dataset:
-    """Parse a header-first CSV into a Dataset, validating every cell.
+    """Parse a header-first UTF-8 CSV into a Dataset, validating every cell.
 
     Continuous cells must parse as decimal numbers (Python ``float``
     syntax, surrounding whitespace ignored), binary cells as 0/1,
@@ -228,12 +232,13 @@ def load_csv(path, schema: Schema) -> Dataset:
     path, the offending column and the row, counted from 0 over the data
     rows (the header is not counted).
 
-    A plain file is read by numpy's C text reader: every byte printable
-    ASCII, tab or a line break, a header that matches the schema, one row
-    per data line and only 0/1 in the binary columns. On such a file that
-    reader returns what the block parser would, without a Python string per
-    cell. Every other file (non-ASCII text, blank lines, quoted line breaks,
-    any cell or row that fails) goes to the block parser, which returns the
+    An ordinary file is read by numpy's C text reader: UTF-8 text without
+    NUL or control bytes other than tab and the line breaks, a header that
+    matches the schema, one row per data line, numbers numpy parses as
+    float() does and only 0/1 in the binary columns. Every other file
+    (underscores or Unicode digits in a number, blank lines, quoted line
+    breaks, any cell or row that fails, text that is not UTF-8) is read by
+    ``csv.reader`` a row at a time and a cell at a time, which returns the
     same values and writes every error message.
     """
     level_maps = [
@@ -242,12 +247,12 @@ def load_csv(path, schema: Schema) -> Dataset:
     ]
     values = _load_plain(path, schema, level_maps)
     if values is None:
-        values = _load_blocks(path, schema, level_maps)
+        values = _load_rows(path, schema, level_maps)
     return Dataset(schema, values)
 
 
 def _load_plain(path, schema: Schema, level_maps) -> np.ndarray | None:
-    """The data rows of a plain file as numpy's C reader parses them, or None."""
+    """The data rows of an ordinary file as numpy's C reader parses them, or None."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -255,7 +260,11 @@ def _load_plain(path, schema: Schema, level_maps) -> np.ndarray | None:
         return None
     if raw.translate(None, _PLAIN_BYTES):
         return None
-    header = next(csv.reader([re.match(rb"[^\r\n]*", raw)[0].decode("ascii")]))
+    try:
+        # strict: a quote left open at the line end means the header runs on
+        header = next(csv.reader([re.match(rb"[^\r\n]*", raw)[0].decode("utf-8")], strict=True))
+    except (UnicodeDecodeError, csv.Error):
+        return None
     # physical lines after the header: a \n, a \r and a \r\n pair each end one
     lines = raw.count(b"\n") - raw.endswith((b"\n", b"\r"))
     if b"\r" in raw:
@@ -263,16 +272,17 @@ def _load_plain(path, schema: Schema, level_maps) -> np.ndarray | None:
     del raw
     if header != schema.names or lines < 1:
         return None
-    # numpy passes each cell with its quotes removed; strip as the block parser does
+    # numpy passes each cell with its quotes removed; strip as the row parser does
     converters = {j: (lambda cell, levels=levels: levels[cell.strip()])
                   for j, levels in enumerate(level_maps) if levels is not None}
     try:
         # a text handle keeps numpy from opening the path itself (it would
-        # decompress a .gz name); universal newlines read a CR as a line end
-        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+        # decompress a .gz name); universal newlines read a CR as a line end.
+        # A decode error is a ValueError.
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # "no data": the row count below rejects it
             values = np.loadtxt(fh, dtype=np.float64, delimiter=",", quotechar='"', comments=None,
-                                skiprows=1, ndmin=2, converters=converters, encoding="ascii")
+                                skiprows=1, ndmin=2, converters=converters, encoding="utf-8")
     except (OSError, ValueError):
         return None
     # numpy skips blank lines and joins a quoted line break into one row;
@@ -285,80 +295,63 @@ def _load_plain(path, schema: Schema, level_maps) -> np.ndarray | None:
     return values
 
 
-def _load_blocks(path, schema: Schema, level_maps) -> np.ndarray:
-    """Parse every data row through ``csv.reader``, one block of rows at a time."""
+def _load_rows(path, schema: Schema, level_maps) -> np.ndarray:
+    """Parse the data rows through ``csv.reader``, a row at a time and a cell at a time.
+
+    Cells are converted in column order and the first that fails raises,
+    so an error names the earliest row, then the leftmost column. The
+    parsed floats become a float64 block every ``_BLOCK_ROWS`` rows.
+    """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if header != schema.names:
-            raise DataError(f"{path}: header {header!r} does not match schema columns {schema.names!r}")
-        blocks = []
-        first = 0
-        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
-            if set(map(len, rows)) != {schema.d}:
-                short = next(k for k, cells in enumerate(rows) if len(cells) != schema.d)
-                # cells of earlier rows are reported first, as in a row-by-row parse
-                _parse_block(rows[:short], schema, level_maps, path, first)
-                raise DataError(
-                    f"{path}: row {first + short} has {len(rows[short])} cells, expected {schema.d}"
-                )
-            blocks.append(_parse_block(rows, schema, level_maps, path, first))
-            first += len(rows)
-    if not blocks:
+    header, blocks, values = None, [], []
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            if header != schema.names:
+                raise DataError(f"{path}: header {header!r} does not match schema columns {schema.names!r}")
+            for row, cells in enumerate(reader):
+                if len(cells) != schema.d:
+                    raise DataError(f"{path}: row {row} has {len(cells)} cells, expected {schema.d}")
+                for cell, col, levels in zip(cells, schema.columns, level_maps):
+                    try:
+                        values.append(_parse_cell(cell, col, levels))
+                    except ValueError as exc:
+                        raise DataError(f"{path}: row {row}, column {col.name!r}: {exc}") from None
+                if row % _BLOCK_ROWS == _BLOCK_ROWS - 1:
+                    blocks.append(np.array(values))
+                    values.clear()
+    except csv.Error as exc:
+        # raised between rows: the rows parsed so far are the ones before it
+        row = len(blocks) * _BLOCK_ROWS + len(values) // schema.d
+        raise DataError(f"{path}: {'header' if header is None else f'row {row}'}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    if not blocks and not values:
         raise DataError(f"{path}: no data rows")
-    return np.vstack(blocks)
+    blocks.append(np.array(values))
+    return np.concatenate(blocks).reshape(-1, schema.d)
 
 
-def _parse_block(rows, schema: Schema, level_maps, path, first: int) -> np.ndarray:
-    """Convert a block of equal-length rows one column at a time.
-
-    A column that fails is rescanned cell by cell so the error names the
-    same row and column as a row-by-row parse would: the earliest row,
-    then the leftmost column.
-    """
-    block = np.empty((len(rows), schema.d))
-    faults = []
-    for j, (cells, col, levels) in enumerate(zip(zip(*rows), schema.columns, level_maps)):
-        try:
-            if col.kind == CATEGORICAL:
-                block[:, j] = list(map(levels.__getitem__, map(str.strip, cells)))
-            else:
-                # float() semantics per cell, whitespace included
-                block[:, j] = np.array(cells, dtype=np.float64)
-                if col.kind == BINARY and not np.all((block[:, j] == 0.0) | (block[:, j] == 1.0)):
-                    raise ValueError
-        except (KeyError, ValueError):
-            k, why = _first_bad_cell(cells, col, levels)
-            faults.append((k, j, why))
-    if faults:
-        k, j, why = min(faults)
-        raise DataError(f"{path}: row {first + k}, column {schema.columns[j].name!r}: {why}")
-    return block
-
-
-def _first_bad_cell(cells, col: ColumnSpec, levels) -> tuple[int, str]:
-    """Block-relative row and reason of the first cell in a column that fails to parse."""
-    for k, cell in enumerate(cells):
+def _parse_cell(cell: str, col: ColumnSpec, levels) -> float:
+    """The value of one cell of col; a ValueError says why the cell fails."""
+    if col.kind == CATEGORICAL:
         text = cell.strip()
-        if col.kind == CATEGORICAL:
-            if text not in levels:
-                return k, f"unknown level {text!r}"
-            continue
-        try:
-            # as numpy reads the column: str.strip() also drops \x1c-\x1f, float() does not
-            value = float(cell)
-        except ValueError:
-            return k, f"cannot parse {text!r}"
-        if col.kind == BINARY and value not in (0.0, 1.0):
-            return k, f"binary cell must be 0 or 1, got {text!r}"
-    raise AssertionError(f"numpy rejected column {col.name!r}, but float() parses every cell")
+        if text not in levels:
+            raise ValueError(f"unknown level {text!r}")
+        return levels[text]
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"cannot parse {_FLOAT_PADDING.sub('', cell)!r}") from None
+    if col.kind == BINARY and value not in (0.0, 1.0):
+        raise ValueError(f"binary cell must be 0 or 1, got {_FLOAT_PADDING.sub('', cell)!r}")
+    return value
 
 
 def save_csv(dataset: Dataset, path):

@@ -8,9 +8,11 @@ steps on the dual), the logistic-regression reference runs quasi-Newton
 L-BFGS (the library takes exact Newton steps), the AUC reference counts
 pairs one by one, the codebook reference works on rows of bits (the
 library packs each code into one byte-string key), and the CSV
-references parse and format one cell at a time (the library reads a
-plain file with numpy's C text reader and any other file in blocks of
-rows, one column at a time).
+references parse and format one cell at a time (the library reads an
+ordinary file with numpy's C text reader, and formats a block of rows
+with one row template). The library's fallback reader also parses one
+cell at a time; the CSV load reference stays the separate, plainer
+implementation its results and error texts are checked against.
 """
 
 import csv
@@ -171,35 +173,38 @@ def cellwise_load_csv(path, schema):
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if header != schema.names:
-            raise DataError(f"{path}: header {header!r} does not match schema columns {schema.names!r}")
-        level_maps = [
-            {lvl: float(i) for i, lvl in enumerate(c.levels)} if c.kind == CATEGORICAL else None
-            for c in schema.columns
-        ]
-        rows = []
-        for rownum, cells in enumerate(reader):
-            if len(cells) != schema.d:
-                raise DataError(f"{path}: row {rownum} has {len(cells)} cells, expected {schema.d}")
-            parsed = np.empty(schema.d)
-            for j, (cell, col) in enumerate(zip(cells, schema.columns)):
-                text = cell.strip()
-                if col.kind == CATEGORICAL:
+    header = None
+    rows = []
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            if header != schema.names:
+                raise DataError(f"{path}: header {header!r} does not match schema columns {schema.names!r}")
+            level_maps = [
+                {lvl: float(i) for i, lvl in enumerate(c.levels)} if c.kind == CATEGORICAL else None
+                for c in schema.columns
+            ]
+            for rownum, cells in enumerate(reader):
+                if len(cells) != schema.d:
+                    raise DataError(f"{path}: row {rownum} has {len(cells)} cells, expected {schema.d}")
+                parsed = np.empty(schema.d)
+                for j, (cell, col) in enumerate(zip(cells, schema.columns)):
+                    if col.kind == CATEGORICAL:
+                        text = cell.strip()
+                        try:
+                            parsed[j] = level_maps[j][text]
+                        except KeyError:
+                            raise DataError(
+                                f"{path}: row {rownum}, column {col.name!r}: unknown level {text!r}"
+                            ) from None
+                        continue
+                    # float() skips less than str.strip(): not \x1c-\x1f
+                    text = cell.strip("".join(c for c in cell if c.isspace() and c not in "\x1c\x1d\x1e\x1f"))
                     try:
-                        parsed[j] = level_maps[j][text]
-                    except KeyError:
-                        raise DataError(
-                            f"{path}: row {rownum}, column {col.name!r}: unknown level {text!r}"
-                        ) from None
-                else:
-                    try:
-                        # float() skips less than str.strip(): not \x1c-\x1f
                         value = float(cell)
                     except ValueError:
                         raise DataError(
@@ -210,7 +215,12 @@ def cellwise_load_csv(path, schema):
                             f"{path}: row {rownum}, column {col.name!r}: binary cell must be 0 or 1, got {text!r}"
                         )
                     parsed[j] = value
-            rows.append(parsed)
+                rows.append(parsed)
+    except csv.Error as exc:
+        where = "header" if header is None else f"row {len(rows)}"
+        raise DataError(f"{path}: {where}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return Dataset(schema, np.vstack(rows))

@@ -8,9 +8,10 @@ import pytest
 from scipy.stats import rankdata
 
 from conftest import mixed_dataset
+from ffpdg import cli
 from ffpdg.data import (
     _BLOCK_ROWS,
-    _parse_block,
+    _load_rows,
     BINARY,
     CATEGORICAL,
     CONTINUOUS,
@@ -129,6 +130,18 @@ def test_load_csv_rejects_header_mismatch(tmp_path):
     path.write_text("x,y\n0,1\n")
     with pytest.raises(DataError, match="header"):
         load_csv(path, two_col_schema())
+
+
+def test_load_csv_reads_the_header_as_csv_reader_does(tmp_path):
+    """A quote left open on the first line runs the header on into the data rows."""
+    path = tmp_path / "h.csv"
+    path.write_text('c,"y\r\n0,1\r\n1,0\r\n')
+    with pytest.raises(DataError) as err:
+        load_csv(path, two_col_schema())
+    with pytest.raises(DataError) as ref:
+        cellwise_load_csv(path, two_col_schema())
+    assert str(err.value) == str(ref.value)
+    assert "does not match schema columns" in str(err.value)
 
 
 # levels that the csv module must quote (a comma, quotes, both, line breaks),
@@ -294,13 +307,14 @@ def test_load_csv_reports_the_first_of_several_faults_like_the_oracle(tmp_path):
 
 @pytest.mark.parametrize("cell", ["\x1c1", "1\x1f"])
 def test_load_csv_rejects_a_number_that_only_str_strip_would_clean(tmp_path, cell):
-    """str.strip() drops \x1c-\x1f, float() and numpy do not: the cell cannot be parsed."""
+    """str.strip() drops \x1c-\x1f, float() does not: the cell cannot be parsed, and the
+    message shows it as float() reads it."""
     schema = Schema((ColumnSpec("x", CONTINUOUS), ColumnSpec("c", BINARY, role=ROLE_PROTECTED)))
     path = tmp_path / "sep.csv"
     path.write_text(f"x,c\n1,0\n{cell},1\n", encoding="utf-8")
     with pytest.raises(DataError) as err:
         load_csv(path, schema)
-    assert str(err.value).startswith(f"{path}: row 1, column 'x': cannot parse")
+    assert str(err.value) == f"{path}: row 1, column 'x': cannot parse {cell!r}"
     with pytest.raises(DataError) as ref:
         cellwise_load_csv(path, schema)
     assert str(err.value) == str(ref.value)
@@ -320,6 +334,46 @@ def test_load_csv_names_a_file_without_data_rows(tmp_path, schema, header_end, w
     assert str(err.value) == str(ref.value)
 
 
+def assert_load_error(path, schema_path, schema, message, capsys):
+    """load_csv and the oracle raise DataError(message); generate on the file exits 1 naming it."""
+    with pytest.raises(DataError) as err:
+        load_csv(path, schema)
+    assert str(err.value) == message
+    with pytest.raises(DataError) as ref:
+        cellwise_load_csv(path, schema)
+    assert str(ref.value) == message
+    rc = cli.main(["generate", "--schema", str(schema_path), "--input", str(path),
+                   "--output", str(path.with_suffix(".out.csv"))])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("line, where", [(0, "header"), (6, "row 5")])
+def test_load_csv_names_a_cell_over_the_csv_field_limit(tmp_path, capsys, line, where):
+    """csv.reader's field limit (131,072 characters) is reached only by the row parser:
+    the trailing blank line keeps numpy's reader from taking the file."""
+    schema = load_schema(DATA / "adult.schema")
+    lines = (DATA / "adult_sample.csv").read_bytes().split(b"\r\n")
+    lines[line] = b" " * 140_000 + lines[line]
+    path = tmp_path / "wide.csv"
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    assert_load_error(path, DATA / "adult.schema", schema,
+                      f"{path}: {where}: field larger than field limit ({csv.field_size_limit()})", capsys)
+
+
+def test_load_csv_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    schema = Schema((
+        ColumnSpec("x", CONTINUOUS),
+        ColumnSpec("tag", CATEGORICAL, levels=("e", "\u00e9")),
+        ColumnSpec("c", BINARY, role=ROLE_PROTECTED),
+    ))
+    save_schema(schema, tmp_path / "tag.schema")
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("x,tag,c\n1.5,e,0\n2.5,\u00e9,1\n".encode("latin-1"))
+    assert_load_error(path, tmp_path / "tag.schema", schema,
+                      f"{path}: not UTF-8 text: invalid continuation byte", capsys)
+
+
 # tag levels a file of printable ASCII can hold on one line
 ONE_LINE_ASCII = [k for k, lvl in enumerate(QUOTED_LEVELS) if lvl.isascii() and "\n" not in lvl]
 
@@ -336,8 +390,15 @@ def edit_rows(kind, r, rows):
     if kind == "padding":
         pads = (" ", "\t", "  ", " \t ")
         rows = [[pads[r.integers(4)] + c + pads[r.integers(4)] for c in cells] for cells in rows]
+    elif kind == "non-ASCII whitespace":
+        pads = ("\u00a0", "\u2003", "\u2028", "\u0085")
+        rows = [[pads[r.integers(4)] + c + pads[r.integers(4)] for c in cells] for cells in rows]
     elif kind == "non-ASCII level":
         rows[k][1] = "ünï"
+    elif kind == "Unicode digits":
+        rows[k][0] = "\u0661\u0662"
+    elif kind == "separator padding":
+        rows[k][3] = "\x1c" + rows[k][3]
     elif kind == "quoted line break":
         rows[k][1] = ("line\nbreak", "crlf\r\nbreak")[r.integers(2)]
     elif kind == "underscores":
@@ -352,10 +413,11 @@ def edit_rows(kind, r, rows):
     return rows, "\r" if kind == "CR line ends" else "\r\n"
 
 
-# edits that keep a file plain, so numpy's reader takes it
-PLAIN_EDITS = ("none", "padding", "quoted numbers", "CR line ends")
-FALLBACK_EDITS = ("blank line", "whitespace line", "quoted line break", "non-ASCII level",
-                  "underscores", "bad cell", "short row", "long row")
+# edits that keep a file ordinary, so numpy's reader takes it
+PLAIN_EDITS = ("none", "padding", "quoted numbers", "CR line ends", "non-ASCII whitespace",
+               "non-ASCII level")
+FALLBACK_EDITS = ("blank line", "whitespace line", "quoted line break", "underscores",
+                  "Unicode digits", "separator padding", "bad cell", "short row", "long row")
 
 
 @pytest.mark.parametrize("kind", PLAIN_EDITS + FALLBACK_EDITS)
@@ -378,13 +440,13 @@ def test_load_csv_matches_the_cellwise_oracle_on_edited_files(tmp_path, monkeypa
     path = tmp_path / "edited.csv"
     path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
 
-    blocks = []
+    calls = []
 
-    def counting_parse_block(*args):
-        blocks.append(args)
-        return _parse_block(*args)
+    def counting_load_rows(*args):
+        calls.append(args)
+        return _load_rows(*args)
 
-    monkeypatch.setattr("ffpdg.data._parse_block", counting_parse_block)
+    monkeypatch.setattr("ffpdg.data._load_rows", counting_load_rows)
     try:
         ref = cellwise_load_csv(path, ds.schema).values.tobytes()
     except DataError as exc:
@@ -393,7 +455,7 @@ def test_load_csv_matches_the_cellwise_oracle_on_edited_files(tmp_path, monkeypa
         assert str(err.value) == str(exc)
     else:
         assert load_csv(path, ds.schema).values.tobytes() == ref
-    assert (not blocks) == (kind in PLAIN_EDITS)
+    assert (not calls) == (kind in PLAIN_EDITS)
 
 
 def test_load_csv_reads_a_plain_file_without_the_block_parser(tmp_path, monkeypatch):
@@ -402,9 +464,9 @@ def test_load_csv_reads_a_plain_file_without_the_block_parser(tmp_path, monkeypa
     save_csv(ds, path)
 
     def refuse(*args):
-        raise AssertionError("the block parser ran on a plain file")
+        raise AssertionError("the row parser ran on a plain file")
 
-    monkeypatch.setattr("ffpdg.data._parse_block", refuse)
+    monkeypatch.setattr("ffpdg.data._load_rows", refuse)
     assert load_csv(path, ds.schema).values.tobytes() == ds.values.tobytes()
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from benchdata import make_adult
 from ffpdg import binarize, rongauss
-from ffpdg.data import average_ranks
+from ffpdg.data import average_ranks, load_csv, save_csv
 
 N = 50_000
 
@@ -64,3 +64,15 @@ def test_average_ranks_frees_the_sorted_copy_and_run_bounds_before_the_scatter()
     ranks, peak = peak_over_live(average_ranks, values)
     assert np.array_equal(np.sort(ranks), np.arange(1.0, N + 1))
     assert peak <= 4.5 * values.nbytes
+
+
+def test_load_csv_row_parser_keeps_one_block_of_python_floats(adult, tmp_path):
+    # a `1_0` cell parses by float() but not by numpy: the file goes to the row parser
+    path = tmp_path / "underscore.csv"
+    save_csv(adult, path)
+    header, first, rest = path.read_bytes().split(b"\r\n", 2)
+    path.write_bytes(b"\r\n".join([header, b"1_0" + first[first.index(b","):], rest]))
+    loaded, peak = peak_over_live(load_csv, path, adult.schema)
+    assert loaded.values[0, 0] == 10.0
+    assert np.array_equal(loaded.values[1:], adult.values[1:])
+    assert peak <= 2.5 * adult.values.nbytes
