@@ -1,22 +1,28 @@
-"""Check that two source trees make byte-identical `generate` outputs.
+"""Check that two source trees make byte-identical `generate` and `evaluate` outputs.
 
 Give it two directories that each hold the `ffpdg` package (the `src/`
 of two checkouts):
 
     python3 scripts/compare_generate.py OLD_SRC NEW_SRC
 
-Cases: data/{adult,compas}_sample.csv at seeds 0-9, plus the inputs of
-the benchmark's adult-300k and wide-codes workloads (built with
-perfbench/simulate.py at seed 1), each at `--bins` 1 and 3; and both
-extracts at seed 0 once per set of the other generate flags (budget and
-split, projected dimension, output rows, unsupervised mode, relaxed
-rate, quantile count), and once with all of them. Each tree
-runs every case in one child process, with BLAS pinned to one thread.
-A case is identical when both trees exit with the same code, write the
-same CSV bytes and the same audit once its `generate_seconds=` line is
-dropped. Each differing case prints everything that differs: exit code,
-CSV bytes and the names of the audit `[section]`s. Then prints
-`N of M identical` and exits 1 on any difference.
+`generate` cases: data/{adult,compas}_sample.csv at seeds 0-9, plus the
+inputs of the benchmark's adult-300k and wide-codes workloads (built
+with perfbench/simulate.py at seed 1), each at `--bins` 1 and 3; and
+both extracts at seed 0 once per set of the other generate flags (budget
+and split, projected dimension, output rows, unsupervised mode, relaxed
+rate, quantile count), and once with all of them. `evaluate` cases: the
+benchmark's evaluate-10k inputs at `--seed` 0-2 (three 10,000-row
+perfbench/simulate.py Adult draws per seed, as that workload writes
+them), and each extract with its holdout as both `--test` and
+`--synthetic` at seeds 0-9. Each tree runs every case in one child
+process, with BLAS pinned to one thread. A `generate` case is identical
+when both trees exit with the same code, write the same CSV bytes and
+the same audit once its `generate_seconds=` line is dropped; an
+`evaluate` case, when both exit with the same code and print the same
+standard output. Each differing case prints everything that differs:
+exit code, CSV bytes, the names of the audit `[section]`s and the
+evaluate output. Then prints `N of M identical` and exits 1 on any
+difference.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ DATA = ROOT / "data"
 SEEDS = range(10)
 BINS = (1, 3)
 SIMULATED_SEED = 1
+EVALUATE_SEEDS = range(3)
+EVALUATE_ROWS = 10_000
 FLAG_CASES = {
     "epsilon": ["--epsilon", "4", "--epsilon-split", "1:3"],
     "p": ["--p", "3"],
@@ -54,8 +62,9 @@ def bundled_cases() -> list[dict]:
     """The bundled 1000-row extracts at every seed and bin count, then at
     seed 0 under each set of `FLAG_CASES`."""
     def case(stem, name, seed, args):
-        return {"name": f"{stem}-seed{seed}-{name}", "schema": str(DATA / f"{stem}.schema"),
-                "input": str(DATA / f"{stem}_sample.csv"), "seed": seed, "args": args}
+        return {"name": f"{stem}-seed{seed}-{name}", "command": "generate",
+                "schema": str(DATA / f"{stem}.schema"), "input": str(DATA / f"{stem}_sample.csv"),
+                "seed": seed, "args": args}
 
     stems = ("adult", "compas")
     return ([case(stem, f"bins{bins}", seed, ["--bins", str(bins)])
@@ -63,18 +72,49 @@ def bundled_cases() -> list[dict]:
             + [case(stem, name, 0, args) for stem in stems for name, args in FLAG_CASES.items()])
 
 
-def simulated_cases(work: Path) -> list[dict]:
-    """The adult-300k and wide-codes benchmark inputs, written under `work`."""
+def _simulate():
     sys.path.insert(0, str(ROOT / "perfbench"))
     import simulate
 
+    return simulate
+
+
+def simulated_cases(work: Path) -> list[dict]:
+    """The adult-300k and wide-codes benchmark inputs, written under `work`."""
+    simulate = _simulate()
     cases = []
     for name, make, schema, rows in (("adult-300k", simulate.make_adult, simulate.ADULT_SCHEMA, 300_000),
                                      ("wide-codes", simulate.make_wide, simulate.WIDE_SCHEMA, 20_000)):
         schema_path, csv_path = simulate.write_inputs(work, name, schema, make(rows, SIMULATED_SEED))
-        cases += [{"name": f"{name}-seed{SIMULATED_SEED}-bins{bins}", "schema": str(schema_path),
-                   "input": str(csv_path), "seed": SIMULATED_SEED, "args": ["--bins", str(bins)]}
+        cases += [{"name": f"{name}-seed{SIMULATED_SEED}-bins{bins}", "command": "generate",
+                   "schema": str(schema_path), "input": str(csv_path), "seed": SIMULATED_SEED,
+                   "args": ["--bins", str(bins)]}
                   for bins in BINS]
+    return cases
+
+
+def evaluate_cases(work: Path) -> list[dict]:
+    """`evaluate` on the evaluate-10k benchmark inputs (written under
+    `work`) at each of `EVALUATE_SEEDS`, then on each bundled extract with
+    its holdout as the synthetic rows at each of `SEEDS`."""
+    def case(name, schema, train, test, synthetic, seed):
+        return {"name": name, "command": "evaluate", "schema": str(schema), "input": str(train),
+                "seed": seed, "args": ["--test", str(test), "--synthetic", str(synthetic)]}
+
+    simulate = _simulate()
+    cases = []
+    for seed in EVALUATE_SEEDS:
+        paths = {}
+        for k, role in enumerate(("train", "holdout", "synthetic")):
+            schema, paths[role] = simulate.write_inputs(
+                work, f"evaluate-10k-seed{seed}-{role}", simulate.ADULT_SCHEMA,
+                simulate.make_adult(EVALUATE_ROWS, 3 * seed + k))
+        cases.append(case(f"evaluate-10k-seed{seed}", schema, paths["train"], paths["holdout"],
+                          paths["synthetic"], seed))
+    for stem in ("adult", "compas"):
+        holdout = DATA / f"{stem}_holdout.csv"
+        cases += [case(f"evaluate-{stem}-seed{seed}", DATA / f"{stem}.schema",
+                       DATA / f"{stem}_sample.csv", holdout, holdout, seed) for seed in SEEDS]
     return cases
 
 
@@ -88,17 +128,23 @@ def run_tree(src: Path, cases: list[dict], out: Path) -> None:
 
 
 def child(out: Path) -> None:
-    """Child side of run_tree: `generate --audit` per case, exit codes to codes.json."""
+    """Child side of run_tree: every case through `cli.main`, exit codes to
+    codes.json; `generate` writes `<case>.csv` and `<case>.audit`, and an
+    `evaluate` case's standard output goes to `<case>.stdout`."""
     from ffpdg import cli
 
     codes = {}
     for case in json.loads((out / "cases.json").read_text(encoding="utf-8")):
         stem = out / case["name"]
-        argv = ["generate", "--schema", case["schema"], "--input", case["input"],
-                "--output", f"{stem}.csv", "--audit", f"{stem}.audit",
+        argv = [case["command"], "--schema", case["schema"], "--input", case["input"],
                 "--seed", str(case["seed"]), *case["args"]]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if case["command"] == "generate":
+            argv += ["--output", f"{stem}.csv", "--audit", f"{stem}.audit"]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             codes[case["name"]] = cli.main(argv)
+        if case["command"] == "evaluate":
+            Path(f"{stem}.stdout").write_text(stdout.getvalue(), encoding="utf-8")
     (out / "codes.json").write_text(json.dumps(codes), encoding="utf-8")
 
 
@@ -119,13 +165,16 @@ def _audit_sections(path: Path) -> dict[str, str]:
 def difference(name: str, old: Path, new: Path, old_code: int, new_code: int) -> str | None:
     """Everything that differs for case `name` between the two output
     directories, joined by "; ", or None: the exit codes, an output written
-    by one tree only, the CSV bytes, and the audit sections by name."""
+    by one tree only, the CSV bytes, the audit sections by name and the
+    evaluate output."""
     found = []
     if old_code != new_code:
         found.append(f"exit code {old_code} != {new_code}")
     csv_a, csv_b = old / f"{name}.csv", new / f"{name}.csv"
     audit_a, audit_b = old / f"{name}.audit", new / f"{name}.audit"
-    for suffix, a, b in ((".csv", csv_a, csv_b), (".audit", audit_a, audit_b)):
+    stdout_a, stdout_b = old / f"{name}.stdout", new / f"{name}.stdout"
+    for suffix, a, b in ((".csv", csv_a, csv_b), (".audit", audit_a, audit_b),
+                         (".stdout", stdout_a, stdout_b)):
         if a.exists() != b.exists():
             found.append(f"{suffix} written by one tree only")
     if csv_a.exists() and csv_b.exists() and not filecmp.cmp(csv_a, csv_b, shallow=False):
@@ -135,6 +184,8 @@ def difference(name: str, old: Path, new: Path, old_code: int, new_code: int) ->
         changed = [s for s in {**sections_a, **sections_b} if sections_a.get(s) != sections_b.get(s)]
         if changed:
             found.append("audit differs in " + " ".join(changed))
+    if stdout_a.exists() and stdout_b.exists() and not filecmp.cmp(stdout_a, stdout_b, shallow=False):
+        found.append("evaluate output differs")
     return "; ".join(found) or None
 
 
@@ -162,7 +213,7 @@ def main(argv=None) -> int:
         parser.error("OLD_SRC and NEW_SRC are required")
     with tempfile.TemporaryDirectory(prefix="compare_generate_") as tmp:
         work = Path(tmp)
-        cases = bundled_cases() + simulated_cases(work)
+        cases = bundled_cases() + simulated_cases(work) + evaluate_cases(work)
         results = compare(args.old_src, args.new_src, cases, work)
     for name, why in results.items():
         if why is not None:

@@ -408,8 +408,10 @@ def interp_quantiles(sorted_values: np.ndarray, levels) -> np.ndarray:
     return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
 
-def average_ranks(values) -> np.ndarray:
-    """1-based ranks of a 1-d array; tied values share the mean of their ranks."""
+def tie_runs(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, mean_ranks, sizes) of a 1-d array: the argsort that puts it in
+    ascending order, then for each run of equal values in that order the
+    mean of its 1-based ranks and its length."""
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values)
     ordered = values[order]
@@ -422,9 +424,19 @@ def average_ranks(values) -> np.ndarray:
     starts += 1
     starts += sizes
     means = 0.5 * starts
-    del starts
-    per_row = np.repeat(means, sizes)
-    del means, sizes
-    ranks = np.empty(len(values))
-    ranks[order] = per_row
-    return ranks
+    return order, means, sizes
+
+
+def scatter_runs(order, run_values, sizes) -> np.ndarray:
+    """Give every row the value of its tie run: the rows of `tie_runs`'
+    `order`, one value per run of `sizes` rows."""
+    if len(run_values) < len(order):
+        run_values = np.repeat(run_values, sizes)
+    out = np.empty(len(order))
+    out[order] = run_values
+    return out
+
+
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-d array; tied values share the mean of their ranks."""
+    return scatter_runs(*tie_runs(values))

@@ -2,9 +2,10 @@
 
 Four binary classifiers implemented on numpy: L2-regularized logistic
 regression (Newton/IRLS with step-halving), Gaussian and Bernoulli naive
-Bayes, and a greedy Gini decision tree. The metrics train these on
-synthetic data and score them on real data, so the zoo is deliberately
-small, deterministic, and dependency-free.
+Bayes, and a greedy Gini decision tree that sorts each feature once per
+fit. The metrics train these on synthetic data and score them on real
+data, so the zoo is deliberately small, deterministic, and
+dependency-free.
 """
 
 from __future__ import annotations
@@ -62,12 +63,10 @@ def _check_xy(X, y):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e^-|z| never overflows; for z >= 0 this is 1/(1+e^-z), else e^z/(1+e^z).
+    # min(z, -z) rather than -|z| keeps the sign bit of a NaN z.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def lr_loss(w, b, X, y, l2):
@@ -83,10 +82,15 @@ def _fit_lr(X, y):
     std = X.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     n, d = X.shape
-    Xa = np.hstack([(X - mean) / std, np.ones((n, 1))])  # bias last, unpenalized
+    # bias last, unpenalized; X's memory layout, which sets how BLAS adds up
+    Xa = np.empty_like(X, shape=(n, d + 1))
+    np.subtract(X, mean, out=Xa[:, :d])
+    Xa[:, :d] /= std
+    Xa[:, d] = 1.0
     penalty = np.append(np.full(d, LR_L2), 0.0)
     theta = np.zeros(d + 1)
-    trace = [lr_loss(theta[:d], theta[d], Xa[:, :d], y, LR_L2)]
+    # lr_loss at theta = 0: every z is 0, where logaddexp(0, 0) is exactly log 2
+    trace = [np.full(n, np.logaddexp(0.0, 0.0)).mean()]
     for _ in range(LR_MAX_ITER):
         p = _sigmoid(Xa @ theta)
         grad = Xa.T @ (p - y) / n + penalty * theta
@@ -128,55 +132,82 @@ def _fit_bnb(X, y):
 
 
 def _gini_pair(pos, tot):
-    # total Gini impurity of a group with pos positives out of tot, times tot
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = pos / tot
-    return tot * (1.0 - p * p - (1.0 - p) * (1.0 - p))
+    """Total Gini impurity of groups with `pos` positives out of `tot`
+    rows, times `tot`: tot * (1 - p^2 - (1-p)^2) with p = pos/tot, in
+    place on two arrays of pos's shape."""
+    p = np.divide(pos, tot)
+    q = np.subtract(1.0, p)
+    p *= p
+    q *= q
+    np.subtract(1.0, p, out=p)
+    p -= q
+    p *= tot
+    return p
 
 
-def _best_split(X, y):
+def _best_split(XT, y, orders):
     """(feature, threshold, score) of the best Gini split, or None.
 
-    Ties break toward the lowest feature index and then the lowest
-    threshold because features are scanned in order and only strict
-    improvements are accepted.
+    `orders` holds the node's rows once per feature, sorted by that
+    feature. Every candidate of every feature is scored in one pass, and
+    argmin takes its first minimum: the lowest feature index, then the
+    lowest threshold.
     """
-    n = len(y)
-    best = None
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        cum = np.cumsum(ys)
-        # candidate split after position i (1-based size of the left side)
-        sizes = np.arange(1, n)
-        valid = (xs[1:] > xs[:-1]) & (sizes >= TREE_MIN_LEAF) & (n - sizes >= TREE_MIN_LEAF)
-        if not valid.any():
-            continue
-        left_pos = cum[:-1]
-        score = (_gini_pair(left_pos, sizes) + _gini_pair(cum[-1] - left_pos, n - sizes)) / n
-        score = np.where(valid, score, np.inf)
-        i = int(np.argmin(score))  # first minimum: lowest threshold wins
-        if best is None or score[i] < best[2]:
-            best = (j, 0.5 * (xs[i] + xs[i + 1]), float(score[i]))
-    return best
+    d, n = orders.shape
+    xs = np.take_along_axis(XT, orders, axis=1)
+    # a candidate splits after sorted position i, between two different
+    # values, with at least TREE_MIN_LEAF rows on either side
+    lo, hi = TREE_MIN_LEAF - 1, n - TREE_MIN_LEAF
+    j, i = np.nonzero(xs[:, lo + 1:hi + 1] > xs[:, lo:hi])  # by feature, then position
+    if not len(j):
+        return None
+    i += lo
+    cum = y[orders]
+    np.cumsum(cum, axis=1, out=cum)
+    left_pos = cum[j, i]
+    sizes = i + 1.0
+    score = _gini_pair(left_pos, sizes)
+    score += _gini_pair(cum[0, -1] - left_pos, n - sizes)
+    score /= n
+    k = int(np.argmin(score))
+    j, i = int(j[k]), i[k]
+    return j, 0.5 * (xs[j, i] + xs[j, i + 1]), float(score[k])
 
 
-def _grow_tree(X, y, depth):
-    prob = float(y.mean())
-    if depth >= TREE_MAX_DEPTH or len(y) < 2 * TREE_MIN_LEAF or prob in (0.0, 1.0):
+def _grow_tree(XT, y, rows, orders, left, depth):
+    """Tree over the node's `rows` (ascending) with per-feature `orders`.
+
+    A child's orders are the parent's filtered by the split, so the sort
+    at the root orders every node. `left` is scratch space: one flag per
+    training row.
+    """
+    ys = y[rows]
+    prob = float(ys.mean())
+    if depth >= TREE_MAX_DEPTH or len(rows) < 2 * TREE_MIN_LEAF or prob in (0.0, 1.0):
         return ("leaf", prob)
-    split = _best_split(X, y)
+    split = _best_split(XT, y, orders)
     if split is None:
         return ("leaf", prob)
     j, t, score = split
-    parent = _gini_pair(y.sum(), len(y)) / len(y)
+    parent = _gini_pair(ys.sum(keepdims=True), len(rows))[0] / len(rows)
     if score >= parent - 1e-15:
         return ("leaf", prob)
-    mask = X[:, j] < t
+    goes_left = XT[j, rows] < t
+    left[rows] = goes_left
+    to_left = left[orders]
+    d = len(orders)
     return ("node", j, t,
-            _grow_tree(X[mask], y[mask], depth + 1),
-            _grow_tree(X[~mask], y[~mask], depth + 1))
+            _grow_tree(XT, y, rows[goes_left], orders[to_left].reshape(d, -1), left, depth + 1),
+            _grow_tree(XT, y, rows[~goes_left], orders[~to_left].reshape(d, -1), left, depth + 1))
+
+
+def _fit_tree(X, y):
+    XT = np.ascontiguousarray(X.T)
+    # Any sort will do: the order within a run of equal values moves no
+    # split, which falls only between two different values, where the
+    # positives on its left are the same whichever way the run is ordered.
+    orders = np.argsort(XT, axis=1)
+    return _grow_tree(XT, y, np.arange(len(y)), orders, np.empty(len(y), dtype=bool), 0)
 
 
 def fit(kind: str, X, y) -> Classifier:
@@ -191,7 +222,7 @@ def fit(kind: str, X, y) -> Classifier:
     elif kind == BERNOULLI_NB:
         params = _fit_bnb(X, y)
     else:
-        params = {"tree": _grow_tree(X, y, 0)}
+        params = {"tree": _fit_tree(X, y)}
     return Classifier(kind=kind, d=X.shape[1], params=MappingProxyType(params))
 
 

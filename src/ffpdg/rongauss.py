@@ -28,8 +28,9 @@ from .data import (
     ColumnSpec,
     Dataset,
     Schema,
-    average_ranks,
     interp_quantiles,
+    scatter_runs,
+    tie_runs,
 )
 from .dp import (PrivacyBudget, covariance_noise_scale, dp_covariance, dp_mean,
                  laplace_sample, mean_noise_scale, psd_repair)
@@ -203,6 +204,9 @@ def center_and_renormalize(X: np.ndarray, budget: PrivacyBudget, seed) -> tuple[
     mu = dp_mean(X, budget.epsilon_mu, rng)
     Xbar = X - mu[:, None]
     norms = np.linalg.norm(Xbar, axis=0)
+    if not np.all(np.isfinite(norms)):
+        raise DataError(f"epsilon_mu={budget.epsilon_mu:g} is too small: the mean's noise "
+                        "is so large that the centred samples' norms overflow")
     zero = norms == 0.0
     if np.any(zero):
         warnings.warn(f"{int(zero.sum())} samples equal the DP mean; perturbing by 1e-12")
@@ -358,8 +362,15 @@ def _gaussian_draws(sigma: np.ndarray, count: int, rng: np.random.Generator) -> 
 
 
 def _match_quantiles(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Each value's average rank, as a level, through the quantile grid;
+    interpolated once per run of tied values, in ascending order."""
     levels = np.linspace(0.0, 1.0, len(grid))
-    return np.interp((average_ranks(values) - 0.5) / len(values), levels, grid)
+    order, ranks, sizes = tie_runs(values)
+    ranks -= 0.5  # to a level, in place
+    ranks /= len(values)
+    run_values = np.interp(ranks, levels, grid)
+    del ranks
+    return scatter_runs(order, run_values, sizes)
 
 
 def _threshold_by_rate(values: np.ndarray, rate: float) -> np.ndarray:

@@ -5,9 +5,14 @@ code it checks: the constrained-entropy reference solves the primal
 problem with an off-the-shelf SQP optimizer and the dual-descent
 reference runs gradient descent on the dual (the library takes Newton
 steps on the dual), the logistic-regression reference runs quasi-Newton
-L-BFGS (the library takes exact Newton steps), the AUC reference counts
-pairs one by one, the codebook reference works on rows of bits (the
-library packs each code into one byte-string key), and the CSV
+L-BFGS (the library takes exact Newton steps), the stacked
+logistic-regression fit is the library's Newton loop with its design
+matrix built by np.hstack and a sigmoid by boolean masks (the library
+fills the design in place and takes a mask-free sigmoid), the tree
+reference argsorts every feature at every node (the library sorts once
+per fit), the AUC reference counts pairs one by one, the codebook
+reference works on rows of bits (the library packs each code into one
+byte-string key), and the CSV
 references parse and format one cell at a time (the library reads an
 ordinary file with numpy's C text reader, and formats a block of rows
 with one row template). The library's fallback reader also parses one
@@ -23,6 +28,8 @@ from scipy.optimize import minimize
 from ffpdg.data import BINARY, CATEGORICAL, Dataset
 from ffpdg.errors import DataError
 from ffpdg.maxent import feature_matrix
+from ffpdg.models import (LR_L2, LR_MAX_HALVINGS, LR_MAX_ITER, LR_TOLERANCE, TREE_MAX_DEPTH,
+                          TREE_MIN_LEAF, lr_loss)
 
 
 def kl_projection(prior_probs, features, targets):
@@ -137,6 +144,95 @@ def lbfgs_lr_optimum(loss, X, y, l2):
     result = minimize(objective, np.zeros(d + 1), jac=gradient, method="L-BFGS-B",
                       options={"maxiter": 10000, "ftol": 1e-16, "gtol": 1e-12})
     return float(result.fun)
+
+
+def two_branch_sigmoid(z):
+    """Logistic function by boolean masks: 1/(1+e^-z) where z >= 0, e^z/(1+e^z) elsewhere."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def stacked_lr_fit(X, y):
+    """The zoo's Newton fit with its design matrix built by np.hstack, its
+    first loss from `lr_loss` at zero and the two-branch sigmoid:
+    (w, b, loss_trace)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
+    n, d = X.shape
+    Xa = np.hstack([(X - mean) / std, np.ones((n, 1))])
+    penalty = np.append(np.full(d, LR_L2), 0.0)
+    theta = np.zeros(d + 1)
+    trace = [lr_loss(theta[:d], theta[d], Xa[:, :d], y, LR_L2)]
+    for _ in range(LR_MAX_ITER):
+        p = two_branch_sigmoid(Xa @ theta)
+        grad = Xa.T @ (p - y) / n + penalty * theta
+        hess = (Xa.T * (p * (1.0 - p))) @ Xa / n + np.diag(penalty)
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        if 0.5 * float(grad @ step) < LR_TOLERANCE:
+            break
+        for t in 0.5 ** np.arange(LR_MAX_HALVINGS):
+            cand = theta - t * step
+            value = lr_loss(cand[:d], cand[d], Xa[:, :d], y, LR_L2)
+            if value <= trace[-1]:
+                break
+        else:
+            break
+        theta = cand
+        trace.append(value)
+    return theta[:d], float(theta[d]), np.asarray(trace)
+
+
+def resorting_tree(X, y):
+    """Greedy Gini tree that stably argsorts every feature at every node
+    and copies each child's rows: nested ("node", j, t, left, right) and
+    ("leaf", p) tuples. Among equal scores the lowest feature, then the
+    lowest threshold wins."""
+    def gini(pos, tot):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            p = pos / tot
+        return tot * (1.0 - p * p - (1.0 - p) * (1.0 - p))
+
+    def best_split(X, y):
+        n = len(y)
+        best = None
+        for j in range(X.shape[1]):
+            order = np.argsort(X[:, j], kind="stable")
+            xs = X[order, j]
+            cum = np.cumsum(y[order])
+            sizes = np.arange(1, n)
+            valid = (xs[1:] > xs[:-1]) & (sizes >= TREE_MIN_LEAF) & (n - sizes >= TREE_MIN_LEAF)
+            if not valid.any():
+                continue
+            left_pos = cum[:-1]
+            score = (gini(left_pos, sizes) + gini(cum[-1] - left_pos, n - sizes)) / n
+            score = np.where(valid, score, np.inf)
+            i = int(np.argmin(score))
+            if best is None or score[i] < best[2]:
+                best = (j, 0.5 * (xs[i] + xs[i + 1]), float(score[i]))
+        return best
+
+    def grow(X, y, depth):
+        prob = float(y.mean())
+        if depth >= TREE_MAX_DEPTH or len(y) < 2 * TREE_MIN_LEAF or prob in (0.0, 1.0):
+            return ("leaf", prob)
+        split = best_split(X, y)
+        if split is None:
+            return ("leaf", prob)
+        j, t, score = split
+        if score >= gini(y.sum(), len(y)) / len(y) - 1e-15:
+            return ("leaf", prob)
+        mask = X[:, j] < t
+        return ("node", j, t, grow(X[mask], y[mask], depth + 1), grow(X[~mask], y[~mask], depth + 1))
+
+    return grow(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64), 0)
 
 
 def pairwise_auc(scores, labels):

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from conftest import binary_group_dataset, mixed_dataset
 from ffpdg import cli
 from ffpdg.audit import FORMAT_LINE, read_audit
 from ffpdg.data import load_csv, save_csv, save_schema
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def run_cli(*args):
@@ -199,6 +202,21 @@ def test_infinite_noise_scale_exits_1_and_names_the_scale(mixed_dir, capsys, fla
     err = capsys.readouterr().err
     assert "projection fit: Laplace scale must be positive and finite, got inf" in err
     assert not (mixed_dir / "x.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("epsilon, epsilon_mu", [("1e-300", "3e-301"), ("1e-200", "3e-201")])
+def test_tiny_epsilon_exits_1_and_names_epsilon_mu(tmp_path, capsys, epsilon, epsilon_mu):
+    # finite noise scales whose mean noise overflows the centred samples' norms
+    out = tmp_path / "x.csv"
+    rc = cli.main(["generate", "--schema", str(DATA / "adult.schema"),
+                   "--input", str(DATA / "adult_sample.csv"), "--output", str(out),
+                   "--epsilon", epsilon])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert (f"error: projection fit: epsilon_mu={epsilon_mu} is too small: the mean's noise "
+            "is so large that the centred samples' norms overflow") in err
+    assert not out.exists()
 
 
 def test_bench_reads_the_shared_generation_flags(mixed_dir, capsys):

@@ -16,13 +16,24 @@ def load_script():
 
 def test_tree_against_itself_is_identical(tmp_path):
     script = load_script()
-    names = ("adult-seed0-bins1", "compas-seed3-bins3", "compas-seed0-all")
-    cases = [c for c in script.bundled_cases() if c["name"] in names]
-    assert len(cases) == 3
+    names = ("adult-seed0-bins1", "compas-seed3-bins3", "compas-seed0-all", "evaluate-compas-seed4")
+    cases = [c for c in script.bundled_cases() + script.evaluate_cases(tmp_path) if c["name"] in names]
+    assert len(cases) == 4
     results = script.compare(ROOT / "src", ROOT / "src", cases, tmp_path)
     assert results == dict.fromkeys(names)
     for tree in ("old", "new"):
         assert (tmp_path / tree / "adult-seed0-bins1.csv").stat().st_size > 0
+        assert "aucroc_best=" in (tmp_path / tree / "evaluate-compas-seed4.stdout").read_text()
+
+
+def test_evaluate_cases_cover_the_benchmark_inputs_and_both_extracts(tmp_path):
+    cases = load_script().evaluate_cases(tmp_path)
+    names = [c["name"] for c in cases]
+    assert names == ([f"evaluate-10k-seed{seed}" for seed in range(3)]
+                     + [f"evaluate-{stem}-seed{seed}" for stem in ("adult", "compas") for seed in range(10)])
+    first = cases[0]
+    assert first["command"] == "evaluate" and first["seed"] == 0
+    assert len(Path(first["input"]).read_text().splitlines()) == 10_001
 
 
 def test_difference_names_what_differs(tmp_path):
@@ -46,3 +57,17 @@ def test_difference_names_what_differs(tmp_path):
     (new / "case.audit").unlink()
     assert (script.difference("case", old, new, 0, 1)
             == "exit code 0 != 1; .audit written by one tree only; CSV bytes differ")
+
+
+def test_difference_names_a_differing_evaluate_output(tmp_path):
+    script = load_script()
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+        (d / "case.stdout").write_text("aucroc_best=0.812345\nlrd=0.490000\n")
+    assert script.difference("case", old, new, 0, 0) is None
+    (new / "case.stdout").write_text("aucroc_best=0.812346\nlrd=0.490000\n")
+    assert script.difference("case", old, new, 0, 0) == "evaluate output differs"
+    assert script.difference("case", old, new, 0, 1) == "exit code 0 != 1; evaluate output differs"
+    (new / "case.stdout").unlink()
+    assert script.difference("case", old, new, 0, 0) == ".stdout written by one tree only"

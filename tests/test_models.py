@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from benchdata import make_adult
-from oracles import lbfgs_lr_optimum
+from oracles import lbfgs_lr_optimum, resorting_tree, stacked_lr_fit, two_branch_sigmoid
 from ffpdg import models
 from ffpdg.errors import DataError
 from ffpdg.metrics import auc_roc
@@ -174,3 +174,72 @@ def test_fitted_parameters_are_immutable():
         clf.params["w"] = np.zeros(2)
     with pytest.raises(ValueError):
         clf.params["w"][0] = 1.0
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def same_tree(a, b):
+    """Equal tuples, every float compared by its bytes."""
+    if a[0] != b[0] or len(a) != len(b):
+        return False
+    if a[0] == "leaf":
+        return bits(a[1]) == bits(b[1])
+    return (a[1] == b[1] and bits(a[2]) == bits(b[2])
+            and same_tree(a[3], b[3]) and same_tree(a[4], b[4]))
+
+
+def zoo_cases():
+    """(name, X, y): seeded data with ties, constant features, small n
+    around 2 * TREE_MIN_LEAF, trees that reach the depth cap, and the
+    feature layouts the metrics pass (C order, Fortran order, strided)."""
+    r = np.random.default_rng(12)
+    cases = []
+    for n in (2 * models.TREE_MIN_LEAF - 1, 2 * models.TREE_MIN_LEAF,
+              2 * models.TREE_MIN_LEAF + 1, 2 * models.TREE_MIN_LEAF + 2, 37, 400):
+        X = r.integers(0, 3, size=(n, 3)).astype(float)  # heavy ties
+        y = (r.random(n) < 0.5).astype(float)
+        y[:2] = (0.0, 1.0)
+        cases.append((f"ties-n{n}", X, y))
+    X = np.round(r.normal(size=(300, 4)), 1)
+    X[:, 1] = 2.5  # constant feature
+    X[:, 3] = X[:, 0]  # a duplicate feature: equal scores tie across features
+    cases.append(("constant-and-duplicate", X, (X[:, 0] + r.normal(size=300) > 0).astype(float)))
+    X = r.normal(size=(2000, 4))
+    y = (r.random(2000) < 0.5).astype(float)  # noise: the tree grows to the depth cap
+    cases.append(("depth-cap", X, y))
+    cases.append(("fortran", np.asfortranarray(X), y))
+    cases.append(("strided", np.repeat(X, 2, axis=1)[:, ::2], y))
+    data = make_adult(3000, 4)
+    cases.append(("adult-columns", data.values[:, [0, 1, 2]], data.values[:, data.schema.label_index]))
+    return cases
+
+
+@pytest.mark.parametrize("name, X, y", zoo_cases(), ids=[c[0] for c in zoo_cases()])
+def test_presorted_tree_matches_the_per_node_argsort_tree_bit_for_bit(name, X, y):
+    clf = models.fit(models.DECISION_TREE, X, y)
+    reference = resorting_tree(X, y)
+    assert same_tree(clf.params["tree"], reference)
+    if name == "depth-cap":
+        assert tree_depth(reference) == models.TREE_MAX_DEPTH
+
+
+@pytest.mark.parametrize("name, X, y", zoo_cases(), ids=[c[0] for c in zoo_cases()])
+def test_logistic_regression_matches_the_stacked_fit_bit_for_bit(name, X, y):
+    clf = models.fit(models.LOGISTIC_REGRESSION, X, y)
+    w, b, trace = stacked_lr_fit(X, y)
+    assert bits(clf.params["w"]) == bits(w)
+    assert bits(clf.params["b"]) == bits(b)
+    assert bits(clf.params["loss_trace"]) == bits(trace)
+    Xs = (X - clf.params["mean"]) / clf.params["std"]
+    expected = two_branch_sigmoid(Xs @ clf.params["w"] + clf.params["b"])
+    assert bits(models.predict_proba(clf, X)) == bits(expected)
+
+
+def test_sigmoid_matches_the_two_branch_form_bit_for_bit():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    z = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan,
+                  tiny, -tiny, 1e-310, -1e-310, 36.7, -36.7, 709.8, -709.8, 1.0, -1.0])
+    z = np.concatenate([z, np.random.default_rng(13).normal(scale=20.0, size=1000)])
+    assert bits(models._sigmoid(z)) == bits(two_branch_sigmoid(z))

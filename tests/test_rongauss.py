@@ -12,11 +12,13 @@ from ffpdg.data import (
     ROLE_LABEL,
     ROLE_PROTECTED,
     Schema,
+    average_ranks,
 )
 from ffpdg.dp import PrivacyBudget
 from ffpdg.errors import DataError, SchemaError, StageError
 from ffpdg.rongauss import (
     CATEGORICAL_NOISE_SIGMA,
+    _match_quantiles,
     GenerationConfig,
     center_and_renormalize,
     fit,
@@ -262,3 +264,13 @@ def test_generate_deterministic_per_seed():
     assert np.array_equal(a.values, b.values)
     c = generate(ds, config=GenerationConfig(budget=PrivacyBudget.from_total(1.0), seed=4))
     assert not np.array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize("n, ties", [(1, False), (2, True), (7, True), (500, False), (5000, True)])
+def test_match_quantiles_equals_interpolating_every_rows_average_rank(n, ties):
+    # one interpolation per tie run, in sorted order, gives every row's value byte for byte
+    r = np.random.default_rng(n)
+    values = r.integers(0, 9, size=n).astype(float) if ties else r.normal(size=n)
+    grid = np.sort(r.normal(size=33))
+    expected = np.interp((average_ranks(values) - 0.5) / n, np.linspace(0.0, 1.0, 33), grid)
+    assert _match_quantiles(values, grid).tobytes() == expected.tobytes()
