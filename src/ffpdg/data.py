@@ -240,9 +240,12 @@ def load_csv(path, schema: Schema) -> Dataset:
     breaks, any cell or row that fails, text that is not UTF-8) is read by
     ``csv.reader`` a row at a time and a cell at a time, which returns the
     same values and writes every error message.
+
+    Both look categorical cells up in a ``_LevelIndex``; numpy's reader
+    finds a cell that is exactly a level without running Python code.
     """
     level_maps = [
-        {lvl: float(i) for i, lvl in enumerate(c.levels)} if c.kind == CATEGORICAL else None
+        _LevelIndex((lvl, float(i)) for i, lvl in enumerate(c.levels)) if c.kind == CATEGORICAL else None
         for c in schema.columns
     ]
     values = _load_plain(path, schema, level_maps)
@@ -272,9 +275,9 @@ def _load_plain(path, schema: Schema, level_maps) -> np.ndarray | None:
     del raw
     if header != schema.names or lines < 1:
         return None
-    # numpy passes each cell with its quotes removed; strip as the row parser does
-    converters = {j: (lambda cell, levels=levels: levels[cell.strip()])
-                  for j, levels in enumerate(level_maps) if levels is not None}
+    # numpy passes each cell with its quotes removed; a cell that is a level is
+    # found without a Python call, a padded one is stripped by __missing__
+    converters = {j: levels.__getitem__ for j, levels in enumerate(level_maps) if levels is not None}
     try:
         # a text handle keeps numpy from opening the path itself (it would
         # decompress a .gz name); universal newlines read a CR as a line end.
@@ -338,13 +341,25 @@ def _load_rows(path, schema: Schema, level_maps) -> np.ndarray:
     return np.concatenate(blocks).reshape(-1, schema.d)
 
 
+class _LevelIndex(dict):
+    """A categorical column's level strings -> level index as a float.
+
+    A cell that is not a key is stripped and looked up again, as the row
+    parser reads a categorical cell; a second miss raises ValueError.
+    """
+
+    def __missing__(self, cell: str) -> float:
+        text = cell.strip()
+        value = self.get(text)
+        if value is None:
+            raise ValueError(f"unknown level {text!r}")
+        return value
+
+
 def _parse_cell(cell: str, col: ColumnSpec, levels) -> float:
     """The value of one cell of col; a ValueError says why the cell fails."""
     if col.kind == CATEGORICAL:
-        text = cell.strip()
-        if text not in levels:
-            raise ValueError(f"unknown level {text!r}")
-        return levels[text]
+        return levels[cell]
     try:
         value = float(cell)
     except ValueError:
@@ -363,26 +378,63 @@ def save_csv(dataset: Dataset, path):
     ``\\r\\n``. Binary cells are written as 0/1 and categorical cells as
     their level strings; continuous cells are formatted ``.17g``, enough
     significant digits for a bit-exact float64 round trip.
+
+    Rows go out a block at a time through one printf-style row template
+    of ``_row_fields``: a ``%.17g`` per continuous cell and a ``%s`` per run
+    of binary and categorical cells, taken pre-joined from a table.
     """
     schema = dataset.schema
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
-    row = ",".join("%.17g" if c.kind == CONTINUOUS else "%s" for c in schema.columns) + "\r\n"
-    levels = [np.array([_csv_field(lvl) for lvl in c.levels], dtype=object) for c in schema.columns]
+    fields = _row_fields(schema)
+    row = ",".join("%.17g" if table is None else "%s" for _, _, table in fields) + "\r\n"
     with fh:
         csv.writer(fh).writerow(schema.names)
         for first in range(0, dataset.n, _BLOCK_ROWS):
             block = dataset.values[first:first + _BLOCK_ROWS]
-            cells = block.astype(object)
-            for j, col in enumerate(schema.columns):
-                if col.kind == CATEGORICAL:
-                    cells[:, j] = levels[j][block[:, j].astype(np.intp)]
-                elif col.kind == BINARY:
-                    cells[:, j] = np.where(block[:, j] == 1.0, "1", "0")
+            cells = np.empty((len(block), len(fields)), dtype=object)
+            for k, (columns, strides, table) in enumerate(fields):
+                if table is None:
+                    cells[:, k] = block[:, columns]
+                else:
+                    # level cells are small whole numbers: the code is exact in float64
+                    cells[:, k] = table[(block[:, columns] @ strides).astype(np.intp)]
             # printf-style %.17g and the .17g format spec share one C formatter
             fh.write((row * len(block)) % tuple(cells.ravel().tolist()))
+
+
+# Most joint values a field of several level columns may take
+_JOINED_VALUES = 256
+
+
+def _row_fields(schema: Schema) -> list[tuple]:
+    """The fields of a saved row as (columns, strides, table), left to right.
+
+    A continuous column is a field of its own: its index, then None, None.
+    Each run of adjacent binary and categorical columns is cut greedily into
+    fields whose columns take at most ``_JOINED_VALUES`` joint values (a
+    categorical column with more levels is a field alone). Such a field's
+    text for a row is ``table[cells @ strides]``: the mixed-radix code of
+    its cells, leftmost column most significant, indexes every joint value's
+    comma-joined, quoted-as-needed texts.
+    """
+    fields = []
+    for j, col in enumerate(schema.columns):
+        if col.kind == CONTINUOUS:
+            fields.append((j, None, None))
+            continue
+        texts = ("0", "1") if col.kind == BINARY else tuple(_csv_field(lvl) for lvl in col.levels)
+        table = fields[-1][2] if fields else None
+        if table is not None and len(table) * len(texts) <= _JOINED_VALUES:
+            columns, strides, _ = fields[-1]
+            fields[-1] = (slice(columns.start, j + 1), np.append(strides * len(texts), 1.0),
+                          [f"{joined},{text}" for joined in table for text in texts])
+        else:
+            fields.append((slice(j, j + 1), np.ones(1), list(texts)))
+    return [(columns, strides, None if table is None else np.array(table, dtype=object))
+            for columns, strides, table in fields]
 
 
 def _csv_field(text: str) -> str:

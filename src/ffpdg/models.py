@@ -79,12 +79,13 @@ def lr_loss(w, b, X, y, l2):
 
 def _fit_lr(X, y):
     mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
     n, d = X.shape
     # bias last, unpenalized; X's memory layout, which sets how BLAS adds up
     Xa = np.empty_like(X, shape=(n, d + 1))
     np.subtract(X, mean, out=Xa[:, :d])
+    # X.std(axis=0) from the centred columns, as numpy computes it, one n x d temporary fewer
+    std = np.sqrt(np.square(Xa[:, :d]).sum(axis=0) / n)
+    std = np.where(std < 1e-12, 1.0, std)
     Xa[:, :d] /= std
     Xa[:, d] = 1.0
     penalty = np.append(np.full(d, LR_L2), 0.0)

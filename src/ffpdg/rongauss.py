@@ -310,9 +310,18 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
             m = block.mean(axis=1) + laplace_sample(
                 mean_noise_scale(p, len(idx), eps_class * mu_frac), rng_cov, size=p
             )
+            if not np.all(np.isfinite(m)):
+                raise DataError(_class_noise_overflow(config.budget.epsilon_sigma, value, "mean"))
             second = dp_covariance(block, eps_class * (1.0 - mu_frac), rng_cov)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                    sigma = psd_repair(second - np.outer(m, m))
+            except np.linalg.LinAlgError:  # eigh of a matrix that overflowed
+                sigma = None
+            if sigma is None or not np.all(np.isfinite(sigma)):
+                raise DataError(_class_noise_overflow(config.budget.epsilon_sigma, value, "covariance"))
             means.append(m)
-            sigmas.append(psd_repair(second - np.outer(m, m)))
+            sigmas.append(sigma)
         weights = counts / dataset.n + laplace_sample(
             2.0 / (dataset.n * config.budget.epsilon_mu), rng_weights, size=k
         )
@@ -350,6 +359,11 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
         projection=projection, mu_dp=mu, sigma_dp=(sigma,),
         postprocess=posts, label_name=label_name,
     )
+
+
+def _class_noise_overflow(epsilon_sigma: float, value: float, moment: str) -> str:
+    return (f"epsilon_sigma={epsilon_sigma:g} is too small: the noise on class {value:g}'s "
+            f"{moment} is so large that it overflows")
 
 
 def _gaussian_draws(sigma: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:

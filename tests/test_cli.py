@@ -219,6 +219,26 @@ def test_tiny_epsilon_exits_1_and_names_epsilon_mu(tmp_path, capsys, epsilon, ep
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags, epsilon_sigma, value", [
+    (["--epsilon", "1e-155"], "7e-156", "1"),
+    (["--epsilon", "1e-145", "--epsilon-split", "1:1e-10"], "1e-155", "1"),
+    (["--epsilon", "1e-148", "--epsilon-split", "1:1e-10"], "1e-158", "0"),
+], ids=["epsilon", "split-class1", "split-class0"])
+def test_tiny_epsilon_sigma_exits_1_and_names_epsilon_sigma(tmp_path, capsys, flags, epsilon_sigma, value):
+    # finite class-mean noise whose outer product overflows the class covariance:
+    # the error names the budget, with no numpy warning on the way
+    out = tmp_path / "x.csv"
+    rc = cli.main(["generate", "--schema", str(DATA / "adult.schema"),
+                   "--input", str(DATA / "adult_sample.csv"), "--output", str(out), "--seed", "0",
+                   *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: projection fit: epsilon_sigma={epsilon_sigma} is too small: the noise on "
+        f"class {value}'s covariance is so large that it overflows\n")
+    assert not out.exists()
+
+
 def test_bench_reads_the_shared_generation_flags(mixed_dir, capsys):
     rc = cli.main(["bench", "--schema", str(mixed_dir / "mixed.schema"),
                    "--input", str(mixed_dir / "mixed.csv"), "--bins", "0"])
