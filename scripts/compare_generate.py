@@ -1,4 +1,4 @@
-"""Check that two source trees make byte-identical `generate` and `evaluate` outputs.
+"""Check that two source trees make byte-identical `generate`, `inspect` and `evaluate` outputs.
 
 Give it two directories that each hold the `ffpdg` package (the `src/`
 of two checkouts):
@@ -15,14 +15,16 @@ benchmark's evaluate-10k inputs at `--seed` 0-2 (three 10,000-row
 perfbench/simulate.py Adult draws per seed, as that workload writes
 them), and each extract with its holdout as both `--test` and
 `--synthetic` at seeds 0-9. Each tree runs every case in one child
-process, with BLAS pinned to one thread. A `generate` case is identical
-when both trees exit with the same code, write the same CSV bytes and
-the same audit once its `generate_seconds=` line is dropped; an
+process, with BLAS pinned to one thread, and runs `inspect` on each
+audit a `generate` case writes. A `generate` case is identical when both
+trees exit with the same code, write the same CSV bytes and the same
+audit, and `inspect` prints the same output, the audit and the `inspect`
+output each once their `generate_seconds=` line is dropped; an
 `evaluate` case, when both exit with the same code and print the same
 standard output. Each differing case prints everything that differs:
-exit code, CSV bytes, the names of the audit `[section]`s and the
-evaluate output. Then prints `N of M identical` and exits 1 on any
-difference.
+exit code, CSV bytes, the names of the audit `[section]`s, the inspect
+output and the evaluate output. Then prints `N of M identical` and exits
+1 on any difference.
 """
 
 from __future__ import annotations
@@ -129,8 +131,10 @@ def run_tree(src: Path, cases: list[dict], out: Path) -> None:
 
 def child(out: Path) -> None:
     """Child side of run_tree: every case through `cli.main`, exit codes to
-    codes.json; `generate` writes `<case>.csv` and `<case>.audit`, and an
-    `evaluate` case's standard output goes to `<case>.stdout`."""
+    codes.json; `generate` writes `<case>.csv` and `<case>.audit`, and
+    `inspect` on that audit prints `<case>.inspect` (standard output and
+    error, without the `generate_seconds=` line); an `evaluate` case's
+    standard output goes to `<case>.stdout`."""
     from ffpdg import cli
 
     codes = {}
@@ -145,6 +149,13 @@ def child(out: Path) -> None:
             codes[case["name"]] = cli.main(argv)
         if case["command"] == "evaluate":
             Path(f"{stem}.stdout").write_text(stdout.getvalue(), encoding="utf-8")
+        elif Path(f"{stem}.audit").exists():
+            shown = io.StringIO()
+            with contextlib.redirect_stdout(shown), contextlib.redirect_stderr(shown):
+                cli.main(["inspect", "--audit", f"{stem}.audit"])
+            lines = shown.getvalue().splitlines(keepends=True)
+            Path(f"{stem}.inspect").write_text(
+                "".join(l for l in lines if not l.startswith(VOLATILE_AUDIT_PREFIX)), encoding="utf-8")
     (out / "codes.json").write_text(json.dumps(codes), encoding="utf-8")
 
 
@@ -165,16 +176,17 @@ def _audit_sections(path: Path) -> dict[str, str]:
 def difference(name: str, old: Path, new: Path, old_code: int, new_code: int) -> str | None:
     """Everything that differs for case `name` between the two output
     directories, joined by "; ", or None: the exit codes, an output written
-    by one tree only, the CSV bytes, the audit sections by name and the
-    evaluate output."""
+    by one tree only, the CSV bytes, the audit sections by name, the
+    inspect output and the evaluate output."""
     found = []
     if old_code != new_code:
         found.append(f"exit code {old_code} != {new_code}")
     csv_a, csv_b = old / f"{name}.csv", new / f"{name}.csv"
     audit_a, audit_b = old / f"{name}.audit", new / f"{name}.audit"
+    inspect_a, inspect_b = old / f"{name}.inspect", new / f"{name}.inspect"
     stdout_a, stdout_b = old / f"{name}.stdout", new / f"{name}.stdout"
     for suffix, a, b in ((".csv", csv_a, csv_b), (".audit", audit_a, audit_b),
-                         (".stdout", stdout_a, stdout_b)):
+                         (".inspect", inspect_a, inspect_b), (".stdout", stdout_a, stdout_b)):
         if a.exists() != b.exists():
             found.append(f"{suffix} written by one tree only")
     if csv_a.exists() and csv_b.exists() and not filecmp.cmp(csv_a, csv_b, shallow=False):
@@ -184,6 +196,8 @@ def difference(name: str, old: Path, new: Path, old_code: int, new_code: int) ->
         changed = [s for s in {**sections_a, **sections_b} if sections_a.get(s) != sections_b.get(s)]
         if changed:
             found.append("audit differs in " + " ".join(changed))
+    if inspect_a.exists() and inspect_b.exists() and not filecmp.cmp(inspect_a, inspect_b, shallow=False):
+        found.append("inspect output differs")
     if stdout_a.exists() and stdout_b.exists() and not filecmp.cmp(stdout_a, stdout_b, shallow=False):
         found.append("evaluate output differs")
     return "; ".join(found) or None

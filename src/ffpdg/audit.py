@@ -13,10 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Schema, schema_from_text, schema_to_text
-from .errors import DataError
+from .errors import DataError, FfpdgError
 from .maxent import FAIR_PRIOR_SMOOTH
 from .rongauss import (
     CATEGORICAL_NOISE_SIGMA,
+    MODE_CLASSIFICATION,
+    MODE_REGRESSION,
+    MODE_UNSUPERVISED,
     ColumnCoding,
     ColumnPost,
     GenerationConfig,
@@ -101,12 +104,25 @@ def _section_map(lines: list[str]) -> dict[str, list[str]]:
 
 
 def parse_model_section(lines: list[str]) -> RonGaussModel:
+    """The model `model_section` rendered. A missing or unparseable line,
+    or an array whose size does not fit the model, raises DataError."""
+    try:
+        return _parse_model(lines)
+    except KeyError as exc:
+        raise DataError(f"audit model section has no {exc.args[0]}= line") from None
+    except (IndexError, ValueError) as exc:
+        raise DataError(f"audit model section has an unparseable line: {exc}") from None
+
+
+def _parse_model(lines: list[str]) -> RonGaussModel:
     sections = _section_map(lines)
     for needed in ("model", "model.schema", "model.encoding", "model.mu", "model.W", "model.post"):
         if needed not in sections:
             raise DataError(f"audit model section missing [{needed}]")
     head = dict(line.split("=", 1) for line in sections["model"] if "=" in line)
     mode = head["mode"]
+    if mode not in (MODE_UNSUPERVISED, MODE_CLASSIFICATION, MODE_REGRESSION):
+        raise DataError(f"audit model section has unknown mode {mode!r}")
     d_eff = int(head["d_eff"])
     p = int(head["p"])
     label = None if head["label"] == "-" else head["label"]
@@ -145,6 +161,17 @@ def parse_model_section(lines: list[str]) -> RonGaussModel:
     sigmas = tuple(np.vstack([_parse_vec(l) for l in sections[k]]) for k in sigma_keys)
     if not sigmas:
         raise DataError("audit model section has no covariance blocks")
+    side = p + 1 if mode == MODE_REGRESSION else p
+    shapes = [("mu", mu, (d_eff,))] + [(f"sigma {i}", s, (side, side)) for i, s in enumerate(sigmas)]
+    if mode == MODE_CLASSIFICATION:
+        shapes.append(("class weights", weights, (len(class_values),)))
+        shapes += [(f"mean{i}", m, (p,)) for i, m in enumerate(class_means)]
+    for name, array, shape in shapes:
+        if np.shape(array) != shape:
+            raise DataError(f"audit model {name} has shape {np.shape(array)}, expected {shape}")
+    blocks = len(class_values) if mode == MODE_CLASSIFICATION else 1
+    if len(sigmas) != blocks:
+        raise DataError(f"audit {mode} model has {len(sigmas)} covariance blocks, expected {blocks}")
 
     posts = []
     for line in sections["model.post"]:
@@ -233,5 +260,8 @@ def read_audit(path) -> dict:
         if needed not in sections:
             raise DataError(f"{path}: audit file missing [{needed}] section")
     model_lines = lines[lines.index("[model]"):] if "[model]" in lines else []
-    model = parse_model_section(model_lines) if model_lines else None
+    try:
+        model = parse_model_section(model_lines) if model_lines else None
+    except FfpdgError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return {"sections": sections, "model": model}

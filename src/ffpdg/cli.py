@@ -1,7 +1,7 @@
 """Command-line surface: generate, evaluate, bench, inspect.
 
-Each command reads the parsed argparse namespace; `generate` and `bench`
-share the flags that build a GenerationConfig.
+Each command reads the parsed argparse namespace and imports only what it
+runs; `generate` and `bench` share the flags that build a GenerationConfig.
 Exit codes: 0 success, 1 runtime or domain error, 2 usage error.
 Every command is deterministic given --seed.
 """
@@ -14,15 +14,14 @@ import time
 
 import numpy as np
 
-from . import audit as audit_mod
-from . import metrics, rongauss
 from .data import Dataset, load_csv, load_schema, save_csv
-from .dp import PrivacyBudget
 from .errors import FfpdgError
 
 
-def _generation_config(args, **more) -> rongauss.GenerationConfig:
-    """The budget and generation config named by the shared generation flags."""
+def _generation_config(args, **more):
+    """The budget and GenerationConfig named by the shared generation flags."""
+    from . import dp, rongauss
+
     try:
         mu_part, sigma_part = (float(t) for t in args.epsilon_split.split(":"))
     except ValueError:
@@ -34,7 +33,7 @@ def _generation_config(args, **more) -> rongauss.GenerationConfig:
     if not 0.0 < mu_fraction < 1.0:
         raise FfpdgError(f"--epsilon-split {args.epsilon_split!r} gives the mean a share of "
                          f"{mu_fraction:g}, which must be strictly between 0 and 1")
-    budget = PrivacyBudget.from_total(args.epsilon, mu_fraction=mu_fraction)
+    budget = dp.PrivacyBudget.from_total(args.epsilon, mu_fraction=mu_fraction)
     return rongauss.GenerationConfig(budget=budget, p=args.p, bins=args.bins, mode=args.mode,
                                      seed=args.seed, **more)
 
@@ -44,9 +43,13 @@ def _load(args, path: str) -> Dataset:
 
 
 def cmd_generate(args) -> int:
+    from . import audit as audit_mod
+    from . import rongauss
+
     dataset = _load(args, args.input)
-    config = _generation_config(args, n_out=args.n_out, rate=args.rate,
-                                quantile_points=args.quantiles)
+    # without --quantiles, GenerationConfig's default count applies
+    quantiles = {"quantile_points": args.quantiles} if "quantiles" in args else {}
+    config = _generation_config(args, n_out=args.n_out, rate=args.rate, **quantiles)
     start = time.perf_counter()
     result = rongauss.generate_with_artifacts(dataset, config=config)
     seconds = time.perf_counter() - start
@@ -59,6 +62,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import metrics
+
     real_train = _load(args, args.input)
     real_test = _load(args, args.test)
     synthetic = _load(args, args.synthetic)
@@ -73,7 +78,7 @@ def cmd_evaluate(args) -> int:
 
 def bench_sizes(n: int, max_n: int | None = None) -> list[int]:
     """Subsample ladder 1000, 2000, 4000, ... capped at the data size."""
-    top = min(n, max_n) if max_n else n
+    top = min(n, max_n) if max_n is not None else n
     if top < 1000:
         return [top]
     sizes = []
@@ -93,6 +98,10 @@ def fit_growth_exponent(sizes, seconds) -> float:
 
 
 def cmd_bench(args) -> int:
+    from . import rongauss
+
+    if args.max_n is not None and args.max_n < 1:
+        raise FfpdgError(f"--max-n must be at least 1, got {args.max_n}")
     dataset = _load(args, args.input)
     config = _generation_config(args)
     rng = np.random.default_rng(args.seed)
@@ -117,6 +126,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    from . import audit as audit_mod
+
     parsed = audit_mod.read_audit(args.audit)
     sections = parsed["sections"]
     for name in ("config", "codebook", "maxent", "rates", "privacy"):
@@ -173,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n-out", type=int, default=None, help="synthetic rows (default: input size)")
     g.add_argument("--rate", type=float, default=1.0,
                    help="statistical-rate target, 1 = exact parity (default 1)")
-    g.add_argument("--quantiles", type=int, default=rongauss.DEFAULT_QUANTILE_POINTS,
+    g.add_argument("--quantiles", type=int, default=argparse.SUPPRESS,
                    help="stored training quantiles per continuous column (default 257)")
 
     e = sub.add_parser("evaluate", help="score synthetic against real data")

@@ -203,7 +203,8 @@ def center_and_renormalize(X: np.ndarray, budget: PrivacyBudget, seed) -> tuple[
     rng = np.random.default_rng(seed)
     mu = dp_mean(X, budget.epsilon_mu, rng)
     Xbar = X - mu[:, None]
-    norms = np.linalg.norm(Xbar, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        norms = np.linalg.norm(Xbar, axis=0)
     if not np.all(np.isfinite(norms)):
         raise DataError(f"epsilon_mu={budget.epsilon_mu:g} is too small: the mean's noise "
                         "is so large that the centred samples' norms overflow")

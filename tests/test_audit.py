@@ -1,9 +1,12 @@
 """Audit files: render, parse, and model round-trip."""
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import binary_group_dataset
+from ffpdg import cli
 from ffpdg.audit import (
     FORMAT_LINE,
     model_section,
@@ -73,6 +76,43 @@ def test_read_audit_names_missing_section(tmp_path, artifacts):
     path.write_text(text[:start] + text[end:])
     with pytest.raises(DataError, match=r"\[rates\]"):
         read_audit(path)
+
+
+# (pattern, replacement) edits of the fixture's classification audit
+# (d_eff 5, p 4, two classes), and the error each must raise
+CORRUPTIONS = {
+    "no label line": (r"^label=.*\n", "", r"no label= line"),
+    "no class mean": (r"^mean1=.*\n", "", r"no mean1= line"),
+    "short class mean": (r"^(mean0=\S+ \S+) .*$", r"\1", r"mean0 has shape \(2,\), expected \(4,\)"),
+    "short mu": (r"(\[model\.mu\]\n.*) \S+$", r"\1", r"mu has shape \(4,\), expected \(5,\)"),
+    "extra class weight": (r"^(weights=.*)$", r"\1 0.5", r"class weights has shape \(3,\), expected \(2,\)"),
+    "missing sigma row": (r"(\[model\.sigma 0 4\]\n(?:.*\n){3}).*\n", r"\1",
+                          r"sigma 0 has shape \(3, 4\), expected \(4, 4\)"),
+    "ragged sigma": (r"(\[model\.sigma 1 4\]\n.*) \S+$", r"\1", r"unparseable line"),
+    "regression sizes": (r"^mode=.*$", "mode=regression", r"sigma 0 has shape \(4, 4\), expected \(5, 5\)"),
+    "unsupervised blocks": (r"^mode=.*$", "mode=unsupervised", r"has 2 covariance blocks, expected 1"),
+    "unknown mode": (r"^mode=.*$", "mode=auto", r"unknown mode 'auto'"),
+    "not a number": (r"^d_eff=.*$", "d_eff=five", r"unparseable line"),
+    "short encoding": (r"^column=f0 .*$", "column=f0", r"unparseable line"),
+}
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_malformed_model_fails_naming_the_path(tmp_path, artifacts, capsys, name):
+    pattern, replacement, error = CORRUPTIONS[name]
+    result, config = artifacts
+    text = render_audit(result, config, 0.1)
+    head, model = text.split("[model]\n", 1)
+    model, edits = re.subn(pattern, replacement, model, count=1, flags=re.MULTILINE)
+    assert edits == 1
+    path = tmp_path / "broken.audit"
+    path.write_text(head + "[model]\n" + model)
+    with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".*" + error):
+        read_audit(path)
+    assert cli.main(["inspect", "--audit", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert re.search(error, err)
 
 
 def test_regression_model_round_trip():

@@ -1,5 +1,6 @@
 """End-to-end CLI runs, through subprocess and in-process through `cli.main`."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -204,18 +205,20 @@ def test_infinite_noise_scale_exits_1_and_names_the_scale(mixed_dir, capsys, fla
     assert not (mixed_dir / "x.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("epsilon, epsilon_mu", [("1e-300", "3e-301"), ("1e-200", "3e-201")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("epsilon, epsilon_mu", [("1e-300", "3e-301"), ("1e-200", "3e-201"),
+                                                 ("1e-160", "3e-161"), ("1e-156", "3e-157")])
 def test_tiny_epsilon_exits_1_and_names_epsilon_mu(tmp_path, capsys, epsilon, epsilon_mu):
-    # finite noise scales whose mean noise overflows the centred samples' norms
+    # finite noise scales whose mean noise overflows the centred samples' norms:
+    # the error names the budget, with no numpy warning on the way
     out = tmp_path / "x.csv"
     rc = cli.main(["generate", "--schema", str(DATA / "adult.schema"),
                    "--input", str(DATA / "adult_sample.csv"), "--output", str(out),
                    "--epsilon", epsilon])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert (f"error: projection fit: epsilon_mu={epsilon_mu} is too small: the mean's noise "
-            "is so large that the centred samples' norms overflow") in err
+    assert capsys.readouterr().err == (
+        f"error: projection fit: epsilon_mu={epsilon_mu} is too small: the mean's noise "
+        "is so large that the centred samples' norms overflow\n")
     assert not out.exists()
 
 
@@ -244,3 +247,58 @@ def test_bench_reads_the_shared_generation_flags(mixed_dir, capsys):
                    "--input", str(mixed_dir / "mixed.csv"), "--bins", "0"])
     assert rc == 1
     assert "binarize: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_n", ["0", "-5"])
+def test_bench_max_n_below_1_exits_1_and_names_the_flag(mixed_dir, capsys, max_n):
+    rc = cli.main(["bench", "--schema", str(mixed_dir / "mixed.schema"),
+                   "--input", str(mixed_dir / "mixed.csv"), "--max-n", max_n])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --max-n must be at least 1, got {max_n}\n"
+    assert captured.out == ""
+
+
+def loaded_modules(*argv) -> set[str]:
+    """The `ffpdg.*` modules a fresh interpreter holds after `cli.main(argv)`."""
+    code = ("import json, sys\n"
+            "from ffpdg import cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([rc, [m for m in sys.modules if m.startswith('ffpdg.')]]))")
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0, proc.stderr
+    return set(modules)
+
+
+def test_import_ffpdg_loads_no_submodule():
+    code = "import sys, ffpdg; print([m for m in sys.modules if m.startswith('ffpdg.')])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+GENERATION_MODULES = {f"ffpdg.{m}" for m in ("rongauss", "binarize", "maxent", "dp", "audit")}
+EVALUATION_MODULES = {"ffpdg.models", "ffpdg.metrics"}
+
+
+def test_evaluate_loads_no_generation_module():
+    modules = loaded_modules("evaluate", "--schema", DATA / "adult.schema",
+                             "--input", DATA / "adult_sample.csv",
+                             "--test", DATA / "adult_holdout.csv",
+                             "--synthetic", DATA / "adult_holdout.csv")
+    assert EVALUATION_MODULES <= modules
+    assert not modules & GENERATION_MODULES
+
+
+def test_generate_and_inspect_load_no_evaluation_module(tmp_path):
+    audit = tmp_path / "run.audit"
+    generated = loaded_modules("generate", "--schema", DATA / "adult.schema",
+                               "--input", DATA / "adult_sample.csv",
+                               "--output", tmp_path / "syn.csv", "--audit", audit)
+    inspected = loaded_modules("inspect", "--audit", audit)
+    assert GENERATION_MODULES <= generated
+    assert "ffpdg.audit" in inspected
+    assert not (generated | inspected) & EVALUATION_MODULES

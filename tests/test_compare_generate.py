@@ -23,6 +23,8 @@ def test_tree_against_itself_is_identical(tmp_path):
     assert results == dict.fromkeys(names)
     for tree in ("old", "new"):
         assert (tmp_path / tree / "adult-seed0-bins1.csv").stat().st_size > 0
+        shown = (tmp_path / tree / "compas-seed0-all.inspect").read_text()
+        assert "projection_orthonormality_defect=" in shown and "generate_seconds=" not in shown
         assert "aucroc_best=" in (tmp_path / tree / "evaluate-compas-seed4.stdout").read_text()
 
 
@@ -45,6 +47,7 @@ def test_difference_names_what_differs(tmp_path):
         (d / "case.audit").write_text(
             f"ffpdg audit 1\n\n[config]\nseed=1\ngenerate_seconds={len(d.name)}\n\n"
             "[maxent]\niterations=3\n\n[rates]\ngap_after=0\n")
+        (d / "case.inspect").write_text("[config]\nseed=1\n\n[model]\np=4\n")
     assert script.difference("case", old, new, 0, 0) is None  # wall clock ignored
     assert script.difference("case", old, new, 0, 2) == "exit code 0 != 2"
     (new / "case.audit").write_text(
@@ -54,9 +57,14 @@ def test_difference_names_what_differs(tmp_path):
     (new / "case.csv").write_text("a\n2\n")
     assert (script.difference("case", old, new, 0, 0)
             == "CSV bytes differ; audit differs in [maxent] [model]")
+    (new / "case.inspect").write_text("[config]\nseed=1\n\n[model]\np=5\n")
+    assert (script.difference("case", old, new, 0, 0)
+            == "CSV bytes differ; audit differs in [maxent] [model]; inspect output differs")
     (new / "case.audit").unlink()
+    (new / "case.inspect").unlink()
     assert (script.difference("case", old, new, 0, 1)
-            == "exit code 0 != 1; .audit written by one tree only; CSV bytes differ")
+            == "exit code 0 != 1; .audit written by one tree only; .inspect written by one tree only; "
+               "CSV bytes differ")
 
 
 def test_difference_names_a_differing_evaluate_output(tmp_path):
