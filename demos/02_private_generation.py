@@ -34,8 +34,8 @@ def main():
 
     audit_path = HERE / "02_private_generation.audit"
     write_audit(audit_path, result, config, seconds)
-    print(f"audit written to {audit_path.name}; model section alone can "
-          f"re-sample the release\n")
+    print(f"audit written to {audit_path.name}; its [model] record alone "
+          f"re-samples the release\n")
 
     report = evaluate(train, holdout, result.dataset, seed=0)
     print(report.to_text())

@@ -1,4 +1,4 @@
-"""Check that two source trees make byte-identical `generate`, `inspect` and `evaluate` outputs.
+"""Check that two source trees make identical `generate`, `inspect` and `evaluate` outputs.
 
 Give it two directories that each hold the `ffpdg` package (the `src/`
 of two checkouts):
@@ -16,13 +16,18 @@ perfbench/simulate.py Adult draws per seed, as that workload writes
 them), and each extract with its holdout as both `--test` and
 `--synthetic` at seeds 0-9. Each tree runs every case in one child
 process, with BLAS pinned to one thread, and runs `inspect` on each
-audit a `generate` case writes. A `generate` case is identical when both
-trees exit with the same code, write the same CSV bytes and the same
-audit, and `inspect` prints the same output, the audit and the `inspect`
-output each once their `generate_seconds=` line is dropped; an
-`evaluate` case, when both exit with the same code and print the same
-standard output. Each differing case prints everything that differs:
-exit code, CSV bytes, the names of the audit `[section]`s, the inspect
+audit a `generate` case writes, and rebuilds the model from that audit
+with its own `read_audit`. A `generate` case is identical when both
+trees exit with the same code, write the same CSV bytes, the same audit
+sections and the same rebuilt model, and `inspect` prints the same
+output. The audit and the `inspect` output are compared without their
+`generate_seconds=` line, and the audit without its format line and its
+`[model...]` sections: those hold the model in the tree's own audit
+format, so the model is compared by value instead, every field in
+dataclass order with floats as their repr. An `evaluate` case is
+identical when both exit with the same code and print the same standard
+output. Each differing case prints everything that differs: exit code,
+CSV bytes, the names of the audit `[section]`s, the model, the inspect
 output and the evaluate output. Then prints `N of M identical` and exits
 1 on any difference.
 """
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import filecmp
 import io
 import json
@@ -129,13 +135,30 @@ def run_tree(src: Path, cases: list[dict], out: Path) -> None:
                    env=env, check=True)
 
 
+def model_lines(obj, name: str = "model") -> list[str]:
+    """One `name=value` line for every value inside a rebuilt model,
+    walking dataclass fields in order and arrays element by element; each
+    value is printed as its repr, numpy numbers as Python ones."""
+    if dataclasses.is_dataclass(obj):
+        return [line for f in dataclasses.fields(obj)
+                for line in model_lines(getattr(obj, f.name), f"{name}.{f.name}")]
+    if hasattr(obj, "tolist"):  # numpy arrays and numbers
+        obj = obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [line for i, item in enumerate(obj) for line in model_lines(item, f"{name}[{i}]")]
+    return [f"{name}={obj!r}"]
+
+
 def child(out: Path) -> None:
     """Child side of run_tree: every case through `cli.main`, exit codes to
-    codes.json; `generate` writes `<case>.csv` and `<case>.audit`, and
-    `inspect` on that audit prints `<case>.inspect` (standard output and
-    error, without the `generate_seconds=` line); an `evaluate` case's
-    standard output goes to `<case>.stdout`."""
+    codes.json; `generate` writes `<case>.csv` and `<case>.audit`, `inspect`
+    on that audit prints `<case>.inspect` (standard output and error,
+    without the `generate_seconds=` line), and the model `read_audit`
+    rebuilds from it goes to `<case>.model` (`model_lines`, or the error);
+    an `evaluate` case's standard output goes to `<case>.stdout`."""
     from ffpdg import cli
+    from ffpdg.audit import read_audit
+    from ffpdg.errors import FfpdgError
 
     codes = {}
     for case in json.loads((out / "cases.json").read_text(encoding="utf-8")):
@@ -156,36 +179,44 @@ def child(out: Path) -> None:
             lines = shown.getvalue().splitlines(keepends=True)
             Path(f"{stem}.inspect").write_text(
                 "".join(l for l in lines if not l.startswith(VOLATILE_AUDIT_PREFIX)), encoding="utf-8")
+            try:
+                model = model_lines(read_audit(f"{stem}.audit")["model"])
+            except FfpdgError as exc:
+                model = [f"error: {exc}"]
+            Path(f"{stem}.model").write_text("\n".join(model) + "\n", encoding="utf-8")
     (out / "codes.json").write_text(json.dumps(codes), encoding="utf-8")
 
 
 def _audit_sections(path: Path) -> dict[str, str]:
-    """An audit's text by `[section]` header, without its
-    `generate_seconds=` line and the blank lines that end each section;
-    lines before the first header go under `(preamble)`."""
+    """An audit's text by `[section]` header, without its format line, its
+    `[model...]` sections, its `generate_seconds=` line and the blank lines
+    that end each section; lines between the format line and the first
+    header go under `(preamble)`."""
     sections = {"(preamble)": []}
     lines = sections["(preamble)"]
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
         if line.startswith("[") and line.endswith("]"):
             lines = sections.setdefault(line, [])
         elif not line.startswith(VOLATILE_AUDIT_PREFIX):
             lines.append(line)
-    return {header: "\n".join(lines).rstrip("\n") for header, lines in sections.items()}
+    return {header: "\n".join(lines).rstrip("\n") for header, lines in sections.items()
+            if not header.startswith("[model")}
 
 
 def difference(name: str, old: Path, new: Path, old_code: int, new_code: int) -> str | None:
     """Everything that differs for case `name` between the two output
     directories, joined by "; ", or None: the exit codes, an output written
     by one tree only, the CSV bytes, the audit sections by name, the
-    inspect output and the evaluate output."""
+    rebuilt model, the inspect output and the evaluate output."""
     found = []
     if old_code != new_code:
         found.append(f"exit code {old_code} != {new_code}")
     csv_a, csv_b = old / f"{name}.csv", new / f"{name}.csv"
     audit_a, audit_b = old / f"{name}.audit", new / f"{name}.audit"
+    model_a, model_b = old / f"{name}.model", new / f"{name}.model"
     inspect_a, inspect_b = old / f"{name}.inspect", new / f"{name}.inspect"
     stdout_a, stdout_b = old / f"{name}.stdout", new / f"{name}.stdout"
-    for suffix, a, b in ((".csv", csv_a, csv_b), (".audit", audit_a, audit_b),
+    for suffix, a, b in ((".csv", csv_a, csv_b), (".audit", audit_a, audit_b), (".model", model_a, model_b),
                          (".inspect", inspect_a, inspect_b), (".stdout", stdout_a, stdout_b)):
         if a.exists() != b.exists():
             found.append(f"{suffix} written by one tree only")
@@ -196,6 +227,8 @@ def difference(name: str, old: Path, new: Path, old_code: int, new_code: int) ->
         changed = [s for s in {**sections_a, **sections_b} if sections_a.get(s) != sections_b.get(s)]
         if changed:
             found.append("audit differs in " + " ".join(changed))
+    if model_a.exists() and model_b.exists() and not filecmp.cmp(model_a, model_b, shallow=False):
+        found.append("model differs")
     if inspect_a.exists() and inspect_b.exists() and not filecmp.cmp(inspect_a, inspect_b, shallow=False):
         found.append("inspect output differs")
     if stdout_a.exists() and stdout_b.exists() and not filecmp.cmp(stdout_a, stdout_b, shallow=False):

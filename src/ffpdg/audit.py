@@ -3,12 +3,17 @@
 One generate run produces one audit file holding the run configuration,
 the codebook layout, the max-entropy solve diagnostics, the group
 positive rates before and after the fair stage, the privacy-budget
-accounting line, and the fitted generative model itself. The model
-section round-trips exactly (floats printed with %.17g), so sampling
-from a parsed audit reproduces sampling from the in-memory model.
+accounting line, and the fitted generative model itself. The model is
+the release, so its `[model]` section is one JSON record of every model
+field; json writes each float as its repr, the shortest text that reads
+back to the same float64, so sampling from a parsed audit reproduces
+sampling from the in-memory model. The parsed model passes the same
+checks as a fitted one (`RonGaussModel.__post_init__`).
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -17,9 +22,6 @@ from .errors import DataError, FfpdgError
 from .maxent import FAIR_PRIOR_SMOOTH
 from .rongauss import (
     CATEGORICAL_NOISE_SIGMA,
-    MODE_CLASSIFICATION,
-    MODE_REGRESSION,
-    MODE_UNSUPERVISED,
     ColumnCoding,
     ColumnPost,
     GenerationConfig,
@@ -28,7 +30,7 @@ from .rongauss import (
     RonProjection,
 )
 
-FORMAT_LINE = "ffpdg audit 1"
+FORMAT_LINE = "ffpdg audit 2"
 
 BUDGET_CAVEAT = (
     "the reported epsilon covers the noised mean and covariance releases; "
@@ -46,49 +48,79 @@ def _vec(values) -> str:
     return " ".join(_fmt(v) for v in np.asarray(values, dtype=np.float64).ravel())
 
 
-def _parse_vec(text: str) -> np.ndarray:
-    return np.array([float(t) for t in text.split()], dtype=np.float64)
-
-
 def model_section(model: RonGaussModel) -> list[str]:
-    lines = ["[model]"]
-    lines.append(f"mode={model.mode}")
-    lines.append(f"d_eff={model.d_eff}")
-    lines.append(f"p={model.projection.p}")
-    lines.append(f"label={model.label_name if model.label_name is not None else '-'}")
-    lines.append("[model.schema]")
-    lines.extend(schema_to_text(model.schema).splitlines())
-    lines.append("[model.encoding]")
-    for c in model.encoding:
-        coords = ",".join(str(i) for i in c.coords)
-        suffix = f" levels:{'|'.join(c.levels)}" if c.levels else ""
-        if c.kind == "continuous":
-            suffix = f" range:{_fmt(c.lo)},{_fmt(c.hi)}"
-        lines.append(f"column={c.name} {c.kind} {coords}{suffix}")
-    lines.append("[model.mu]")
-    lines.append(_vec(model.mu_dp))
-    lines.append("[model.W]")
-    for row in model.projection.W:
-        lines.append(_vec(row))
-    if model.mode == "classification":
-        lines.append("[model.classes]")
-        lines.append("values=" + " ".join(_fmt(v) for v in model.class_values))
-        lines.append("weights=" + _vec(model.class_weights_dp))
-        for i, m in enumerate(model.class_means_dp):
-            lines.append(f"mean{i}=" + _vec(m))
-    for i, sigma in enumerate(model.sigma_dp):
-        lines.append(f"[model.sigma {i} {sigma.shape[0]}]")
-        for row in sigma:
-            lines.append(_vec(row))
-    lines.append("[model.post]")
-    for post in model.postprocess:
-        if post.kind == "binary":
-            lines.append(f"post={post.name} binary rate:{_fmt(post.rate)}")
-        elif post.kind == "continuous":
-            lines.append(f"post={post.name} continuous grid:{_vec(post.quantile_grid)}")
-        else:
-            lines.append(f"post={post.name} categorical -")
-    return lines
+    """`[model]` and one JSON record of the model's fields."""
+    record = {
+        "mode": model.mode,
+        "d_eff": model.d_eff,
+        "p": model.projection.p,
+        "label": model.label_name,
+        "schema": schema_to_text(model.schema),
+        "encoding": [vars(code) for code in model.encoding],
+        "mu": model.mu_dp.tolist(),
+        "W": model.projection.W.tolist(),
+        "sigma": [sigma.tolist() for sigma in model.sigma_dp],
+        "class_values": list(model.class_values),
+        "class_weights": None if model.class_weights_dp is None else model.class_weights_dp.tolist(),
+        "class_means": [mean.tolist() for mean in model.class_means_dp],
+        "post": [vars(post) for post in model.postprocess],
+    }
+    return ["[model]", json.dumps(record)]
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
+def _schema(text) -> Schema:
+    if not isinstance(text, str):
+        raise TypeError(f"expected schema text, got {type(text).__name__}")
+    return schema_from_text(text)
+
+
+# how each field of the model record is read back
+_RECORD_FIELDS = {
+    "mode": lambda mode: mode,
+    "d_eff": int,
+    "p": int,
+    "label": lambda label: label,
+    "schema": _schema,
+    "encoding": lambda codes: tuple(
+        ColumnCoding(c["name"], c["kind"], tuple(int(i) for i in c["coords"]), tuple(c["levels"]),
+                     lo=float(c["lo"]), hi=float(c["hi"])) for c in codes),
+    "mu": _floats,
+    "W": _floats,
+    "sigma": lambda blocks: tuple(_floats(sigma) for sigma in blocks),
+    "class_values": lambda values: tuple(float(v) for v in values),
+    "class_weights": lambda weights: None if weights is None else _floats(weights),
+    "class_means": lambda means: tuple(_floats(mean) for mean in means),
+    "post": lambda posts: tuple(
+        ColumnPost(q["name"], q["kind"], rate=float(q["rate"]),
+                   quantile_grid=tuple(_floats(q["quantile_grid"]))) for q in posts),
+}
+
+
+def parse_model_section(lines: list[str]) -> RonGaussModel:
+    """The model `model_section` rendered. A record that is not JSON, a
+    missing field or one of the wrong type raises a DataError naming the
+    field; fields that do not fit together fail `RonGaussModel`'s checks."""
+    name = None
+    try:
+        record = json.loads("\n".join(lines[1:]))
+        fields = {}
+        for name, read in _RECORD_FIELDS.items():
+            fields[name] = read(record[name])
+    except (KeyError, TypeError, ValueError) as exc:
+        where = "audit model record" + (f" field {name!r}" if name else "")
+        raise DataError(f"{where}: {f'missing {exc}' if isinstance(exc, KeyError) else exc}") from None
+    projection = RonProjection(W=fields["W"], d=fields["d_eff"], p=fields["p"])
+    return RonGaussModel(
+        mode=fields["mode"], schema=fields["schema"], encoding=fields["encoding"],
+        d_eff=fields["d_eff"], projection=projection, mu_dp=fields["mu"],
+        sigma_dp=fields["sigma"], postprocess=fields["post"], label_name=fields["label"],
+        class_values=fields["class_values"], class_weights_dp=fields["class_weights"],
+        class_means_dp=fields["class_means"],
+    )
 
 
 def _section_map(lines: list[str]) -> dict[str, list[str]]:
@@ -101,97 +133,6 @@ def _section_map(lines: list[str]) -> dict[str, list[str]]:
         elif current is not None:
             sections[current].append(line)
     return sections
-
-
-def parse_model_section(lines: list[str]) -> RonGaussModel:
-    """The model `model_section` rendered. A missing or unparseable line,
-    or an array whose size does not fit the model, raises DataError."""
-    try:
-        return _parse_model(lines)
-    except KeyError as exc:
-        raise DataError(f"audit model section has no {exc.args[0]}= line") from None
-    except (IndexError, ValueError) as exc:
-        raise DataError(f"audit model section has an unparseable line: {exc}") from None
-
-
-def _parse_model(lines: list[str]) -> RonGaussModel:
-    sections = _section_map(lines)
-    for needed in ("model", "model.schema", "model.encoding", "model.mu", "model.W", "model.post"):
-        if needed not in sections:
-            raise DataError(f"audit model section missing [{needed}]")
-    head = dict(line.split("=", 1) for line in sections["model"] if "=" in line)
-    mode = head["mode"]
-    if mode not in (MODE_UNSUPERVISED, MODE_CLASSIFICATION, MODE_REGRESSION):
-        raise DataError(f"audit model section has unknown mode {mode!r}")
-    d_eff = int(head["d_eff"])
-    p = int(head["p"])
-    label = None if head["label"] == "-" else head["label"]
-    schema = schema_from_text("\n".join(sections["model.schema"]))
-
-    encoding = []
-    for line in sections["model.encoding"]:
-        body = line.split("=", 1)[1]
-        levels = ()
-        lo = hi = 0.0
-        if " levels:" in body:
-            body, levels_text = body.split(" levels:", 1)
-            levels = tuple(levels_text.split("|"))
-        elif " range:" in body:
-            body, range_text = body.split(" range:", 1)
-            lo, hi = (float(t) for t in range_text.split(","))
-        name, kind, coords = body.rsplit(" ", 2)
-        encoding.append(ColumnCoding(name, kind, tuple(int(i) for i in coords.split(",")),
-                                     levels, lo=lo, hi=hi))
-
-    mu = _parse_vec(sections["model.mu"][0])
-    W = np.vstack([_parse_vec(l) for l in sections["model.W"]])
-    projection = RonProjection(W=W, d=d_eff, p=p)
-
-    class_values: tuple[float, ...] = ()
-    weights = None
-    class_means: tuple[np.ndarray, ...] = ()
-    if "model.classes" in sections:
-        kv = dict(line.split("=", 1) for line in sections["model.classes"])
-        class_values = tuple(float(v) for v in kv["values"].split())
-        weights = _parse_vec(kv["weights"])
-        class_means = tuple(_parse_vec(kv[f"mean{i}"]) for i in range(len(class_values)))
-
-    sigma_keys = sorted((k for k in sections if k.startswith("model.sigma")),
-                        key=lambda k: int(k.split()[1]))
-    sigmas = tuple(np.vstack([_parse_vec(l) for l in sections[k]]) for k in sigma_keys)
-    if not sigmas:
-        raise DataError("audit model section has no covariance blocks")
-    side = p + 1 if mode == MODE_REGRESSION else p
-    shapes = [("mu", mu, (d_eff,))] + [(f"sigma {i}", s, (side, side)) for i, s in enumerate(sigmas)]
-    if mode == MODE_CLASSIFICATION:
-        shapes.append(("class weights", weights, (len(class_values),)))
-        shapes += [(f"mean{i}", m, (p,)) for i, m in enumerate(class_means)]
-    for name, array, shape in shapes:
-        if np.shape(array) != shape:
-            raise DataError(f"audit model {name} has shape {np.shape(array)}, expected {shape}")
-    blocks = len(class_values) if mode == MODE_CLASSIFICATION else 1
-    if len(sigmas) != blocks:
-        raise DataError(f"audit {mode} model has {len(sigmas)} covariance blocks, expected {blocks}")
-
-    posts = []
-    for line in sections["model.post"]:
-        body = line.split("=", 1)[1]
-        name, kind, payload = body.split(" ", 2)
-        if kind == "binary":
-            posts.append(ColumnPost(name, kind, rate=float(payload.split(":", 1)[1])))
-        elif kind == "continuous":
-            posts.append(ColumnPost(name, kind,
-                                    quantile_grid=tuple(_parse_vec(payload.split(":", 1)[1]))))
-        else:
-            posts.append(ColumnPost(name, kind))
-
-    return RonGaussModel(
-        mode=mode, schema=schema, encoding=tuple(encoding), d_eff=d_eff,
-        projection=projection, mu_dp=mu, sigma_dp=sigmas,
-        postprocess=tuple(posts), label_name=label,
-        class_values=class_values, class_weights_dp=weights,
-        class_means_dp=class_means,
-    )
 
 
 def render_audit(result: GenerationResult, config: GenerationConfig, seconds: float) -> str:
@@ -251,17 +192,19 @@ def write_audit(path, result: GenerationResult, config: GenerationConfig, second
 
 def read_audit(path) -> dict:
     """Parse an audit file into {sections, model}."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not lines or lines[0] != FORMAT_LINE:
         raise DataError(f"{path}: not an audit file (missing format line)")
     sections = _section_map(lines)
-    for needed in ("config", "codebook", "maxent", "rates", "privacy"):
+    for needed in ("config", "codebook", "maxent", "rates", "privacy", "model"):
         if needed not in sections:
             raise DataError(f"{path}: audit file missing [{needed}] section")
-    model_lines = lines[lines.index("[model]"):] if "[model]" in lines else []
     try:
-        model = parse_model_section(model_lines) if model_lines else None
+        model = parse_model_section(["[model]", *sections["model"]])
     except FfpdgError as exc:
         raise DataError(f"{path}: {exc}") from None
     return {"sections": sections, "model": model}

@@ -136,13 +136,12 @@ def cmd_inspect(args) -> int:
             if line:
                 print(line)
         print()
-    if parsed["model"] is not None:
-        model = parsed["model"]
-        print("[model]")
-        print(f"mode={model.mode} d_eff={model.d_eff} p={model.projection.p} "
-              f"classes={len(model.class_values) or '-'}")
-        defect = model.projection.orthonormality_defect()
-        print(f"projection_orthonormality_defect={defect:.3e}")
+    model = parsed["model"]
+    print("[model]")
+    print(f"mode={model.mode} d_eff={model.d_eff} p={model.projection.p} "
+          f"classes={len(model.class_values) or '-'}")
+    defect = model.projection.orthonormality_defect()
+    print(f"projection_orthonormality_defect={defect:.3e}")
     return 0
 
 

@@ -141,6 +141,61 @@ class RonGaussModel:
     class_weights_dp: np.ndarray | None = None
     class_means_dp: tuple[np.ndarray, ...] = ()
 
+    def __post_init__(self):
+        """What `sample` relies on, for a fitted model and a parsed audit alike:
+        arrays sized to d_eff and p, a block and mean per class, the schema's
+        columns encoded at consecutive coordinates and post-processed in order."""
+        if self.mode not in _MODES:
+            raise DataError(f"model has unknown mode {self.mode!r}")
+        p = self.projection.p
+        side = p + 1 if self.mode == MODE_REGRESSION else p
+        shapes = [("mu", self.mu_dp, (self.d_eff,))]
+        shapes += [(f"sigma {i}", s, (side, side)) for i, s in enumerate(self.sigma_dp)]
+        counts = [("covariance blocks", len(self.sigma_dp))]
+        blocks = 1
+        if self.mode == MODE_CLASSIFICATION:
+            blocks = len(self.class_values)
+            shapes.append(("class weights", self.class_weights_dp, (blocks,)))
+            shapes += [(f"mean{i}", m, (p,)) for i, m in enumerate(self.class_means_dp)]
+            counts.append(("class means", len(self.class_means_dp)))
+        for name, array, shape in shapes:
+            if np.shape(array) != shape:
+                raise DataError(f"model {name} has shape {np.shape(array)}, expected {shape}")
+        for name, count in counts:
+            if count != blocks:
+                raise DataError(f"{self.mode} model has {count} {name}, expected {blocks}")
+        if self.mode == MODE_CLASSIFICATION:
+            weights = np.asarray(self.class_weights_dp)
+            # `Generator.choice` accepts a sum within about 1.5e-8 of 1
+            if not (blocks and np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-8):
+                raise DataError(f"model class weights {weights.tolist()} are not a distribution")
+
+        label = self.schema.label_index
+        label_name = self.schema.columns[label].name if label is not None else None
+        if self.label_name != label_name:
+            raise DataError(f"model label {self.label_name!r} is not the schema's {label_name!r}")
+        modelled = [c for c in self.schema.columns
+                    if self.mode == MODE_UNSUPERVISED or c.name != label_name]
+        offset = 0
+        for i, (col, code) in enumerate(zip(modelled, self.encoding)):
+            coords = tuple(range(offset, offset + (len(col.levels) if col.kind == CATEGORICAL else 1)))
+            if (code.name, code.kind, code.coords) != (col.name, col.kind, coords):
+                raise DataError(f"model encoding {i} is {code.name} {code.kind} at {list(code.coords)}, "
+                                f"expected {col.name} {col.kind} at {list(coords)}")
+            offset += len(coords)
+        if len(self.encoding) != len(modelled) or offset != self.d_eff - 1:
+            raise DataError(f"model encoding has {len(self.encoding)} columns at {offset} coordinates, "
+                            f"expected {len(modelled)} at d_eff - 1 = {self.d_eff - 1}")
+        if len(self.postprocess) != self.schema.d:
+            raise DataError(f"model has {len(self.postprocess)} post-processing entries, "
+                            f"expected one per schema column ({self.schema.d})")
+        for col, post in zip(self.schema.columns, self.postprocess):
+            if (post.name, post.kind) != (col.name, col.kind):
+                raise DataError(f"model post-processing entry {post.name} {post.kind} stands "
+                                f"where the schema has {col.name} {col.kind}")
+            if post.kind == CONTINUOUS and len(post.quantile_grid) == 0:
+                raise DataError(f"model post-processing of {post.name} has an empty quantile grid")
+
 
 def resolve_mode(schema: Schema, mode: str) -> str:
     if mode != MODE_AUTO:

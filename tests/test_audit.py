@@ -1,5 +1,6 @@
 """Audit files: render, parse, and model round-trip."""
 
+import json
 import re
 
 import numpy as np
@@ -70,43 +71,73 @@ def test_read_audit_rejects_non_audit_file(tmp_path):
 def test_read_audit_names_missing_section(tmp_path, artifacts):
     result, config = artifacts
     text = render_audit(result, config, 0.1)
-    start = text.index("[rates]")
-    end = text.index("[privacy]")
     path = tmp_path / "broken.audit"
-    path.write_text(text[:start] + text[end:])
-    with pytest.raises(DataError, match=r"\[rates\]"):
+    for section, after in (("[rates]", text.index("[privacy]")), ("[model]", len(text))):
+        path.write_text(text[:text.index(section)] + text[after:])
+        with pytest.raises(DataError, match=re.escape(section)):
+            read_audit(path)
+
+
+def test_read_audit_names_the_path_of_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.audit"
+    path.write_bytes(b"\xff\xfe" + FORMAT_LINE.encode("utf-16-le"))
+    with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
         read_audit(path)
+    assert cli.main(["inspect", "--audit", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text: invalid start byte\n"
 
 
-# (pattern, replacement) edits of the fixture's classification audit
+def _continuous_f0(record):
+    """f0 made continuous in the schema, the encoding and the post-processing
+    alike, with an empty quantile grid."""
+    record["schema"] = record["schema"].replace("f0 binary", "f0 continuous")
+    record["encoding"][0]["kind"] = "continuous"
+    record["post"][0].update(kind="continuous", quantile_grid=[])
+
+
+# edits of the JSON model record of the fixture's classification audit
 # (d_eff 5, p 4, two classes), and the error each must raise
 CORRUPTIONS = {
-    "no label line": (r"^label=.*\n", "", r"no label= line"),
-    "no class mean": (r"^mean1=.*\n", "", r"no mean1= line"),
-    "short class mean": (r"^(mean0=\S+ \S+) .*$", r"\1", r"mean0 has shape \(2,\), expected \(4,\)"),
-    "short mu": (r"(\[model\.mu\]\n.*) \S+$", r"\1", r"mu has shape \(4,\), expected \(5,\)"),
-    "extra class weight": (r"^(weights=.*)$", r"\1 0.5", r"class weights has shape \(3,\), expected \(2,\)"),
-    "missing sigma row": (r"(\[model\.sigma 0 4\]\n(?:.*\n){3}).*\n", r"\1",
-                          r"sigma 0 has shape \(3, 4\), expected \(4, 4\)"),
-    "ragged sigma": (r"(\[model\.sigma 1 4\]\n.*) \S+$", r"\1", r"unparseable line"),
-    "regression sizes": (r"^mode=.*$", "mode=regression", r"sigma 0 has shape \(4, 4\), expected \(5, 5\)"),
-    "unsupervised blocks": (r"^mode=.*$", "mode=unsupervised", r"has 2 covariance blocks, expected 1"),
-    "unknown mode": (r"^mode=.*$", "mode=auto", r"unknown mode 'auto'"),
-    "not a number": (r"^d_eff=.*$", "d_eff=five", r"unparseable line"),
-    "short encoding": (r"^column=f0 .*$", "column=f0", r"unparseable line"),
+    "no label line": (lambda r: r.pop("label"), r"field 'label': missing 'label'"),
+    "no class mean": (lambda r: r["class_means"].pop(),
+                      r"classification model has 1 class means, expected 2"),
+    "short class mean": (lambda r: r["class_means"][0].__delitem__(slice(2, None)),
+                         r"mean0 has shape \(2,\), expected \(4,\)"),
+    "short mu": (lambda r: r["mu"].pop(), r"mu has shape \(4,\), expected \(5,\)"),
+    "extra class weight": (lambda r: r["class_weights"].append(0.5),
+                           r"class weights has shape \(3,\), expected \(2,\)"),
+    "missing sigma row": (lambda r: r["sigma"][0].pop(), r"sigma 0 has shape \(3, 4\), expected \(4, 4\)"),
+    "ragged sigma": (lambda r: r["sigma"][1][0].pop(),
+                     r"field 'sigma': setting an array element with a sequence"),
+    "regression sizes": (lambda r: r.update(mode="regression"),
+                         r"sigma 0 has shape \(4, 4\), expected \(5, 5\)"),
+    "unsupervised blocks": (lambda r: r.update(mode="unsupervised"),
+                            r"unsupervised model has 2 covariance blocks, expected 1"),
+    "unknown mode": (lambda r: r.update(mode="auto"), r"unknown mode 'auto'"),
+    "not a number": (lambda r: r.update(d_eff="five"), r"field 'd_eff': invalid literal"),
+    "short encoding": (lambda r: r["encoding"][0].pop("coords"), r"field 'encoding': missing 'coords'"),
+    "coordinate out of range": (lambda r: r["encoding"][0].update(coords=[9]),
+                                r"encoding 0 is f0 binary at \[9\], expected f0 binary at \[0\]"),
+    "post not in schema": (lambda r: r["post"][1].update(name="f9"),
+                           r"entry f9 binary stands where the schema has f1 binary"),
+    "empty grid": (_continuous_f0, r"post-processing of f0 has an empty quantile grid"),
+    "weights off one": (lambda r: r["class_weights"].__setitem__(0, 0.9),
+                        r"class weights \[0.9, .*\] are not a distribution"),
+    "no classes": (lambda r: r.update(class_values=[], class_weights=[], class_means=[], sigma=[]),
+                   r"class weights \[\] are not a distribution"),
 }
 
 
 @pytest.mark.parametrize("name", CORRUPTIONS)
 def test_malformed_model_fails_naming_the_path(tmp_path, artifacts, capsys, name):
-    pattern, replacement, error = CORRUPTIONS[name]
+    edit, error = CORRUPTIONS[name]
     result, config = artifacts
     text = render_audit(result, config, 0.1)
     head, model = text.split("[model]\n", 1)
-    model, edits = re.subn(pattern, replacement, model, count=1, flags=re.MULTILINE)
-    assert edits == 1
+    record = json.loads(model)
+    edit(record)
     path = tmp_path / "broken.audit"
-    path.write_text(head + "[model]\n" + model)
+    path.write_text(head + "[model]\n" + json.dumps(record) + "\n")
     with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".*" + error):
         read_audit(path)
     assert cli.main(["inspect", "--audit", str(path)]) == 1

@@ -137,14 +137,14 @@ def test_generate_maps_every_flag_into_the_run(mixed_dir, capsys):
                    "--p", "3", "--n-out", "250", "--bins", "2", "--mode", "unsupervised",
                    "--rate", "0.9", "--quantiles", "17", "--seed", "4"])
     assert rc == 0, capsys.readouterr().err
-    sections = read_audit(audit)["sections"]
-    config = dict(line.split("=", 1) for line in sections["config"] if "=" in line)
+    parsed = read_audit(audit)
+    config = dict(line.split("=", 1) for line in parsed["sections"]["config"] if "=" in line)
     assert {k: config[k] for k in ("epsilon", "eps_mu", "eps_sigma", "p", "n_out", "bins",
                                    "mode", "seed", "rate")} == {
         "epsilon": "3", "eps_mu": "1", "eps_sigma": "2", "p": "3", "n_out": "250",
         "bins": "2", "mode": "unsupervised", "seed": "4", "rate": "0.90000000000000002"}
-    post = next(line for line in sections["model.post"] if line.startswith("post=height "))
-    assert len(post.split("grid:", 1)[1].split()) == 17
+    post = next(post for post in parsed["model"].postprocess if post.name == "height")
+    assert len(post.quantile_grid) == 17
     assert "rows=250" in capsys.readouterr().out
 
 

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -25,6 +27,7 @@ def test_tree_against_itself_is_identical(tmp_path):
         assert (tmp_path / tree / "adult-seed0-bins1.csv").stat().st_size > 0
         shown = (tmp_path / tree / "compas-seed0-all.inspect").read_text()
         assert "projection_orthonormality_defect=" in shown and "generate_seconds=" not in shown
+        assert "model.projection.p=3\n" in (tmp_path / tree / "compas-seed0-all.model").read_text()
         assert "aucroc_best=" in (tmp_path / tree / "evaluate-compas-seed4.stdout").read_text()
 
 
@@ -41,30 +44,45 @@ def test_evaluate_cases_cover_the_benchmark_inputs_and_both_extracts(tmp_path):
 def test_difference_names_what_differs(tmp_path):
     script = load_script()
     old, new = tmp_path / "old", tmp_path / "new"
-    for d in (old, new):
+    for k, d in enumerate((old, new), start=1):
         d.mkdir()
         (d / "case.csv").write_text("a\n1\n")
         (d / "case.audit").write_text(
-            f"ffpdg audit 1\n\n[config]\nseed=1\ngenerate_seconds={len(d.name)}\n\n"
-            "[maxent]\niterations=3\n\n[rates]\ngap_after=0\n")
+            f"ffpdg audit {k}\n\n[config]\nseed=1\ngenerate_seconds={k}\n\n"
+            f"[maxent]\niterations=3\n\n[rates]\ngap_after=0\n\n[model]\n{{\"p\": {k}}}\n")
+        (d / "case.model").write_text("model.mode='unsupervised'\nmodel.d_eff=5\n")
         (d / "case.inspect").write_text("[config]\nseed=1\n\n[model]\np=4\n")
-    assert script.difference("case", old, new, 0, 0) is None  # wall clock ignored
+    # the wall clock, the format line and the model's text are not compared
+    assert script.difference("case", old, new, 0, 0) is None
     assert script.difference("case", old, new, 0, 2) == "exit code 0 != 2"
     (new / "case.audit").write_text(
         "ffpdg audit 1\n\n[config]\nseed=1\n\n[maxent]\niterations=4\n\n"
-        "[rates]\ngap_after=0\n\n[model]\np=4\n")
-    assert script.difference("case", old, new, 0, 0) == "audit differs in [maxent] [model]"
+        "[rates]\ngap_after=0\n\n[model]\nmode=unsupervised\n[model.mu]\n0.5\n")
+    assert script.difference("case", old, new, 0, 0) == "audit differs in [maxent]"
     (new / "case.csv").write_text("a\n2\n")
     assert (script.difference("case", old, new, 0, 0)
-            == "CSV bytes differ; audit differs in [maxent] [model]")
+            == "CSV bytes differ; audit differs in [maxent]")
+    (new / "case.model").write_text("model.mode='unsupervised'\nmodel.d_eff=6\n")
+    assert (script.difference("case", old, new, 0, 0)
+            == "CSV bytes differ; audit differs in [maxent]; model differs")
     (new / "case.inspect").write_text("[config]\nseed=1\n\n[model]\np=5\n")
     assert (script.difference("case", old, new, 0, 0)
-            == "CSV bytes differ; audit differs in [maxent] [model]; inspect output differs")
-    (new / "case.audit").unlink()
-    (new / "case.inspect").unlink()
+            == "CSV bytes differ; audit differs in [maxent]; model differs; inspect output differs")
+    for suffix in (".audit", ".model", ".inspect"):
+        (new / f"case{suffix}").unlink()
     assert (script.difference("case", old, new, 0, 1)
-            == "exit code 0 != 1; .audit written by one tree only; .inspect written by one tree only; "
-               "CSV bytes differ")
+            == "exit code 0 != 1; .audit written by one tree only; .model written by one tree only; "
+               ".inspect written by one tree only; CSV bytes differ")
+
+
+def test_model_lines_print_every_field_by_value():
+    from ffpdg.rongauss import ColumnPost
+
+    post = ColumnPost("h", "continuous", quantile_grid=(np.float64(0.1), 2.0))
+    assert load_script().model_lines([post, np.array([[1.5, -0.0]]), None], "m") == [
+        "m[0].name='h'", "m[0].kind='continuous'", "m[0].rate=0.0",
+        "m[0].quantile_grid[0]=0.1", "m[0].quantile_grid[1]=2.0",
+        "m[1][0][0]=1.5", "m[1][0][1]=-0.0", "m[2]=None"]
 
 
 def test_difference_names_a_differing_evaluate_output(tmp_path):
