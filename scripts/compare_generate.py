@@ -23,23 +23,24 @@ sections and the same rebuilt model, and `inspect` prints the same
 output. The audit and the `inspect` output are compared without their
 `generate_seconds=` line, and the audit without its format line and its
 `[model...]` sections: those hold the model in the tree's own audit
-format, so the model is compared by value instead, every field in
-dataclass order with floats as their repr. An `evaluate` case is
-identical when both exit with the same code and print the same standard
-output. Each differing case prints everything that differs: exit code,
-CSV bytes, the names of the audit `[section]`s, the model, the inspect
-output and the evaluate output. Then prints `N of M identical` and exits
-1 on any difference.
+format, so the model is compared by value instead: the numbers that make
+up the release (`RELEASE`, then each column's post-processing rate and
+grid), which every tree's model exposes, with floats as their repr. An
+`evaluate` case is identical when both exit with the same code and print
+the same standard output. Each differing case prints everything that
+differs: exit code, CSV bytes, the names of the audit `[section]`s, the
+model, the inspect output and the evaluate output. Then prints `N of M
+identical` and exits 1 on any difference.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import filecmp
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -64,6 +65,9 @@ FLAG_CASES = {
 FLAG_CASES["all"] = [arg for args in FLAG_CASES.values() for arg in args] + ["--bins", "2"]
 THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 VOLATILE_AUDIT_PREFIX = "generate_seconds="
+# the rebuilt model's attributes `model_lines` prints, in order
+RELEASE = ("mode", "d_eff", "projection.p", "projection.W", "mu_dp", "sigma_dp",
+           "class_values", "class_weights_dp", "class_means_dp")
 
 
 def bundled_cases() -> list[dict]:
@@ -135,17 +139,24 @@ def run_tree(src: Path, cases: list[dict], out: Path) -> None:
                    env=env, check=True)
 
 
-def model_lines(obj, name: str = "model") -> list[str]:
-    """One `name=value` line for every value inside a rebuilt model,
-    walking dataclass fields in order and arrays element by element; each
+def model_lines(model) -> list[str]:
+    """One `name=value` line for every number of the release a rebuilt
+    model holds: the `RELEASE` attributes, then each post-processing
+    entry's rate and quantile grid, arrays element by element."""
+    values = {f"model.{path}": operator.attrgetter(path)(model) for path in RELEASE}
+    for j, post in enumerate(model.postprocess):
+        values[f"model.postprocess[{j}].rate"] = post.rate
+        values[f"model.postprocess[{j}].quantile_grid"] = post.quantile_grid
+    return [line for name, value in values.items() for line in value_lines(value, name)]
+
+
+def value_lines(obj, name: str) -> list[str]:
+    """`name=value` lines for a value, sequences element by element; each
     value is printed as its repr, numpy numbers as Python ones."""
-    if dataclasses.is_dataclass(obj):
-        return [line for f in dataclasses.fields(obj)
-                for line in model_lines(getattr(obj, f.name), f"{name}.{f.name}")]
     if hasattr(obj, "tolist"):  # numpy arrays and numbers
         obj = obj.tolist()
     if isinstance(obj, (tuple, list)):
-        return [line for i, item in enumerate(obj) for line in model_lines(item, f"{name}[{i}]")]
+        return [line for i, item in enumerate(obj) for line in value_lines(item, f"{name}[{i}]")]
     return [f"{name}={obj!r}"]
 
 

@@ -4,11 +4,16 @@ One generate run produces one audit file holding the run configuration,
 the codebook layout, the max-entropy solve diagnostics, the group
 positive rates before and after the fair stage, the privacy-budget
 accounting line, and the fitted generative model itself. The model is
-the release, so its `[model]` section is one JSON record of every model
-field; json writes each float as its repr, the shortest text that reads
-back to the same float64, so sampling from a parsed audit reproduces
-sampling from the in-memory model. The parsed model passes the same
-checks as a fitted one (`RonGaussModel.__post_init__`).
+the release, so its `[model]` section is one JSON record of it: the
+mode, the public schema (as `schema_to_text`), the projection W, the
+noised mean and covariance blocks, the class values with their noised
+weights and means, and one post-processing entry (rate and quantile
+grid) per schema column. Nothing that follows from the schema and W is
+stored: the column layout, d_eff, p and the label are derived on
+reading. json writes each float as its repr, the shortest text that
+reads back to the same float64, so sampling from a parsed audit
+reproduces sampling from the in-memory model. The parsed model passes
+the same checks as a fitted one (`RonGaussModel.__post_init__`).
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .errors import DataError, FfpdgError
 from .maxent import FAIR_PRIOR_SMOOTH
 from .rongauss import (
     CATEGORICAL_NOISE_SIGMA,
-    ColumnCoding,
     ColumnPost,
     GenerationConfig,
     GenerationResult,
@@ -30,7 +34,7 @@ from .rongauss import (
     RonProjection,
 )
 
-FORMAT_LINE = "ffpdg audit 2"
+FORMAT_LINE = "ffpdg audit 3"
 
 BUDGET_CAVEAT = (
     "the reported epsilon covers the noised mean and covariance releases; "
@@ -52,11 +56,7 @@ def model_section(model: RonGaussModel) -> list[str]:
     """`[model]` and one JSON record of the model's fields."""
     record = {
         "mode": model.mode,
-        "d_eff": model.d_eff,
-        "p": model.projection.p,
-        "label": model.label_name,
         "schema": schema_to_text(model.schema),
-        "encoding": [vars(code) for code in model.encoding],
         "mu": model.mu_dp.tolist(),
         "W": model.projection.W.tolist(),
         "sigma": [sigma.tolist() for sigma in model.sigma_dp],
@@ -81,22 +81,15 @@ def _schema(text) -> Schema:
 # how each field of the model record is read back
 _RECORD_FIELDS = {
     "mode": lambda mode: mode,
-    "d_eff": int,
-    "p": int,
-    "label": lambda label: label,
     "schema": _schema,
-    "encoding": lambda codes: tuple(
-        ColumnCoding(c["name"], c["kind"], tuple(int(i) for i in c["coords"]), tuple(c["levels"]),
-                     lo=float(c["lo"]), hi=float(c["hi"])) for c in codes),
     "mu": _floats,
-    "W": _floats,
+    "W": RonProjection,
     "sigma": lambda blocks: tuple(_floats(sigma) for sigma in blocks),
     "class_values": lambda values: tuple(float(v) for v in values),
     "class_weights": lambda weights: None if weights is None else _floats(weights),
     "class_means": lambda means: tuple(_floats(mean) for mean in means),
     "post": lambda posts: tuple(
-        ColumnPost(q["name"], q["kind"], rate=float(q["rate"]),
-                   quantile_grid=tuple(_floats(q["quantile_grid"]))) for q in posts),
+        ColumnPost(rate=float(q["rate"]), quantile_grid=tuple(_floats(q["quantile_grid"]))) for q in posts),
 }
 
 
@@ -113,13 +106,10 @@ def parse_model_section(lines: list[str]) -> RonGaussModel:
     except (KeyError, TypeError, ValueError) as exc:
         where = "audit model record" + (f" field {name!r}" if name else "")
         raise DataError(f"{where}: {f'missing {exc}' if isinstance(exc, KeyError) else exc}") from None
-    projection = RonProjection(W=fields["W"], d=fields["d_eff"], p=fields["p"])
     return RonGaussModel(
-        mode=fields["mode"], schema=fields["schema"], encoding=fields["encoding"],
-        d_eff=fields["d_eff"], projection=projection, mu_dp=fields["mu"],
-        sigma_dp=fields["sigma"], postprocess=fields["post"], label_name=fields["label"],
-        class_values=fields["class_values"], class_weights_dp=fields["class_weights"],
-        class_means_dp=fields["class_means"],
+        mode=fields["mode"], schema=fields["schema"], projection=fields["W"], mu_dp=fields["mu"],
+        sigma_dp=fields["sigma"], postprocess=fields["post"], class_values=fields["class_values"],
+        class_weights_dp=fields["class_weights"], class_means_dp=fields["class_means"],
     )
 
 

@@ -57,49 +57,36 @@ class RonProjection:
     """d x p matrix with orthonormal columns."""
 
     W: np.ndarray
-    d: int
-    p: int
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)
-        if W.shape != (self.d, self.p):
-            raise DataError(f"W has shape {W.shape}, expected ({self.d}, {self.p})")
+        if W.ndim != 2:
+            raise DataError(f"W has shape {W.shape}, expected a d x p matrix")
         object.__setattr__(self, "W", W)
+
+    @property
+    def p(self) -> int:
+        return self.W.shape[1]
 
     def orthonormality_defect(self) -> float:
         return float(np.abs(self.W.T @ self.W - np.eye(self.p)).max())
 
 
 @dataclass(frozen=True)
-class ColumnCoding:
-    """Coordinates one source column occupies in the expanded matrix.
-
-    Continuous columns record the training min/max used to rescale the
-    coordinate into [0, 1]; other kinds leave lo = hi = 0.
-    """
-
-    name: str
-    kind: str
-    coords: tuple[int, ...]
-    levels: tuple[str, ...] = ()
-    lo: float = 0.0
-    hi: float = 0.0
-
-
-@dataclass(frozen=True)
 class ColumnPost:
-    """Training-data calibration used to restore a column's format.
+    """Training-data calibration that restores one column's format; a model
+    holds one per schema column, in schema order.
 
     Binary columns carry the training positive rate (the synthetic column
     is thresholded at its own quantile of 1 - rate). Continuous columns
-    carry training values at the fixed quantile grid; sampling maps
-    synthetic ranks through this grid, which keeps every restored value
-    inside the training min/max. A continuous label (regression mode) is
-    modeled in raw units and only clipped to the grid endpoints.
+    carry training values at the fixed quantile grid, whose endpoints are
+    the training min and max: they rescale the column's coordinate back to
+    raw units, and sampling then maps synthetic ranks through the grid,
+    which keeps every restored value inside the training range. A
+    continuous label (regression mode) is modeled in raw units and only
+    clipped to the grid endpoints. Categorical columns carry neither.
     """
 
-    name: str
-    kind: str
     rate: float = 0.0
     quantile_grid: tuple[float, ...] = ()
 
@@ -128,39 +115,49 @@ class GenerationConfig:
 
 @dataclass(frozen=True)
 class RonGaussModel:
+    """The release (projection, noised mean, covariance blocks and class
+    statistics) with the public schema and the calibration that decodes
+    it; the column layout, d_eff, p and the label follow from these."""
+
     mode: str
     schema: Schema
-    encoding: tuple[ColumnCoding, ...]
-    d_eff: int
     projection: RonProjection
     mu_dp: np.ndarray
     sigma_dp: tuple[np.ndarray, ...]   # one entry per class; single entry otherwise
     postprocess: tuple[ColumnPost, ...]
-    label_name: str | None = None
     class_values: tuple[float, ...] = ()
     class_weights_dp: np.ndarray | None = None
     class_means_dp: tuple[np.ndarray, ...] = ()
 
+    @property
+    def d_eff(self) -> int:
+        return self.projection.W.shape[0]
+
     def __post_init__(self):
         """What `sample` relies on, for a fitted model and a parsed audit alike:
-        arrays sized to d_eff and p, a block and mean per class, the schema's
-        columns encoded at consecutive coordinates and post-processed in order."""
+        a schema whose label suits the mode, W sized to its layout, finite
+        arrays sized to d_eff and p, a block and mean per class, and one
+        finite post-processing entry per schema column."""
         if self.mode not in _MODES:
             raise DataError(f"model has unknown mode {self.mode!r}")
+        d_eff = layout(self.schema, self.mode)[1]
         p = self.projection.p
         side = p + 1 if self.mode == MODE_REGRESSION else p
-        shapes = [("mu", self.mu_dp, (self.d_eff,))]
+        shapes = [("W", self.projection.W, (d_eff, p)), ("mu", self.mu_dp, (d_eff,))]
         shapes += [(f"sigma {i}", s, (side, side)) for i, s in enumerate(self.sigma_dp)]
         counts = [("covariance blocks", len(self.sigma_dp))]
         blocks = 1
         if self.mode == MODE_CLASSIFICATION:
             blocks = len(self.class_values)
+            shapes.append(("class values", self.class_values, (blocks,)))
             shapes.append(("class weights", self.class_weights_dp, (blocks,)))
             shapes += [(f"mean{i}", m, (p,)) for i, m in enumerate(self.class_means_dp)]
             counts.append(("class means", len(self.class_means_dp)))
         for name, array, shape in shapes:
             if np.shape(array) != shape:
                 raise DataError(f"model {name} has shape {np.shape(array)}, expected {shape}")
+            if not np.all(np.isfinite(array)):
+                raise DataError(f"model {name} holds a non-finite value")
         for name, count in counts:
             if count != blocks:
                 raise DataError(f"{self.mode} model has {count} {name}, expected {blocks}")
@@ -169,32 +166,14 @@ class RonGaussModel:
             # `Generator.choice` accepts a sum within about 1.5e-8 of 1
             if not (blocks and np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-8):
                 raise DataError(f"model class weights {weights.tolist()} are not a distribution")
-
-        label = self.schema.label_index
-        label_name = self.schema.columns[label].name if label is not None else None
-        if self.label_name != label_name:
-            raise DataError(f"model label {self.label_name!r} is not the schema's {label_name!r}")
-        modelled = [c for c in self.schema.columns
-                    if self.mode == MODE_UNSUPERVISED or c.name != label_name]
-        offset = 0
-        for i, (col, code) in enumerate(zip(modelled, self.encoding)):
-            coords = tuple(range(offset, offset + (len(col.levels) if col.kind == CATEGORICAL else 1)))
-            if (code.name, code.kind, code.coords) != (col.name, col.kind, coords):
-                raise DataError(f"model encoding {i} is {code.name} {code.kind} at {list(code.coords)}, "
-                                f"expected {col.name} {col.kind} at {list(coords)}")
-            offset += len(coords)
-        if len(self.encoding) != len(modelled) or offset != self.d_eff - 1:
-            raise DataError(f"model encoding has {len(self.encoding)} columns at {offset} coordinates, "
-                            f"expected {len(modelled)} at d_eff - 1 = {self.d_eff - 1}")
         if len(self.postprocess) != self.schema.d:
             raise DataError(f"model has {len(self.postprocess)} post-processing entries, "
                             f"expected one per schema column ({self.schema.d})")
         for col, post in zip(self.schema.columns, self.postprocess):
-            if (post.name, post.kind) != (col.name, col.kind):
-                raise DataError(f"model post-processing entry {post.name} {post.kind} stands "
-                                f"where the schema has {col.name} {col.kind}")
-            if post.kind == CONTINUOUS and len(post.quantile_grid) == 0:
-                raise DataError(f"model post-processing of {post.name} has an empty quantile grid")
+            if not np.all(np.isfinite([post.rate, *post.quantile_grid])):
+                raise DataError(f"model post-processing of {col.name} holds a non-finite value")
+            if col.kind == CONTINUOUS and len(post.quantile_grid) == 0:
+                raise DataError(f"model post-processing of {col.name} has an empty quantile grid")
 
 
 def resolve_mode(schema: Schema, mode: str) -> str:
@@ -206,51 +185,64 @@ def resolve_mode(schema: Schema, mode: str) -> str:
     return MODE_CLASSIFICATION if schema.columns[idx].kind == BINARY else MODE_REGRESSION
 
 
+def layout(schema: Schema, mode: str) -> tuple[dict[int, slice], int]:
+    """The rows of the expanded matrix each modelled column fills, by schema
+    index, and d_eff. Every column is modelled except the label outside
+    unsupervised mode, which must be binary or categorical to classify
+    and continuous to regress; a categorical column takes one row per
+    level, every other column one row, and the constant anchor row comes
+    last."""
+    label = schema.label_index
+    kind = schema.columns[label].kind if label is not None else None
+    if mode == MODE_CLASSIFICATION and kind not in (BINARY, CATEGORICAL):
+        raise SchemaError("classification mode needs a binary or categorical label column")
+    if mode == MODE_REGRESSION and kind != CONTINUOUS:
+        raise SchemaError("regression mode needs a continuous label column")
+    rows = {}
+    offset = 0
+    for j, col in enumerate(schema.columns):
+        if j == label and mode != MODE_UNSUPERVISED:
+            continue
+        width = len(col.levels) if col.kind == CATEGORICAL else 1
+        rows[j] = slice(offset, offset + width)
+        offset += width
+    return rows, offset + 1
+
+
 def pre_normalize(dataset: Dataset, categorical_noise_sigma: float, seed,
-                  columns=None) -> tuple[np.ndarray, tuple[ColumnCoding, ...]]:
-    """Expand columns into a d_eff x n matrix of unit-norm sample vectors.
+                  mode: str = MODE_UNSUPERVISED) -> np.ndarray:
+    """Expand the columns `mode` models into a d_eff x n matrix of unit-norm
+    sample vectors, at the rows `layout` gives them.
 
     Categorical columns become one-hot blocks with zero-mean Gaussian
     noise of the given std added to every one-hot entry; binary columns
     map to one coordinate unchanged; continuous columns map to one
     coordinate min-max scaled into [0, 1] so that no single column
-    dominates the sample norm. A constant anchor coordinate 1 is
-    appended to every sample (an all-zero row would otherwise have no
-    direction), then every sample (column of the result) is scaled to
-    unit Euclidean norm.
+    dominates the sample norm. The constant anchor coordinate 1 (an
+    all-zero row would otherwise have no direction) fills the last row,
+    then every sample (column of the result) is scaled to unit Euclidean
+    norm.
     """
     rng = np.random.default_rng(seed)
-    if columns is None:
-        columns = range(dataset.schema.d)
-    specs = [(j, dataset.schema.columns[j]) for j in columns]
-    d_eff = sum(len(col.levels) if col.kind == CATEGORICAL else 1 for _, col in specs) + 1
+    rows, d_eff = layout(dataset.schema, mode)
     X = np.empty((d_eff, dataset.n))
-    coding = []
-    offset = 0
-    for j, col in specs:
+    for j, at in rows.items():
+        kind = dataset.schema.columns[j].kind
         v = dataset.values[:, j]
-        if col.kind == CATEGORICAL:
-            k = len(col.levels)
-            block = X[offset:offset + k]
+        if kind == CATEGORICAL:
+            block = X[at]
             block[:] = 0.0
             block[v.astype(int), np.arange(dataset.n)] = 1.0
             if categorical_noise_sigma > 0:
                 block += rng.normal(0.0, categorical_noise_sigma, size=block.shape)
-            coords = tuple(range(offset, offset + k))
-            coding.append(ColumnCoding(col.name, CATEGORICAL, coords, levels=col.levels))
-            offset += k
-        elif col.kind == CONTINUOUS:
-            lo, hi = float(v.min()), float(v.max())
-            X[offset] = (v - lo) / (hi - lo) if hi > lo else 0.5
-            coding.append(ColumnCoding(col.name, CONTINUOUS, (offset,), lo=lo, hi=hi))
-            offset += 1
+        elif kind == CONTINUOUS:
+            lo, hi = v.min(), v.max()
+            X[at] = (v - lo) / (hi - lo) if hi > lo else 0.5
         else:
-            X[offset] = v
-            coding.append(ColumnCoding(col.name, col.kind, (offset,)))
-            offset += 1
-    X[offset] = 1.0
+            X[at] = v
+    X[-1] = 1.0
     X /= np.linalg.norm(X, axis=0)
-    return X, tuple(coding)
+    return X
 
 
 def center_and_renormalize(X: np.ndarray, budget: PrivacyBudget, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -288,16 +280,16 @@ def make_ron(d: int, p: int, seed) -> RonProjection:
         if np.any(np.abs(diag) < 1e-12):
             continue  # numerically rank deficient; probability ~ 0
         Q = Q * np.sign(diag)[None, :]
-        return RonProjection(W=Q[:, :p], d=d, p=p)
+        return RonProjection(W=Q[:, :p])
 
 
 def _column_post(col: ColumnSpec, values: np.ndarray, points: int) -> ColumnPost:
     if col.kind == BINARY:
-        return ColumnPost(col.name, BINARY, rate=float(values.mean()))
+        return ColumnPost(rate=float(values.mean()))
     if col.kind == CONTINUOUS:
         grid = interp_quantiles(np.sort(values), np.linspace(0.0, 1.0, points))
-        return ColumnPost(col.name, CONTINUOUS, quantile_grid=tuple(grid))
-    return ColumnPost(col.name, CATEGORICAL)
+        return ColumnPost(quantile_grid=tuple(grid))
+    return ColumnPost()
 
 
 def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
@@ -311,20 +303,12 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
     mode = resolve_mode(dataset.schema, config.mode)
     schema = dataset.schema
     label_idx = schema.label_index
-    if mode == MODE_CLASSIFICATION:
-        if label_idx is None or schema.columns[label_idx].kind not in (BINARY, CATEGORICAL):
-            raise SchemaError("classification mode needs a binary or categorical label column")
-    if mode == MODE_REGRESSION:
-        if label_idx is None or schema.columns[label_idx].kind != CONTINUOUS:
-            raise SchemaError("regression mode needs a continuous label column")
-
-    modeled = [j for j in range(schema.d) if mode == MODE_UNSUPERVISED or j != label_idx]
     seq = np.random.SeedSequence(config.seed)
     rng_noise, rng_mu, rng_ron, rng_cov, rng_weights = (
         np.random.default_rng(s) for s in seq.spawn(5)
     )
 
-    X, coding = pre_normalize(dataset, CATEGORICAL_NOISE_SIGMA, rng_noise, columns=modeled)
+    X = pre_normalize(dataset, CATEGORICAL_NOISE_SIGMA, rng_noise, mode)
     d_eff = X.shape[0]
     p = config.p if config.p is not None else min(d_eff - 1, 8)
     if not 1 <= p < d_eff:
@@ -338,7 +322,6 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
 
     posts = tuple(_column_post(schema.columns[j], dataset.values[:, j], config.quantile_points)
                   for j in range(schema.d))
-    label_name = schema.columns[label_idx].name if label_idx is not None else None
 
     if mode == MODE_CLASSIFICATION:
         labels = dataset.values[:, label_idx]
@@ -386,11 +369,9 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
             weights = np.full(k, 1.0 / k)
         weights = weights / weights.sum()
         return RonGaussModel(
-            mode=mode, schema=schema, encoding=coding, d_eff=d_eff,
-            projection=projection, mu_dp=mu, sigma_dp=tuple(sigmas),
-            postprocess=posts, label_name=label_name,
-            class_values=class_values, class_weights_dp=weights,
-            class_means_dp=tuple(means),
+            mode=mode, schema=schema, projection=projection, mu_dp=mu,
+            sigma_dp=tuple(sigmas), postprocess=posts, class_values=class_values,
+            class_weights_dp=weights, class_means_dp=tuple(means),
         )
 
     if mode == MODE_REGRESSION:
@@ -403,18 +384,12 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
         )
         joint[:p, p] = joint[p, :p] = (Xp @ y) / n
         joint[p, p] = (y @ y) / n + max(0.0, float(laplace_sample(scale, rng_cov)))
-        return RonGaussModel(
-            mode=mode, schema=schema, encoding=coding, d_eff=d_eff,
-            projection=projection, mu_dp=mu, sigma_dp=(psd_repair(joint),),
-            postprocess=posts, label_name=label_name,
-        )
+        return RonGaussModel(mode=mode, schema=schema, projection=projection, mu_dp=mu,
+                             sigma_dp=(psd_repair(joint),), postprocess=posts)
 
     sigma = dp_covariance(Xp, config.budget.epsilon_sigma, rng_cov)
-    return RonGaussModel(
-        mode=mode, schema=schema, encoding=coding, d_eff=d_eff,
-        projection=projection, mu_dp=mu, sigma_dp=(sigma,),
-        postprocess=posts, label_name=label_name,
-    )
+    return RonGaussModel(mode=mode, schema=schema, projection=projection, mu_dp=mu,
+                         sigma_dp=(sigma,), postprocess=posts)
 
 
 def _class_noise_overflow(epsilon_sigma: float, value: float, moment: str) -> str:
@@ -481,7 +456,8 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
     elif model.mode == MODE_REGRESSION:
         joint = _gaussian_draws(model.sigma_dp[0], n_out, rng)
         projected = joint[:p]
-        label_values = joint[p]
+        grid = model.postprocess[model.schema.label_index].quantile_grid
+        label_values = np.clip(joint[p], grid[0], grid[-1])
     else:
         projected = _gaussian_draws(model.sigma_dp[0], n_out, rng)
 
@@ -489,27 +465,18 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
     del projected
     coords += model.mu_dp[:, None]
 
-    posts = {post.name: post for post in model.postprocess}
+    rows = layout(model.schema, model.mode)[0]
     out = np.empty((n_out, model.schema.d))
-    coding = {c.name: c for c in model.encoding}
-    for j, col in enumerate(model.schema.columns):
-        if model.label_name is not None and col.name == model.label_name and model.mode != MODE_UNSUPERVISED:
-            if model.mode == MODE_CLASSIFICATION:
-                out[:, j] = label_values
-            else:
-                grid = np.asarray(posts[col.name].quantile_grid)
-                out[:, j] = np.clip(label_values, grid[0], grid[-1])
-            continue
-        code = coding[col.name]
-        block = coords[list(code.coords)]
-        if col.kind == CATEGORICAL:
-            out[:, j] = np.argmax(block, axis=0)
+    for j, (col, post) in enumerate(zip(model.schema.columns, model.postprocess)):
+        if j not in rows:  # the label, drawn above
+            out[:, j] = label_values
+        elif col.kind == CATEGORICAL:
+            out[:, j] = np.argmax(coords[rows[j]], axis=0)
         elif col.kind == BINARY:
-            out[:, j] = _threshold_by_rate(block[0], posts[col.name].rate)
+            out[:, j] = _threshold_by_rate(coords[rows[j].start], post.rate)
         else:
-            grid = np.asarray(posts[col.name].quantile_grid)
-            raw = block[0] * (code.hi - code.lo) + code.lo
-            out[:, j] = _match_quantiles(raw, grid)
+            grid = np.asarray(post.quantile_grid)
+            out[:, j] = _match_quantiles(coords[rows[j].start] * (grid[-1] - grid[0]) + grid[0], grid)
     del coords, label_values  # freed before Dataset copies `out`
     return Dataset(model.schema, out)
 

@@ -88,17 +88,14 @@ def test_read_audit_names_the_path_of_a_file_that_is_not_utf8(tmp_path, capsys):
 
 
 def _continuous_f0(record):
-    """f0 made continuous in the schema, the encoding and the post-processing
-    alike, with an empty quantile grid."""
+    """f0 declared continuous in the schema, where its post-processing entry,
+    made for a binary column, has no quantile grid."""
     record["schema"] = record["schema"].replace("f0 binary", "f0 continuous")
-    record["encoding"][0]["kind"] = "continuous"
-    record["post"][0].update(kind="continuous", quantile_grid=[])
 
 
 # edits of the JSON model record of the fixture's classification audit
 # (d_eff 5, p 4, two classes), and the error each must raise
 CORRUPTIONS = {
-    "no label line": (lambda r: r.pop("label"), r"field 'label': missing 'label'"),
     "no class mean": (lambda r: r["class_means"].pop(),
                       r"classification model has 1 class means, expected 2"),
     "short class mean": (lambda r: r["class_means"][0].__delitem__(slice(2, None)),
@@ -109,22 +106,31 @@ CORRUPTIONS = {
     "missing sigma row": (lambda r: r["sigma"][0].pop(), r"sigma 0 has shape \(3, 4\), expected \(4, 4\)"),
     "ragged sigma": (lambda r: r["sigma"][1][0].pop(),
                      r"field 'sigma': setting an array element with a sequence"),
-    "regression sizes": (lambda r: r.update(mode="regression"),
+    "regression sizes": (lambda r: r.update(mode="regression",
+                                            schema=r["schema"].replace("y binary", "y continuous")),
                          r"sigma 0 has shape \(4, 4\), expected \(5, 5\)"),
+    "regression on a binary label": (lambda r: r.update(mode="regression"),
+                                     r"regression mode needs a continuous label column"),
+    # unsupervised mode also models the label, so the layout needs one row more
     "unsupervised blocks": (lambda r: r.update(mode="unsupervised"),
-                            r"unsupervised model has 2 covariance blocks, expected 1"),
+                            r"W has shape \(5, 4\), expected \(6, 4\)"),
     "unknown mode": (lambda r: r.update(mode="auto"), r"unknown mode 'auto'"),
-    "not a number": (lambda r: r.update(d_eff="five"), r"field 'd_eff': invalid literal"),
-    "short encoding": (lambda r: r["encoding"][0].pop("coords"), r"field 'encoding': missing 'coords'"),
-    "coordinate out of range": (lambda r: r["encoding"][0].update(coords=[9]),
-                                r"encoding 0 is f0 binary at \[9\], expected f0 binary at \[0\]"),
-    "post not in schema": (lambda r: r["post"][1].update(name="f9"),
-                           r"entry f9 binary stands where the schema has f1 binary"),
+    "not a number": (lambda r: r.update(class_values=["x"]),
+                     r"field 'class_values': could not convert string to float: 'x'"),
+    "extra schema column": (lambda r: r.update(schema=r["schema"] + "f9 binary feature\n"),
+                            r"W has shape \(5, 4\), expected \(6, 4\)"),
+    "short post": (lambda r: r["post"].pop(),
+                   r"model has 4 post-processing entries, expected one per schema column \(5\)"),
     "empty grid": (_continuous_f0, r"post-processing of f0 has an empty quantile grid"),
     "weights off one": (lambda r: r["class_weights"].__setitem__(0, 0.9),
                         r"class weights \[0.9, .*\] are not a distribution"),
     "no classes": (lambda r: r.update(class_values=[], class_weights=[], class_means=[], sigma=[]),
                    r"class weights \[\] are not a distribution"),
+    "NaN sigma": (lambda r: r["sigma"][1][2].__setitem__(3, float("nan")),
+                  r"model sigma 1 holds a non-finite value"),
+    "infinite W": (lambda r: r["W"][4].__setitem__(0, float("-inf")), r"model W holds a non-finite value"),
+    "NaN rate": (lambda r: r["post"][2].update(rate=float("nan")),
+                 r"post-processing of f2 holds a non-finite value"),
 }
 
 
@@ -146,24 +152,30 @@ def test_malformed_model_fails_naming_the_path(tmp_path, artifacts, capsys, name
     assert re.search(error, err)
 
 
-def test_regression_model_round_trip():
-    r = np.random.default_rng(0)
+@pytest.mark.parametrize("mode", ["unsupervised", "classification", "regression"])
+def test_model_round_trip_in_each_mode(mode):
+    # a categorical column shifts every later column's rows, and only the
+    # unsupervised layout models the label
     from ffpdg.data import (
-        BINARY, CONTINUOUS, ColumnSpec, Dataset, ROLE_LABEL, ROLE_PROTECTED, Schema,
+        BINARY, CATEGORICAL, CONTINUOUS, ColumnSpec, Dataset, ROLE_LABEL, ROLE_PROTECTED, Schema,
     )
     from ffpdg.rongauss import fit
 
+    r = np.random.default_rng(0)
     x = r.random((400, 2))
+    color = r.integers(0, 3, 400).astype(float)
     c = (r.random(400) < 0.5).astype(float)
     y = x @ np.array([1.0, -2.0]) + r.normal(0, 0.1, 400)
+    label = ColumnSpec("y", CONTINUOUS, role=ROLE_LABEL)
+    if mode == "classification":
+        label, y = ColumnSpec("y", BINARY, role=ROLE_LABEL), (y > np.median(y)).astype(float)
     ds = Dataset(
-        Schema((ColumnSpec("x0", CONTINUOUS), ColumnSpec("x1", CONTINUOUS),
-                ColumnSpec("c", BINARY, role=ROLE_PROTECTED),
-                ColumnSpec("y", CONTINUOUS, role=ROLE_LABEL))),
-        np.column_stack([x, c, y]),
+        Schema((ColumnSpec("x0", CONTINUOUS), ColumnSpec("color", CATEGORICAL, levels=("r", "g", "b")),
+                ColumnSpec("x1", CONTINUOUS), ColumnSpec("c", BINARY, role=ROLE_PROTECTED), label)),
+        np.column_stack([x[:, 0], color, x[:, 1], c, y]),
     )
-    model = fit(ds, GenerationConfig(budget=PrivacyBudget.from_total(10.0),
-                                     seed=2, mode="regression"))
+    model = fit(ds, GenerationConfig(budget=PrivacyBudget.from_total(10.0), seed=2, mode=mode))
+    assert model.d_eff == (8 if mode == "unsupervised" else 7)
     rebuilt = parse_model_section(model_section(model))
     a = sample(model, 200, seed=5)
     b = sample(rebuilt, 200, seed=5)

@@ -143,8 +143,8 @@ def test_generate_maps_every_flag_into_the_run(mixed_dir, capsys):
                                    "mode", "seed", "rate")} == {
         "epsilon": "3", "eps_mu": "1", "eps_sigma": "2", "p": "3", "n_out": "250",
         "bins": "2", "mode": "unsupervised", "seed": "4", "rate": "0.90000000000000002"}
-    post = next(post for post in parsed["model"].postprocess if post.name == "height")
-    assert len(post.quantile_grid) == 17
+    model = parsed["model"]
+    assert len(model.postprocess[model.schema.index_of("height")].quantile_grid) == 17
     assert "rows=250" in capsys.readouterr().out
 
 

@@ -76,13 +76,19 @@ def test_difference_names_what_differs(tmp_path):
 
 
 def test_model_lines_print_every_field_by_value():
-    from ffpdg.rongauss import ColumnPost
+    from types import SimpleNamespace as Fields
 
-    post = ColumnPost("h", "continuous", quantile_grid=(np.float64(0.1), 2.0))
-    assert load_script().model_lines([post, np.array([[1.5, -0.0]]), None], "m") == [
-        "m[0].name='h'", "m[0].kind='continuous'", "m[0].rate=0.0",
-        "m[0].quantile_grid[0]=0.1", "m[0].quantile_grid[1]=2.0",
-        "m[1][0][0]=1.5", "m[1][0][1]=-0.0", "m[2]=None"]
+    model = Fields(
+        mode="regression", d_eff=2, projection=Fields(p=1, W=np.array([[1.5], [-0.0]])),
+        mu_dp=np.array([0.25, 0.1]), sigma_dp=(np.eye(1),), class_values=(), class_weights_dp=None,
+        class_means_dp=(), postprocess=(Fields(rate=np.float64(0.5), quantile_grid=()),
+                                        Fields(rate=0.0, quantile_grid=(np.float64(0.1), 2.0))))
+    assert load_script().model_lines(model) == [
+        "model.mode='regression'", "model.d_eff=2", "model.projection.p=1",
+        "model.projection.W[0][0]=1.5", "model.projection.W[1][0]=-0.0",
+        "model.mu_dp[0]=0.25", "model.mu_dp[1]=0.1", "model.sigma_dp[0][0][0]=1.0",
+        "model.class_weights_dp=None", "model.postprocess[0].rate=0.5", "model.postprocess[1].rate=0.0",
+        "model.postprocess[1].quantile_grid[0]=0.1", "model.postprocess[1].quantile_grid[1]=2.0"]
 
 
 def test_difference_names_a_differing_evaluate_output(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from conftest import binary_group_dataset, mixed_dataset
 from ffpdg.data import (
     BINARY,
+    CATEGORICAL,
     CONTINUOUS,
     ColumnSpec,
     Dataset,
@@ -18,12 +19,14 @@ from ffpdg.dp import PrivacyBudget
 from ffpdg.errors import DataError, SchemaError, StageError
 from ffpdg.rongauss import (
     CATEGORICAL_NOISE_SIGMA,
+    _column_post,
     _match_quantiles,
     GenerationConfig,
     center_and_renormalize,
     fit,
     generate,
     generate_with_artifacts,
+    layout,
     make_ron,
     pre_normalize,
     resolve_mode,
@@ -68,33 +71,72 @@ def test_projection_never_expands_distances():
     )
 
 
+def _continuous_label(ds):
+    """ds with its binary label declared continuous, for regression mode."""
+    *features, label = ds.schema.columns
+    return Dataset(Schema((*features, ColumnSpec(label.name, CONTINUOUS, role=ROLE_LABEL))), ds.values)
+
+
 def test_pre_normalize_layout_and_unit_norms():
-    ds = mixed_dataset(100, seed=5)
-    X, coding = pre_normalize(ds, categorical_noise_sigma=0.0, seed=0)
-    # 1 continuous + 3 one-hot + 2 binary + anchor
-    assert X.shape == (7, 100)
-    assert np.allclose(np.linalg.norm(X, axis=0), 1.0, atol=1e-12)
-    names = [c.name for c in coding]
-    assert names == ["height", "color", "member", "outcome"]
-    cont = coding[0]
-    assert (cont.lo, cont.hi) == (ds.values[:, 0].min(), ds.values[:, 0].max())
-    # noiseless one-hot: the argmax coordinate recovers the level
-    onehot = X[list(coding[1].coords)]
-    assert np.array_equal(np.argmax(onehot, axis=0), ds.values[:, 1].astype(int))
-    # anchor row is the last coordinate and positive everywhere
-    assert np.all(X[-1] > 0)
+    mixed = mixed_dataset(100, seed=5)
+    # 1 continuous + 3 one-hot + 2 binary + anchor, and the label row in
+    # unsupervised mode only
+    for mode, d_eff in (("unsupervised", 7), ("classification", 6), ("regression", 6)):
+        ds = _continuous_label(mixed) if mode == "regression" else mixed
+        rows, d = layout(ds.schema, mode)
+        X = pre_normalize(ds, categorical_noise_sigma=0.0, seed=0, mode=mode)
+        assert d == d_eff and X.shape == (d_eff, 100)
+        assert np.allclose(np.linalg.norm(X, axis=0), 1.0, atol=1e-12)
+        # noiseless one-hot: the argmax row recovers the level
+        assert np.array_equal(np.argmax(X[rows[1]], axis=0), ds.values[:, 1].astype(int))
+        # min-max scaling keeps the continuous row's order
+        height = ds.values[:, 0]
+        assert np.argmin(X[rows[0]][0] / X[-1]) == np.argmin(height)
+        assert np.argmax(X[rows[0]][0] / X[-1]) == np.argmax(height)
+        # anchor row is the last row and positive everywhere
+        assert np.all(X[-1] > 0)
 
 
 def test_pre_normalize_column_subset():
+    # the mode picks the modelled columns: the label only in unsupervised
+    # mode; a categorical column takes a row per level, the anchor the last
     ds = mixed_dataset(50, seed=6)
-    X, coding = pre_normalize(ds, 0.0, seed=0, columns=[0, 2])
-    assert [c.name for c in coding] == ["height", "member"]
-    assert X.shape == (3, 50)  # 1 + 1 + anchor
+    features = {0: slice(0, 1), 1: slice(1, 4), 2: slice(4, 5)}
+    assert layout(ds.schema, "unsupervised") == ({**features, 3: slice(5, 6)}, 7)
+    assert layout(ds.schema, "classification") == (features, 6)
+    assert layout(_continuous_label(ds).schema, "regression") == (features, 6)
+    # a mode whose label the schema lacks has no layout
+    with pytest.raises(SchemaError, match="regression mode needs a continuous label"):
+        layout(ds.schema, "regression")
+    with pytest.raises(SchemaError, match="classification mode needs a binary or categorical label"):
+        layout(_continuous_label(ds).schema, "classification")
+    first = Schema((ColumnSpec("y", CATEGORICAL, role=ROLE_LABEL, levels=("a", "b", "c")),
+                    ColumnSpec("c", BINARY, role=ROLE_PROTECTED)))
+    assert layout(first, "unsupervised") == ({0: slice(0, 3), 1: slice(3, 4)}, 5)
+    assert layout(first, "classification") == ({1: slice(0, 1)}, 2)
+    ds = Dataset(first, np.array([[0.0, 1.0], [2.0, 0.0]]))
+    assert pre_normalize(ds, 0.0, seed=0, mode="classification").shape == (2, 2)
+
+
+@pytest.mark.parametrize("points", [2, 257])
+def test_quantile_grid_ends_at_the_exact_min_and_max(points):
+    # sampling rescales a continuous coordinate by the grid's endpoints, so
+    # they must be the training min and max exactly
+    r = np.random.default_rng(points)
+    columns = [np.array([3.25]), np.array([-1e300]), np.full(5, 7.0), np.array([2.0, -1.0, 2.0, -1.0]),
+               np.array([1e-300, -1e300, 1e300, 5e-324, 0.0, -0.0]), np.array([-5e-324, 1e-300, -1e-300])]
+    for n in (1, 2, 3, 10, 100, 1000):
+        magnitudes = 10.0 ** r.uniform(-300, 300, size=n) * r.choice([-1.0, 1.0], size=n)
+        columns += [magnitudes, r.choice(magnitudes[:3], size=n), r.normal(size=n)]
+    for values in columns:
+        grid = _column_post(ColumnSpec("x", CONTINUOUS), values, points).quantile_grid
+        assert len(grid) == points
+        assert grid[0] == values.min() and grid[-1] == values.max()
 
 
 def test_center_and_renormalize_recovers_mean_at_loose_budget():
     ds = mixed_dataset(300, seed=7)
-    X, _ = pre_normalize(ds, 0.01, seed=1)
+    X = pre_normalize(ds, 0.01, seed=1)
     Xbar, mu = center_and_renormalize(X, LOOSE, seed=2)
     assert np.abs(mu - X.mean(axis=1)).max() < 1e-6
     assert np.allclose(np.linalg.norm(Xbar, axis=0), 1.0, atol=1e-12)
@@ -170,7 +212,7 @@ def test_fitted_covariance_matches_projected_second_moment():
 
     seq = np.random.SeedSequence(21)
     rng_noise, rng_mu, rng_ron, _, _ = (np.random.default_rng(s) for s in seq.spawn(5))
-    X, _ = pre_normalize(ds, CATEGORICAL_NOISE_SIGMA, rng_noise)
+    X = pre_normalize(ds, CATEGORICAL_NOISE_SIGMA, rng_noise)
     Xbar, _ = center_and_renormalize(X, config.budget, rng_mu)
     W = make_ron(X.shape[0], 4, rng_ron).W
     assert np.array_equal(W, model.projection.W)
