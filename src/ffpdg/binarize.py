@@ -1,8 +1,8 @@
 """Discretization of datasets into binary codes and inversion back to rows.
 
-A CodeBook remembers how each source column maps to bits (quantile
-thresholds for continuous columns, identity for binary, one-hot for
-categorical) and which original rows produced each observed code. Only
+A CodeBook holds the schema, each continuous column's quantile
+thresholds and the observed code -> source rows dictionary; the bit layout
+follows from the schema and the thresholds (`CodeBook.bits`). Only
 observed codes can be inverted: each maps back to one of its own rows.
 
 This module alone decides how a code is keyed. `pack_codes` packs each
@@ -21,63 +21,57 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BINARY, CATEGORICAL, CONTINUOUS, ColumnSpec, Dataset, Schema, interp_quantiles
-from .errors import DataError, SchemaError
-
-
-@dataclass(frozen=True)
-class BitGroup:
-    """Bits produced by one source column."""
-
-    column: str
-    kind: str
-    bit_indices: tuple[int, ...]
-    thresholds: tuple[float, ...] = ()  # continuous only, one per bit
-    levels: tuple[str, ...] = ()        # categorical only, one per bit
+from .errors import DataError
 
 
 @dataclass(frozen=True)
 class CodeBook:
     """Bit layout plus the observed code -> source rows dictionary.
 
-    Entry i is the code `keys[i]`, whose packed key (see pack_codes) is
-    `packed[i]`; `counts[i]` source rows carry it, listed in ascending
+    A code is stored once, as a row of `keys`; its width `m`, its packed
+    key (see pack_codes) and its row count are derived from it. Entry i
+    is the code `keys[i]`, carried by the source rows listed in ascending
     order in `row_order[row_starts[i]:row_starts[i + 1]]` (compressed
     sparse rows: one index array, one offset per entry plus the end).
-    Entries are sorted by packed key, which is the lexicographic order of
-    the codes.
+    Entries are sorted lexicographically.
     """
 
     schema: Schema
-    m: int
-    bit_layout: tuple[BitGroup, ...]
+    thresholds: tuple[tuple[float, ...], ...]  # one per column; empty unless continuous
     keys: np.ndarray        # (k, m) uint8, lexicographically sorted, unique
-    packed: np.ndarray      # (k,) np.void packed keys, same order
-    counts: np.ndarray      # (k,) source rows per key
     row_order: np.ndarray   # (n,) indices into `rows`, grouped by key
     row_starts: np.ndarray  # (k + 1,) offsets of each key's group in row_order
     rows: np.ndarray        # original-space values the indices point into
 
+    @property
+    def m(self) -> int:
+        return self.keys.shape[1]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Source rows per entry."""
+        return np.diff(self.row_starts)
+
     def entry_count(self) -> int:
         return len(self.keys)
 
-    def bit_for_column(self, index: int) -> int:
-        """Bit index of a single-bit (binary) source column."""
-        group = self.bit_layout[index]
-        if len(group.bit_indices) != 1:
-            raise SchemaError(f"column {group.column!r} maps to {len(group.bit_indices)} bits")
-        return group.bit_indices[0]
+    def bits(self, j: int) -> range:
+        """Bit indices of schema column j: one per level of a categorical
+        column, one per threshold of a continuous one, one for a binary one."""
+        widths = [len(col.levels) or len(t) or 1 for col, t in zip(self.schema.columns, self.thresholds)]
+        return range(sum(widths[:j]), sum(widths[:j + 1]))
 
     def summary(self) -> str:
         """Human-readable layout and entry counts for audit output."""
         lines = [f"bits={self.m} entries={self.entry_count()} rows={len(self.rows)}"]
-        for g in self.bit_layout:
+        for j, col in enumerate(self.schema.columns):
             detail = ""
-            if g.kind == CONTINUOUS:
-                detail = " thresholds=" + ",".join(format(t, ".6g") for t in g.thresholds)
-            elif g.kind == CATEGORICAL:
-                detail = " levels=" + ",".join(g.levels)
-            bits = ",".join(str(b) for b in g.bit_indices)
-            lines.append(f"column={g.column} kind={g.kind} bits={bits}{detail}")
+            if col.kind == CONTINUOUS:
+                detail = " thresholds=" + ",".join(format(t, ".6g") for t in self.thresholds[j])
+            elif col.kind == CATEGORICAL:
+                detail = " levels=" + ",".join(col.levels)
+            bits = ",".join(str(b) for b in self.bits(j))
+            lines.append(f"column={col.name} kind={col.kind} bits={bits}{detail}")
         return "\n".join(lines)
 
 
@@ -117,22 +111,15 @@ def distinct_codes(bits):
     return packed[first], first, order, starts
 
 
-def _column_bits(col: ColumnSpec, values: np.ndarray, bins: int, offset: int):
-    """Binarize one column; returns (bits matrix, BitGroup)."""
+def _column_bits(col: ColumnSpec, values: np.ndarray, bins: int):
+    """Binarize one column; returns (bits matrix, thresholds)."""
     if col.kind == BINARY:
-        bits = values[:, None].astype(np.uint8)
-        group = BitGroup(col.name, BINARY, (offset,))
-    elif col.kind == CATEGORICAL:
-        k = len(col.levels)
-        bits = np.zeros((len(values), k), dtype=np.uint8)
-        bits[np.arange(len(values)), values.astype(int)] = 1
-        group = BitGroup(col.name, CATEGORICAL, tuple(range(offset, offset + k)), levels=col.levels)
-    else:
-        levels = [(j + 1) / (bins + 1) for j in range(bins)]
-        thresholds = tuple(float(t) for t in interp_quantiles(np.sort(values), levels))
-        bits = (values[:, None] >= np.asarray(thresholds)[None, :]).astype(np.uint8)
-        group = BitGroup(col.name, CONTINUOUS, tuple(range(offset, offset + bins)), thresholds=thresholds)
-    return bits, group
+        return values[:, None].astype(np.uint8), ()
+    if col.kind == CATEGORICAL:
+        return (values[:, None] == np.arange(len(col.levels))).astype(np.uint8), ()
+    levels = [(j + 1) / (bins + 1) for j in range(bins)]
+    thresholds = tuple(float(t) for t in interp_quantiles(np.sort(values), levels))
+    return (values[:, None] >= np.asarray(thresholds)).astype(np.uint8), thresholds
 
 
 def build_codebook(dataset: Dataset, bins_per_continuous: int = 1) -> tuple[np.ndarray, CodeBook]:
@@ -145,23 +132,14 @@ def build_codebook(dataset: Dataset, bins_per_continuous: int = 1) -> tuple[np.n
     """
     if bins_per_continuous < 1:
         raise DataError("bins_per_continuous must be >= 1")
-    blocks = []
-    layout = []
-    offset = 0
-    for j, col in enumerate(dataset.schema.columns):
-        bits, group = _column_bits(col, dataset.values[:, j], bins_per_continuous, offset)
-        blocks.append(bits)
-        layout.append(group)
-        offset += bits.shape[1]
-    binary = np.hstack(blocks)
-    packed, first, order, starts = distinct_codes(binary)
+    columns = [_column_bits(col, dataset.values[:, j], bins_per_continuous)
+               for j, col in enumerate(dataset.schema.columns)]
+    binary = np.hstack([bits for bits, _ in columns])
+    _, first, order, starts = distinct_codes(binary)
     codebook = CodeBook(
         schema=dataset.schema,
-        m=binary.shape[1],
-        bit_layout=tuple(layout),
+        thresholds=tuple(thresholds for _, thresholds in columns),
         keys=binary[first],
-        packed=packed,
-        counts=np.diff(starts),
         row_order=order,
         row_starts=starts,
         rows=dataset.values,
@@ -173,7 +151,7 @@ def decode_codes(codes: np.ndarray, codebook: CodeBook, seed: int) -> np.ndarray
     """Invert a batch of observed codes to original-space rows.
 
     The queries are packed, grouped by distinct code (distinct_codes) and
-    matched to the codebook's packed keys by np.searchsorted; a code the
+    matched to the packed codebook keys by np.searchsorted; a code the
     codebook does not hold raises DataError. One stable argsort of the
     exact uint64 key `entry << 32 | 32 random bits` shuffles every
     entry's row_order slice at once. The j-th query of an entry, counting
@@ -186,8 +164,9 @@ def decode_codes(codes: np.ndarray, codebook: CodeBook, seed: int) -> np.ndarray
     if codes.ndim != 2 or codes.shape[1] != codebook.m:
         raise DataError(f"codes must be (n, {codebook.m})")
     uniq, _, where_order, where_starts = distinct_codes(codes)
-    entry = np.minimum(np.searchsorted(codebook.packed, uniq), codebook.entry_count() - 1)
-    unseen = int(np.count_nonzero(codebook.packed[entry] != uniq))
+    packed = pack_codes(codebook.keys)
+    entry = np.minimum(np.searchsorted(packed, uniq), codebook.entry_count() - 1)
+    unseen = int(np.count_nonzero(packed[entry] != uniq))
     if unseen:
         raise DataError(f"{unseen} of {len(uniq)} distinct codes are not in the codebook")
     counts = codebook.counts

@@ -16,26 +16,28 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """Total epsilon and its split between the mean and covariance queries."""
+    """The epsilon of the mean and of the covariance queries; the total is
+    their sum, the epsilon actually spent."""
 
-    epsilon_total: float
     epsilon_mu: float
     epsilon_sigma: float
 
     def __post_init__(self):
-        if not all(map(np.isfinite, (self.epsilon_total, self.epsilon_mu, self.epsilon_sigma))):
+        if not all(map(np.isfinite, (self.epsilon_mu, self.epsilon_sigma, self.epsilon_total))):
             raise DataError("all epsilon values must be finite")
-        if self.epsilon_total <= 0 or self.epsilon_mu <= 0 or self.epsilon_sigma <= 0:
+        if self.epsilon_mu <= 0 or self.epsilon_sigma <= 0:
             raise DataError("all epsilon values must be > 0")
-        if abs(self.epsilon_mu + self.epsilon_sigma - self.epsilon_total) > 1e-12:
-            raise DataError("epsilon_mu + epsilon_sigma must equal epsilon_total")
+
+    @property
+    def epsilon_total(self) -> float:
+        return self.epsilon_mu + self.epsilon_sigma
 
     @classmethod
     def from_total(cls, epsilon: float, mu_fraction: float = 0.3) -> "PrivacyBudget":
         """Default split: 30% of the budget to the mean, 70% to the covariance."""
         if not 0.0 < mu_fraction < 1.0:
             raise DataError("mu_fraction must be in (0, 1)")
-        return cls(epsilon, epsilon * mu_fraction, epsilon * (1.0 - mu_fraction))
+        return cls(epsilon * mu_fraction, epsilon * (1.0 - mu_fraction))
 
 
 def laplace_sample(b: float, rng: np.random.Generator, size=None):

@@ -55,10 +55,6 @@ class DiscreteDistribution:
         object.__setattr__(self, "support", support.astype(np.uint8, copy=False))
         object.__setattr__(self, "probs", probs)
 
-    def entropy(self) -> float:
-        p = self.probs[self.probs > 0]
-        return float(-(p * np.log(p)).sum())
-
 
 @dataclass(frozen=True)
 class ParityConstraints:

@@ -162,6 +162,12 @@ class RonGaussModel:
             if count != blocks:
                 raise DataError(f"{self.mode} model has {count} {name}, expected {blocks}")
         if self.mode == MODE_CLASSIFICATION:
+            # as `fit`'s np.unique gives them: distinct, ascending, 0/1 or level indices
+            label = self.schema.columns[self.schema.label_index]
+            domain = range(len(label.levels)) if label.kind == CATEGORICAL else (0, 1)
+            if list(self.class_values) != sorted(set(self.class_values) & set(domain)):
+                raise DataError(f"model class values {list(self.class_values)} are not distinct "
+                                f"ascending values of the label {label.name}")
             weights = np.asarray(self.class_weights_dp)
             # `Generator.choice` accepts a sum within about 1.5e-8 of 1
             if not (blocks and np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-8):
@@ -177,12 +183,14 @@ class RonGaussModel:
 
 
 def resolve_mode(schema: Schema, mode: str) -> str:
+    """`mode`, or for auto the mode `layout` accepts for the label: unsupervised
+    without one, regression for a continuous label, classification otherwise."""
     if mode != MODE_AUTO:
         return mode
     idx = schema.label_index
     if idx is None:
         return MODE_UNSUPERVISED
-    return MODE_CLASSIFICATION if schema.columns[idx].kind == BINARY else MODE_REGRESSION
+    return MODE_REGRESSION if schema.columns[idx].kind == CONTINUOUS else MODE_CLASSIFICATION
 
 
 def layout(schema: Schema, mode: str) -> tuple[dict[int, slice], int]:
@@ -513,8 +521,10 @@ def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = 
     except Exception as exc:
         raise StageError("binarize", exc) from exc
 
-    protected_bit = codebook.bit_for_column(schema.protected_index)
-    label_bit = codebook.bit_layout[schema.label_index].bit_indices[0]
+    # the fair stage equalizes the label's first bit: the label if binary, its
+    # first level if categorical, y >= its first threshold if continuous
+    protected_bit = codebook.bits(schema.protected_index)[0]
+    label_bit = codebook.bits(schema.label_index)[0]
 
     try:
         prior = maxent.empirical_prior(codebook.keys, codebook.counts)
@@ -527,6 +537,7 @@ def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = 
 
     try:
         codes = maxent.sample_codes(solution.distribution, dataset.n, seed_codes)
+        rates_after = maxent.group_rates(codes, protected_bit, label_bit)
         # Dataset keeps its own copy, so the decoded rows are not held here
         fair_dataset = Dataset(schema, binarize.decode_codes(codes, codebook, seed_decode))
         del codes
@@ -544,12 +555,6 @@ def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = 
     except Exception as exc:
         raise StageError("gaussian sampling", exc) from exc
 
-    fair_c = fair_dataset.values[:, schema.protected_index]
-    fair_y = fair_dataset.values[:, schema.label_index]
-    rates_after = (
-        float(fair_y[fair_c == 0].mean()) if np.any(fair_c == 0) else float("nan"),
-        float(fair_y[fair_c == 1].mean()) if np.any(fair_c == 1) else float("nan"),
-    )
     return GenerationResult(
         dataset=synth,
         fair_dataset=fair_dataset,

@@ -41,7 +41,7 @@ def test_single_bin_median_split():
     # threshold at the interpolated median 2.5, bit = 1 iff value >= it
     binary, book = build_codebook(with_continuous([1, 2, 3, 4]), 1)
     assert binary[:, 0].tolist() == [0, 0, 1, 1]
-    assert book.bit_layout[0].thresholds == (2.5,)
+    assert book.thresholds[0] == (2.5,)
 
 
 def test_thresholds_match_interpolated_quantiles():
@@ -53,7 +53,7 @@ def test_thresholds_match_interpolated_quantiles():
             float(np.quantile(vals, (j + 1) / (bins + 1), method="linear"))
             for j in range(bins)
         )
-        got = book.bit_layout[0].thresholds
+        got = book.thresholds[0]
         assert np.allclose(got, want, atol=1e-12)
         assert len(got) == bins
 
@@ -64,10 +64,10 @@ def test_bit_budget_per_kind():
     # continuous 2 bits, categorical one bit per level, binary 1 bit each
     assert book.m == 2 + 3 + 1 + 1
     assert binary.shape == (50, book.m)
-    cat = book.bit_layout[1]
-    assert cat.kind == CATEGORICAL and len(cat.bit_indices) == 3
+    cat = book.bits(1)
+    assert ds.schema.columns[1].kind == CATEGORICAL and len(cat) == 3
     # one-hot rows have exactly one set bit in the categorical block
-    assert np.all(binary[:, list(cat.bit_indices)].sum(axis=1) == 1)
+    assert np.all(binary[:, list(cat)].sum(axis=1) == 1)
 
 
 def test_keys_sorted_unique_and_groups_partition_rows():

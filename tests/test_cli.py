@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import binary_group_dataset, mixed_dataset
@@ -302,3 +303,30 @@ def test_generate_and_inspect_load_no_evaluation_module(tmp_path):
     assert GENERATION_MODULES <= generated
     assert "ffpdg.audit" in inspected
     assert not (generated | inspected) & EVALUATION_MODULES
+
+
+def test_large_split_budget_runs_and_reports_the_epsilon_spent(tmp_path, capsys):
+    # from about 8,200 up, eps_mu + eps_sigma of a split total rounds off the total
+    audit = tmp_path / "run.audit"
+    rc = cli.main(["generate", "--schema", str(DATA / "adult.schema"),
+                   "--input", str(DATA / "adult_sample.csv"), "--output", str(tmp_path / "o.csv"),
+                   "--audit", str(audit), "--epsilon", "30000", "--epsilon-split", "1:2"])
+    assert rc == 0, capsys.readouterr().err
+    config = dict(line.split("=", 1) for line in read_audit(audit)["sections"]["config"] if line)
+    assert float(config["epsilon"]) == float(config["eps_mu"]) + float(config["eps_sigma"])
+
+
+def test_generate_on_a_categorical_label_in_auto_mode(tmp_path, capsys):
+    from ffpdg.data import CATEGORICAL, ROLE_LABEL, ColumnSpec, Dataset, Schema
+
+    ds = mixed_dataset(600, seed=4)
+    label = ColumnSpec("outcome", CATEGORICAL, role=ROLE_LABEL, levels=("no", "maybe", "yes"))
+    values = ds.values.copy()
+    values[:, 3] = np.random.default_rng(5).integers(0, 3, ds.n)
+    ds = Dataset(Schema(ds.schema.columns[:3] + (label,)), values)
+    save_schema(ds.schema, tmp_path / "cat.schema")
+    save_csv(ds, tmp_path / "cat.csv")
+    rc = cli.main(["generate", "--schema", str(tmp_path / "cat.schema"),
+                   "--input", str(tmp_path / "cat.csv"), "--output", str(tmp_path / "o.csv")])
+    assert rc == 0, capsys.readouterr().err
+    assert set(load_csv(tmp_path / "o.csv", ds.schema).column("outcome")) <= {0.0, 1.0, 2.0}

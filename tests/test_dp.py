@@ -135,16 +135,17 @@ def test_privacy_budget_split_and_validation():
     budget = PrivacyBudget.from_total(2.0)
     assert budget.epsilon_mu == pytest.approx(0.6)
     assert budget.epsilon_sigma == pytest.approx(1.4)
+    assert budget.epsilon_total == budget.epsilon_mu + budget.epsilon_sigma
     custom = PrivacyBudget.from_total(1.0, mu_fraction=0.5)
     assert custom.epsilon_mu == custom.epsilon_sigma == pytest.approx(0.5)
     with pytest.raises(DataError):
-        PrivacyBudget(1.0, 0.5, 0.6)
-    with pytest.raises(DataError):
-        PrivacyBudget(1.0, -0.5, 1.5)
+        PrivacyBudget(-0.5, 1.5)
     with pytest.raises(DataError):
         PrivacyBudget.from_total(1.0, mu_fraction=1.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(DataError, match="finite"):
             PrivacyBudget.from_total(bad)
         with pytest.raises(DataError, match="finite"):
-            PrivacyBudget(bad, 0.5, 0.5)
+            PrivacyBudget(bad, 0.5)
+    with pytest.raises(DataError, match="finite"):
+        PrivacyBudget(1e308, 1e308)  # each slice is finite, their total is not

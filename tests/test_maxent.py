@@ -228,8 +228,8 @@ def test_distribution_validation():
 def adult_like_problem():
     ds = make_adult(3000, 5)
     binary, book = build_codebook(ds, 2)
-    protected = book.bit_for_column(ds.schema.protected_index)
-    label = book.bit_layout[ds.schema.label_index].bit_indices[0]
+    protected = book.bits(ds.schema.protected_index)[0]
+    label = book.bits(ds.schema.label_index)[0]
     return empirical_prior(book.keys, book.counts), fair_marginals(binary, protected, label)
 
 

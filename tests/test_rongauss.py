@@ -14,6 +14,7 @@ from ffpdg.data import (
     ROLE_PROTECTED,
     Schema,
     average_ranks,
+    interp_quantiles,
 )
 from ffpdg.dp import PrivacyBudget
 from ffpdg.errors import DataError, SchemaError, StageError
@@ -150,6 +151,14 @@ def test_resolve_mode_auto():
     ))
     assert resolve_mode(no_label, "auto") == "unsupervised"
     assert resolve_mode(no_label, "classification") == "classification"
+    # auto picks a mode the layout accepts for every label kind
+    for kind, mode in ((BINARY, "classification"), (CATEGORICAL, "classification"),
+                       (CONTINUOUS, "regression")):
+        levels = ("a", "b", "c") if kind == CATEGORICAL else ()
+        schema = Schema((ColumnSpec("c", BINARY, role=ROLE_PROTECTED),
+                         ColumnSpec("y", kind, role=ROLE_LABEL, levels=levels)))
+        assert resolve_mode(schema, "auto") == mode
+        layout(schema, mode)
 
 
 def test_fit_mode_type_mismatch_errors():
@@ -316,3 +325,51 @@ def test_match_quantiles_equals_interpolating_every_rows_average_rank(n, ties):
     grid = np.sort(r.normal(size=33))
     expected = np.interp((average_ranks(values) - 0.5) / n, np.linspace(0.0, 1.0, 33), grid)
     assert _match_quantiles(values, grid).tobytes() == expected.tobytes()
+
+
+def labelled_dataset(kind, n=500, seed=0):
+    """x standard normal, protected c, and a label that depends on c: three
+    levels for a categorical label, y = 40 + 0.5 c + noise for a continuous one."""
+    r = np.random.default_rng(seed)
+    x = r.standard_normal(n)
+    c = (r.random(n) < 0.5).astype(float)
+    if kind == CATEGORICAL:
+        y = np.where(r.random(n) < 0.3 + 0.3 * c, 0.0, r.integers(1, 3, n).astype(float))
+        label = ColumnSpec("y", CATEGORICAL, role=ROLE_LABEL, levels=("lo", "mid", "hi"))
+    else:
+        y = 40.0 + 0.5 * c + r.standard_normal(n)
+        label = ColumnSpec("y", CONTINUOUS, role=ROLE_LABEL)
+    schema = Schema((ColumnSpec("x", CONTINUOUS), ColumnSpec("c", BINARY, role=ROLE_PROTECTED), label))
+    return Dataset(schema, np.column_stack([x, c, y]))
+
+
+@pytest.mark.parametrize("kind", [CATEGORICAL, CONTINUOUS])
+def test_rates_after_are_the_fair_sample_label_bit_rates(kind):
+    # the fair stage equalizes the label's first bit: the first level, or y >= the first threshold
+    ds = labelled_dataset(kind)
+    mode = "classification" if kind == CATEGORICAL else "regression"
+    result = generate_with_artifacts(ds, GenerationConfig(budget=LOOSE, seed=4, mode=mode))
+    c, y = result.fair_dataset.column("c"), result.fair_dataset.column("y")
+    # with one bit per continuous column, the threshold is the source median
+    median = interp_quantiles(np.sort(ds.column("y")), [0.5])[0]
+    bit = y == 0 if kind == CATEGORICAL else y >= median
+    assert result.rates_after == (bit[c == 0].mean(), bit[c == 1].mean())
+    assert abs(result.rates_after[0] - result.rates_after[1]) < 0.01
+    assert abs(result.rates_before[0] - result.rates_before[1]) > 0.1
+
+
+def test_fair_sample_without_a_protected_group_fails_tagged(monkeypatch):
+    from ffpdg import maxent
+
+    ds = binary_group_dataset(400, 0.3, 0.6, seed=3, n_features=2)
+    protected = ds.schema.protected_index  # every column is binary: its bit is its index
+    sample_codes = maxent.sample_codes
+
+    def one_group(distribution, k, seed):
+        codes = sample_codes(distribution, k, seed)
+        return codes[codes[:, protected] == 0]
+
+    monkeypatch.setattr(maxent, "sample_codes", one_group)
+    with pytest.raises(StageError, match="both protected groups must be present") as err:
+        generate_with_artifacts(ds, GenerationConfig(budget=LOOSE, seed=1))
+    assert err.value.stage == "code inversion"
