@@ -43,9 +43,3 @@ assert np.all(np.diff(trace) <= 1e-12), "dual objective must never increase"
 
 print(f"\ncodebook: {result.codebook.entry_count()} distinct codes "
       f"over {result.codebook.m} bits")
-
-# the fair intermediate sample is real rows re-drawn under the fair weights
-fair = result.fair_dataset
-y, c = fair.column(label), fair.column(protected)
-print(f"fair sample check: P(y|c=0)={y[c == 0].mean():.3f} "
-      f"P(y|c=1)={y[c == 1].mean():.3f} (n={fair.n})")

@@ -5,12 +5,15 @@
 
 Runs `load_csv`, `generate_with_artifacts` and `save_csv` (to a temporary
 file) once under tracemalloc, which numpy reports its array buffers to.
-Every stage is measured by a wrapper at the module attribute the
-pipeline looks it up through, the way the benchmark's tracer wraps them,
-which records three figures in MB: memory live when the stage starts, the
-highest it reaches inside the stage, and what is live when the stage
-returns. Nested stages (the steps of `fit`) are indented under their
-caller; a nested stage's peak counts toward its caller's peak.
+Each stage records three figures in MB: memory live when it starts, the
+highest it reaches inside, and what is live when it returns. The stages
+of generate are measured by a wrapper at the module attribute the
+pipeline looks them up through, the way the benchmark's tracer wraps
+them; the three top-level calls are measured where the script makes
+them. As in the CLI, the loaded table goes into `generate_with_artifacts`
+with no other reference to it, so generate can free it. Nested stages
+(the steps of `fit`) are indented under their caller; a nested stage's
+peak counts toward its caller's peak.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ import importlib
 import sys
 import tempfile
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
-# (module, attribute) of each stage, in pipeline order
+# (module, attribute) of each stage of generate, in pipeline order
 STAGES = (
-    ("ffpdg.rongauss", "generate_with_artifacts"),
     ("ffpdg.binarize", "build_codebook"),
     ("ffpdg.maxent", "empirical_prior"),
     ("ffpdg.maxent", "fair_marginals"),
@@ -57,28 +60,31 @@ class StageMemory:
         self.rows = []
         self._open = []  # [row index, peak carried from before the last reset]
 
-    def wrap(self, name, fn):
-        def wrapper(*args, **kwargs):
+    @contextmanager
+    def stage(self, name):
+        current, peak = tracemalloc.get_traced_memory()
+        if self._open:
+            self._open[-1][1] = max(self._open[-1][1], peak)
+        tracemalloc.reset_peak()
+        self.rows.append([len(self._open), name, current, current, current])
+        self._open.append([len(self.rows) - 1, 0])
+        try:
+            yield
+        finally:
+            index, carried = self._open.pop()
             current, peak = tracemalloc.get_traced_memory()
+            self.rows[index][3] = max(carried, peak)
+            self.rows[index][4] = current
             if self._open:
-                self._open[-1][1] = max(self._open[-1][1], peak)
-            tracemalloc.reset_peak()
-            self.rows.append([len(self._open), name, current, current, current])
-            self._open.append([len(self.rows) - 1, 0])
-            try:
+                self._open[-1][1] = max(self._open[-1][1], self.rows[index][3])
+
+    def wrap(self, name, fn):
+        """fn, recorded as a stage; the wrapper holds fn's arguments until it returns."""
+        def wrapper(*args, **kwargs):
+            with self.stage(name):
                 return fn(*args, **kwargs)
-            finally:
-                index, carried = self._open.pop()
-                current, peak = tracemalloc.get_traced_memory()
-                self.rows[index][3] = max(carried, peak)
-                self.rows[index][4] = current
-                if self._open:
-                    self._open[-1][1] = max(self._open[-1][1], self.rows[index][3])
 
         return wrapper
-
-    def run(self, name, fn, *args):
-        return self.wrap(name, fn)(*args)
 
     def table(self) -> str:
         lines = [f"{'stage':<34} {'before_mb':>10} {'peak_mb':>10} {'after_mb':>10}"]
@@ -106,16 +112,19 @@ def main(argv=None) -> int:
     tracemalloc.start()
     try:
         schema = data.load_schema(args.schema)
-        dataset = recorder.run("load_csv", data.load_csv, args.input, schema)
         config = rongauss.GenerationConfig(seed=args.seed)
-        result = rongauss.generate_with_artifacts(dataset, config)
-        with tempfile.TemporaryDirectory(prefix="stage_memory_") as tmp:
-            recorder.run("save_csv", data.save_csv, result.dataset, Path(tmp) / "synthetic.csv")
+        with recorder.stage("load_csv"):
+            tables = [data.load_csv(args.input, schema)]
+        with recorder.stage("generate_with_artifacts"):
+            # pop hands the table over, as the CLI does
+            result = rongauss.generate_with_artifacts(tables.pop(), config)
+        with tempfile.TemporaryDirectory(prefix="stage_memory_") as tmp, recorder.stage("save_csv"):
+            data.save_csv(result.dataset, Path(tmp) / "synthetic.csv")
     finally:
         tracemalloc.stop()
         for module, attr, fn in originals:
             setattr(module, attr, fn)
-    print(f"rows={dataset.n} columns={dataset.d} seed={args.seed}")
+    print(f"rows={len(result.codebook.row_order)} columns={schema.d} seed={args.seed}")
     print(recorder.table())
     return 0
 

@@ -1,9 +1,10 @@
 """Discretization of datasets into binary codes and inversion back to rows.
 
 A CodeBook holds the schema, each continuous column's quantile
-thresholds and the observed code -> source rows dictionary; the bit layout
-follows from the schema and the thresholds (`CodeBook.bits`). Only
-observed codes can be inverted: each maps back to one of its own rows.
+thresholds and the observed code -> source row indices dictionary; the
+bit layout follows from the schema and the thresholds (`CodeBook.bits`).
+Only observed codes can be inverted: each maps back to one of its own
+rows, which the caller passes in.
 
 This module alone decides how a code is keyed. `pack_codes` packs each
 0/1 row into bytes with np.packbits, which is big-endian, and views the
@@ -26,7 +27,7 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class CodeBook:
-    """Bit layout plus the observed code -> source rows dictionary.
+    """Bit layout plus the observed code -> source row indices dictionary.
 
     A code is stored once, as a row of `keys`; its width `m`, its packed
     key (see pack_codes) and its row count are derived from it. Entry i
@@ -39,9 +40,8 @@ class CodeBook:
     schema: Schema
     thresholds: tuple[tuple[float, ...], ...]  # one per column; empty unless continuous
     keys: np.ndarray        # (k, m) uint8, lexicographically sorted, unique
-    row_order: np.ndarray   # (n,) indices into `rows`, grouped by key
+    row_order: np.ndarray   # (n,) source row indices, grouped by key
     row_starts: np.ndarray  # (k + 1,) offsets of each key's group in row_order
-    rows: np.ndarray        # original-space values the indices point into
 
     @property
     def m(self) -> int:
@@ -63,7 +63,7 @@ class CodeBook:
 
     def summary(self) -> str:
         """Human-readable layout and entry counts for audit output."""
-        lines = [f"bits={self.m} entries={self.entry_count()} rows={len(self.rows)}"]
+        lines = [f"bits={self.m} entries={self.entry_count()} rows={len(self.row_order)}"]
         for j, col in enumerate(self.schema.columns):
             detail = ""
             if col.kind == CONTINUOUS:
@@ -142,13 +142,13 @@ def build_codebook(dataset: Dataset, bins_per_continuous: int = 1) -> tuple[np.n
         keys=binary[first],
         row_order=order,
         row_starts=starts,
-        rows=dataset.values,
     )
     return binary, codebook
 
 
-def decode_codes(codes: np.ndarray, codebook: CodeBook, seed: int) -> np.ndarray:
-    """Invert a batch of observed codes to original-space rows.
+def decode_codes(codes: np.ndarray, codebook: CodeBook, rows: np.ndarray, seed: int) -> np.ndarray:
+    """Invert a batch of observed codes to rows of `rows`, the original-space
+    values of the table the codebook was built from.
 
     The queries are packed, grouped by distinct code (distinct_codes) and
     matched to the packed codebook keys by np.searchsorted; a code the
@@ -163,6 +163,8 @@ def decode_codes(codes: np.ndarray, codebook: CodeBook, seed: int) -> np.ndarray
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[1] != codebook.m:
         raise DataError(f"codes must be (n, {codebook.m})")
+    if len(rows) != len(codebook.row_order):
+        raise DataError(f"rows has {len(rows)} rows, the codebook indexes {len(codebook.row_order)}")
     uniq, _, where_order, where_starts = distinct_codes(codes)
     packed = pack_codes(codebook.keys)
     entry = np.minimum(np.searchsorted(packed, uniq), codebook.entry_count() - 1)
@@ -187,4 +189,4 @@ def decode_codes(codes: np.ndarray, codebook: CodeBook, seed: int) -> np.ndarray
     source = np.empty_like(rank)
     source[where_order] = shuffled[rank]
     del shuffled, rank, where_order
-    return codebook.rows[source]
+    return rows[source]

@@ -46,12 +46,14 @@ def cmd_generate(args) -> int:
     from . import audit as audit_mod
     from . import rongauss
 
-    dataset = _load(args, args.input)
     # without --quantiles, GenerationConfig's default count applies
     quantiles = {"quantile_points": args.quantiles} if "quantiles" in args else {}
     config = _generation_config(args, n_out=args.n_out, rate=args.rate, **quantiles)
+    # pop hands the table over: generate_with_artifacts holds the only
+    # reference and frees the table once the fair codes are decoded
+    tables = [_load(args, args.input)]
     start = time.perf_counter()
-    result = rongauss.generate_with_artifacts(dataset, config=config)
+    result = rongauss.generate_with_artifacts(tables.pop(), config=config)
     seconds = time.perf_counter() - start
     save_csv(result.dataset, args.output)
     if args.audit:

@@ -13,6 +13,10 @@ import numpy as np
 
 from .errors import DataError
 
+# Columns per block of `column_norms`: about 128 KB of float64 per
+# coordinate row, so a block's squares stay small beside an n-column matrix.
+NORM_BLOCK = 16_384
+
 
 @dataclass(frozen=True)
 class PrivacyBudget:
@@ -34,10 +38,20 @@ class PrivacyBudget:
 
     @classmethod
     def from_total(cls, epsilon: float, mu_fraction: float = 0.3) -> "PrivacyBudget":
-        """Default split: 30% of the budget to the mean, 70% to the covariance."""
+        """Default split: 30% of the budget to the mean, 70% to the covariance.
+
+        Should the rounded slices sum to more than epsilon, the covariance
+        slice becomes epsilon - epsilon_mu, stepped down (a float or two) to fit.
+        """
         if not 0.0 < mu_fraction < 1.0:
             raise DataError("mu_fraction must be in (0, 1)")
-        return cls(epsilon * mu_fraction, epsilon * (1.0 - mu_fraction))
+        epsilon_mu = epsilon * mu_fraction
+        epsilon_sigma = epsilon * (1.0 - mu_fraction)
+        if epsilon_mu + epsilon_sigma > epsilon:
+            epsilon_sigma = epsilon - epsilon_mu
+            while epsilon_mu + epsilon_sigma > epsilon:
+                epsilon_sigma = float(np.nextafter(epsilon_sigma, -np.inf))
+        return cls(epsilon_mu, epsilon_sigma)
 
 
 def laplace_sample(b: float, rng: np.random.Generator, size=None):
@@ -61,12 +75,33 @@ def covariance_noise_scale(p: int, n: int, epsilon_sigma: float) -> float:
     return 2.0 * np.sqrt(p) / (n * epsilon_sigma)
 
 
+def column_norms(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(X, axis=0) of a d x n matrix, bit for bit, squaring
+    one block of columns at a time rather than all of X.
+
+    numpy sums the squares of a block row by row, as over the whole
+    matrix, but those of a lone column pairwise (from d = 8 up), so the
+    last block takes in a column that would be left alone.
+    """
+    d, n = X.shape
+    norms = np.empty(n)
+    start = 0
+    while start < n:
+        stop = start + NORM_BLOCK
+        if stop + 1 >= n:
+            stop = n
+        block = X[:, start:stop]
+        np.sqrt(np.add.reduce(block * block, axis=0), out=norms[start:stop])
+        start = stop
+    return norms
+
+
 def dp_mean(X: np.ndarray, epsilon_mu: float, seed) -> np.ndarray:
     """Laplace-noised column mean of a d x n matrix of unit-norm samples."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
         raise DataError("X must be d x n with n >= 1")
-    norms = np.linalg.norm(X, axis=0)
+    norms = column_norms(X)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         j = int(np.argmax(np.abs(norms - 1.0)))
         raise DataError(f"column {j} has norm {norms[j]:.12g}, expected 1")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .data import Dataset, average_ranks
+from .data import BINARY, Dataset, average_ranks
 from .errors import DataError
 
 PREDICTION_THRESHOLD = 0.5
@@ -34,10 +34,19 @@ def auc_roc(scores, labels) -> float:
 
 
 def _split_columns(dataset: Dataset):
-    """(features, labels, protected): the zoo never sees the protected column."""
+    """(features, labels, protected): the zoo never sees the protected column.
+
+    The zoo and the fairness gaps score a 0/1 label: a binary column or a
+    categorical one with two levels.
+    """
     schema = dataset.schema
     if schema.label_index is None:
         raise DataError("dataset has no label column")
+    label = schema.columns[schema.label_index]
+    if not (label.kind == BINARY or len(label.levels) == 2):
+        levels = f" with {len(label.levels)} levels" if label.levels else ""
+        raise DataError(f"evaluation needs a 0/1 label, but label column {label.name!r} "
+                        f"is {label.kind}{levels}")
     drop = {schema.label_index, schema.protected_index}
     keep = [j for j in range(schema.d) if j not in drop]
     X = dataset.values[:, keep]

@@ -32,7 +32,7 @@ from .data import (
     scatter_runs,
     tie_runs,
 )
-from .dp import (PrivacyBudget, covariance_noise_scale, dp_covariance, dp_mean,
+from .dp import (PrivacyBudget, column_norms, covariance_noise_scale, dp_covariance, dp_mean,
                  laplace_sample, mean_noise_scale, psd_repair)
 from .errors import ConvergenceError, DataError, FeasibilityError, SchemaError, StageError
 
@@ -249,7 +249,7 @@ def pre_normalize(dataset: Dataset, categorical_noise_sigma: float, seed,
         else:
             X[at] = v
     X[-1] = 1.0
-    X /= np.linalg.norm(X, axis=0)
+    X /= column_norms(X)
     return X
 
 
@@ -259,7 +259,7 @@ def center_and_renormalize(X: np.ndarray, budget: PrivacyBudget, seed) -> tuple[
     mu = dp_mean(X, budget.epsilon_mu, rng)
     Xbar = X - mu[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        norms = np.linalg.norm(Xbar, axis=0)
+        norms = column_norms(Xbar)
     if not np.all(np.isfinite(norms)):
         raise DataError(f"epsilon_mu={budget.epsilon_mu:g} is too small: the mean's noise "
                         "is so large that the centred samples' norms overflow")
@@ -267,7 +267,7 @@ def center_and_renormalize(X: np.ndarray, budget: PrivacyBudget, seed) -> tuple[
     if np.any(zero):
         warnings.warn(f"{int(zero.sum())} samples equal the DP mean; perturbing by 1e-12")
         Xbar[:, zero] += 1e-12
-        norms = np.linalg.norm(Xbar, axis=0)
+        norms = column_norms(Xbar)
     Xbar /= norms
     return Xbar, mu
 
@@ -491,10 +491,9 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
 
 @dataclass(frozen=True)
 class GenerationResult:
-    """Synthetic data plus every intermediate artifact, for audit."""
+    """Synthetic data plus the artifacts the audit reports."""
 
     dataset: Dataset
-    fair_dataset: Dataset
     codebook: binarize.CodeBook
     solution: maxent.MaxEntSolution
     model: RonGaussModel
@@ -508,8 +507,13 @@ def generate(dataset: Dataset, config: GenerationConfig | None = None) -> Datase
 
 
 def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = None) -> GenerationResult:
+    """`generate`, with its artifacts. The input is dropped once the fair
+    codes are decoded and the fair sample once `fit` returns, so a caller
+    that keeps no reference to the input (as the CLI) holds one n-row
+    table at a time from `fit` on."""
     config = config or GenerationConfig()
     schema = dataset.schema
+    n = dataset.n
     if schema.label_index is None:
         raise SchemaError("the fair stage needs a label column; use fit/sample directly for label-free data")
 
@@ -536,20 +540,23 @@ def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = 
     del binary
 
     try:
-        codes = maxent.sample_codes(solution.distribution, dataset.n, seed_codes)
+        codes = maxent.sample_codes(solution.distribution, n, seed_codes)
         rates_after = maxent.group_rates(codes, protected_bit, label_bit)
-        # Dataset keeps its own copy, so the decoded rows are not held here
-        fair_dataset = Dataset(schema, binarize.decode_codes(codes, codebook, seed_decode))
-        del codes
+        rows = binarize.decode_codes(codes, codebook, dataset.values, seed_decode)
+        # the input goes before Dataset copies the rows: two tables alive, not three
+        del codes, dataset
+        fair = Dataset(schema, rows)
+        del rows
     except Exception as exc:
         raise StageError("code inversion", exc) from exc
 
     try:
-        model = fit(fair_dataset, replace(config, seed=seed_fit))
+        model = fit(fair, replace(config, seed=seed_fit))
     except Exception as exc:
         raise StageError("projection fit", exc) from exc
+    del fair
 
-    n_out = config.n_out if config.n_out is not None else dataset.n
+    n_out = config.n_out if config.n_out is not None else n
     try:
         synth = sample(model, n_out, seed_sample)
     except Exception as exc:
@@ -557,7 +564,6 @@ def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = 
 
     return GenerationResult(
         dataset=synth,
-        fair_dataset=fair_dataset,
         codebook=codebook,
         solution=solution,
         model=model,

@@ -1,6 +1,5 @@
 """Discretization codebook: thresholds, packed keys, inversion of observed codes."""
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,7 +84,7 @@ def test_observed_code_inverts_to_one_of_its_rows():
     ds = mixed_dataset(60, seed=1)
     binary, book = build_codebook(ds, 1)
     code = binary[17]
-    row = decode_codes(code[None, :], book, seed=5)[0]
+    row = decode_codes(code[None, :], book, ds.values, seed=5)[0]
     members = [group(book, i) for i, k in enumerate(book.keys) if np.array_equal(k, code)]
     candidates = ds.values[members[0]]
     assert any(np.array_equal(row, cand) for cand in candidates)
@@ -100,11 +99,11 @@ def test_unseen_code_raises_data_error():
     assert unseen
     for code in unseen:
         with pytest.raises(DataError, match="1 of 1 distinct codes are not in the codebook"):
-            decode_codes(code[None, :], book, seed=11)
+            decode_codes(code[None, :], book, ds.values, seed=11)
     # one unseen code fails the whole batch, however many observed codes it holds
     batch = np.vstack([binary, unseen[0]])
     with pytest.raises(DataError, match="not in the codebook"):
-        decode_codes(batch, book, seed=11)
+        decode_codes(batch, book, ds.values, seed=11)
 
 
 def test_code_equidistant_from_two_keys_raises_data_error():
@@ -117,9 +116,9 @@ def test_code_equidistant_from_two_keys_raises_data_error():
     _, book = build_codebook(ds, 1)
     for probe in ([0, 1], [1, 0]):
         with pytest.raises(DataError, match="1 of 1 distinct codes are not in the codebook"):
-            decode_codes(np.array([probe], dtype=np.uint8), book, seed=0)
+            decode_codes(np.array([probe], dtype=np.uint8), book, ds.values, seed=0)
     with pytest.raises(DataError, match="2 of 3 distinct codes are not in the codebook"):
-        decode_codes(np.array([[0, 1], [1, 1], [1, 0], [0, 1]], dtype=np.uint8), book, seed=0)
+        decode_codes(np.array([[0, 1], [1, 1], [1, 0], [0, 1]], dtype=np.uint8), book, ds.values, seed=0)
 
 
 def test_inverse_draw_frequencies_are_uniform_over_group():
@@ -135,7 +134,7 @@ def test_inverse_draw_frequencies_are_uniform_over_group():
     binary, book = build_codebook(ds, 1)
     code = binary[0]
     assert np.array_equal(binary[0], binary[1]) and np.array_equal(binary[1], binary[2])
-    draws = decode_codes(np.tile(code, (6000, 1)), book, seed=2)
+    draws = decode_codes(np.tile(code, (6000, 1)), book, ds.values, seed=2)
     _, counts = np.unique(draws[:, 0], return_counts=True)
     assert counts.min() > 6000 / 3 * 0.85
 
@@ -144,17 +143,17 @@ def test_decode_codes_is_deterministic_and_order_preserving():
     ds = mixed_dataset(50, seed=12)
     binary, book = build_codebook(ds, 1)
     codes = binary[np.random.default_rng(0).integers(0, 50, 200)]
-    a = decode_codes(codes, book, seed=9)
-    b = decode_codes(codes, book, seed=9)
+    a = decode_codes(codes, book, ds.values, seed=9)
+    b = decode_codes(codes, book, ds.values, seed=9)
     assert np.array_equal(a, b)
-    c = decode_codes(codes, book, seed=10)
+    c = decode_codes(codes, book, ds.values, seed=10)
     assert not np.array_equal(a, c)
 
 
 def test_decoded_rows_come_from_training_rows():
     ds = mixed_dataset(50, seed=13)
     binary, book = build_codebook(ds, 2)
-    out = decode_codes(binary[:30], book, seed=4)
+    out = decode_codes(binary[:30], book, ds.values, seed=4)
     train = {tuple(v) for v in ds.values}
     assert all(tuple(row) in train for row in out)
 
@@ -163,9 +162,11 @@ def test_shape_errors():
     ds = mixed_dataset(20, seed=0)
     binary, book = build_codebook(ds, 1)
     with pytest.raises(DataError):
-        decode_codes(np.zeros(book.m, dtype=np.uint8), book, seed=0)
+        decode_codes(np.zeros(book.m, dtype=np.uint8), book, ds.values, seed=0)
     with pytest.raises(DataError):
-        decode_codes(np.zeros((4, book.m + 2), dtype=np.uint8), book, seed=0)
+        decode_codes(np.zeros((4, book.m + 2), dtype=np.uint8), book, ds.values, seed=0)
+    with pytest.raises(DataError, match="rows has 19 rows, the codebook indexes 20"):
+        decode_codes(binary, book, ds.values[:-1], seed=0)
     with pytest.raises(DataError):
         build_codebook(ds, 0)
 
@@ -177,7 +178,7 @@ def test_non_binary_codes_are_rejected():
         codes = binary[:3].astype(float)
         codes[1, 0] = bad
         with pytest.raises(DataError, match="only 0 and 1"):
-            decode_codes(codes, book, seed=0)
+            decode_codes(codes, book, ds.values, seed=0)
 
 
 def test_one_bit_codes_pack_in_row_order():
@@ -209,14 +210,14 @@ def assert_codebook_matches_row_oracle_and_decode_draws_from_groups(binary, quer
     # rows of one code are identical here, so give every row its own
     # values to make the draw within a group visible
     m = binary.shape[1]
-    book = replace(book, rows=np.arange(binary.size, dtype=float).reshape(binary.shape))
+    rows = np.arange(binary.size, dtype=float).reshape(binary.shape)
     key_of = {tuple(k): i for i, k in enumerate(keys)}
     wanted = np.array([key_of[tuple(q)] for q in queries])
     for seed in (0, 7):
-        out = decode_codes(queries, book, seed)
-        assert np.array_equal(out, decode_codes(queries, book, seed))
+        out = decode_codes(queries, book, rows, seed)
+        assert np.array_equal(out, decode_codes(queries, book, rows, seed))
         source = out[:, 0].astype(int) // m
-        assert np.array_equal(out, book.rows[source])
+        assert np.array_equal(out, rows[source])
         # each query row comes from its own key's group ...
         assert np.array_equal(binary[source], queries)
         # ... and no source row is used more than ceil(queries / group size) times
@@ -262,7 +263,7 @@ def test_decode_draws_without_replacement_while_the_group_lasts():
     binary, book = build_codebook(ds, 1)
     assert book.counts.tolist() == [50, 50]
     for asked, most in ((50, 1), (120, 3)):
-        out = decode_codes(np.tile(binary[0], (asked, 1)), book, seed=3)
+        out = decode_codes(np.tile(binary[0], (asked, 1)), book, ds.values, seed=3)
         _, used = np.unique(out[:, 0], return_counts=True)
         assert len(used) == 50 and used.max() == most and used.min() >= asked // 50
 
@@ -270,5 +271,5 @@ def test_decode_draws_without_replacement_while_the_group_lasts():
 def test_empty_batch_decodes_to_no_rows():
     ds = mixed_dataset(20, seed=0)
     _, book = build_codebook(ds, 1)
-    out = decode_codes(np.zeros((0, book.m), dtype=np.uint8), book, seed=0)
+    out = decode_codes(np.zeros((0, book.m), dtype=np.uint8), book, ds.values, seed=0)
     assert out.shape == (0, ds.schema.d)

@@ -314,6 +314,25 @@ def test_large_split_budget_runs_and_reports_the_epsilon_spent(tmp_path, capsys)
     assert rc == 0, capsys.readouterr().err
     config = dict(line.split("=", 1) for line in read_audit(audit)["sections"]["config"] if line)
     assert float(config["epsilon"]) == float(config["eps_mu"]) + float(config["eps_sigma"])
+    assert float(config["epsilon"]) <= 30000  # the rounded slices never overspend
+
+
+def test_evaluate_rejects_a_three_level_label_naming_it(tmp_path, capsys):
+    from ffpdg.data import CATEGORICAL, ROLE_LABEL, ColumnSpec, Dataset, Schema
+
+    ds = mixed_dataset(300, seed=4)
+    label = ColumnSpec("outcome", CATEGORICAL, role=ROLE_LABEL, levels=("no", "maybe", "yes"))
+    values = ds.values.copy()
+    values[:, 3] = np.random.default_rng(5).integers(0, 3, ds.n)
+    ds = Dataset(Schema(ds.schema.columns[:3] + (label,)), values)
+    save_schema(ds.schema, tmp_path / "cat.schema")
+    save_csv(ds, tmp_path / "cat.csv")
+    csv = str(tmp_path / "cat.csv")
+    rc = cli.main(["evaluate", "--schema", str(tmp_path / "cat.schema"),
+                   "--input", csv, "--test", csv, "--synthetic", csv])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: evaluation needs a 0/1 label, but label column "
+                                       "'outcome' is categorical with 3 levels\n")
 
 
 def test_generate_on_a_categorical_label_in_auto_mode(tmp_path, capsys):

@@ -149,3 +149,17 @@ def test_privacy_budget_split_and_validation():
             PrivacyBudget(bad, 0.5)
     with pytest.raises(DataError, match="finite"):
         PrivacyBudget(1e308, 1e308)  # each slice is finite, their total is not
+
+
+def test_split_total_never_spends_more_than_asked():
+    # 30000 at 1/3 rounds eps_sigma to 20000.000000000004; the sweep covers
+    # totals over 300 decades and shares anywhere in (0, 1) or close to 1
+    rng = np.random.default_rng(3)
+    totals = rng.random(2000) * 10.0 ** rng.integers(-5, 300, 2000)
+    shares = np.concatenate([rng.random(1000), 1.0 - 10.0 ** -rng.uniform(1, 15, 1000)])
+    for epsilon, share in [(30000.0, 1.0 / 3.0), *zip(totals.tolist(), shares.tolist())]:
+        budget = PrivacyBudget.from_total(epsilon, mu_fraction=share)
+        assert budget.epsilon_total <= epsilon
+        assert budget.epsilon_mu == epsilon * share
+        # and the covariance slice gives up no more than the total's last bits
+        assert epsilon * (1.0 - share) - budget.epsilon_sigma <= 2 * np.spacing(epsilon)

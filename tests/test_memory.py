@@ -1,23 +1,28 @@
 """Peak memory of the n-row stages of generate.
 
-Each test bounds the tracemalloc peak above the memory live at the call
-(numpy reports its array buffers to tracemalloc) in units of the input's
-size: the table's n * d * 8 bytes, or one float64 column's n * 8. Each
-bound sits below the peak that the stage reaches when its intermediates
-live until it returns, so an input-sized copy kept past its last use
-crosses it.
+The stage tests bound the tracemalloc peak above the memory live at the
+call (numpy reports its array buffers to tracemalloc) in units of the
+input's size: the table's n * d * 8 bytes, or one float64 column's n * 8.
+Each bound sits below the peak that the stage reaches when its
+intermediates live until it returns, so an input-sized copy kept past
+its last use crosses it. The last test follows the tables themselves
+through a CLI generate run by weak reference.
 """
 
+import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from benchdata import make_adult
-from ffpdg import binarize, rongauss
+from ffpdg import binarize, cli, dp, rongauss
 from ffpdg.data import average_ranks, load_csv, save_csv
 
 N = 50_000
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +45,7 @@ def peak_over_live(fn, *args):
 def test_decode_codes_gathers_the_rows_once(adult):
     binary, codebook = binarize.build_codebook(adult, 1)
     codes = binary[np.random.default_rng(0).permutation(N)]
-    rows, peak = peak_over_live(binarize.decode_codes, codes, codebook, 3)
+    rows, peak = peak_over_live(binarize.decode_codes, codes, codebook, adult.values, 3)
     assert rows.shape == adult.values.shape
     assert peak <= 2.0 * adult.values.nbytes
 
@@ -48,7 +53,34 @@ def test_decode_codes_gathers_the_rows_once(adult):
 def test_fit_frees_each_expanded_matrix_after_its_last_use(adult):
     model, peak = peak_over_live(rongauss.fit, adult, rongauss.GenerationConfig(seed=1))
     assert model.mode == rongauss.MODE_CLASSIFICATION
-    assert peak <= 3.5 * adult.values.nbytes
+    assert peak <= 3.0 * adult.values.nbytes
+
+
+@pytest.mark.parametrize("d", [5, 8, 29])
+def test_column_norms_equal_numpy_bit_for_bit_at_the_block_edges(d):
+    # numpy sums a lone column pairwise from d = 8 up, and a column beside
+    # others row by row; end every matrix on a column where the two differ
+    # (about one in four from d = 8 up; none below), so that a one-column
+    # last block would show
+    rng = np.random.default_rng(d)
+    for _ in range(100):
+        last = rng.random((d, 1))
+        if np.linalg.norm(last, axis=0) != np.linalg.norm(np.hstack([last, last]), axis=0)[0]:
+            break
+    b = dp.NORM_BLOCK
+    for n in (1, 2, b - 1, b, b + 1, b + 2, 2 * b + 1):
+        X = rng.random((d, n))
+        X[:, -1:] = last
+        assert np.array_equal(dp.column_norms(X), np.linalg.norm(X, axis=0)), n
+
+
+def test_column_norms_square_one_block_at_a_time():
+    X = np.random.default_rng(1).random((5, N))
+    norms, peak = peak_over_live(dp.column_norms, X)
+    assert np.array_equal(norms, np.linalg.norm(X, axis=0))
+    # beside the result, the squares of a block and their sums; np.linalg.norm
+    # holds two X-sized temporaries
+    assert peak - norms.nbytes <= 1.5 * dp.NORM_BLOCK * X.itemsize * len(X)
 
 
 def test_sample_frees_the_projected_draws_before_the_output(adult):
@@ -76,3 +108,36 @@ def test_load_csv_row_parser_keeps_one_block_of_python_floats(adult, tmp_path):
     assert loaded.values[0, 0] == 10.0
     assert np.array_equal(loaded.values[1:], adult.values[1:])
     assert peak <= 2.5 * adult.values.nbytes
+
+
+def test_generate_frees_the_input_and_the_fair_sample_before_sample(tmp_path, monkeypatch):
+    tables, alive = {}, {}
+    load, fit, sample = cli.load_csv, rongauss.fit, rongauss.sample
+
+    def live():
+        return [name for name, ref in tables.items() if ref() is not None]
+
+    def loading(path, schema):
+        dataset = load(path, schema)
+        tables["input"] = weakref.ref(dataset.values)
+        return dataset
+
+    def fitting(dataset, config):
+        tables["fair"] = weakref.ref(dataset.values)
+        alive["fit"] = live()
+        return fit(dataset, config)
+
+    def sampling(model, n_out, seed):
+        alive["sample"] = live()
+        return sample(model, n_out, seed)
+
+    monkeypatch.setattr(cli, "load_csv", loading)
+    monkeypatch.setattr(rongauss, "fit", fitting)
+    monkeypatch.setattr(rongauss, "sample", sampling)
+    rc = cli.main(["generate", "--schema", str(DATA / "adult.schema"),
+                   "--input", str(DATA / "adult_sample.csv"), "--output", str(tmp_path / "o.csv")])
+    assert rc == 0
+    # before 3.11 the caller's stack keeps a call's arguments alive until it
+    # returns; from 3.11 on a Python call moves them into the callee's frame
+    kept = [] if sys.version_info >= (3, 11) else ["input"]
+    assert alive == {"fit": kept + ["fair"], "sample": kept}

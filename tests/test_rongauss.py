@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import binary_group_dataset, mixed_dataset
+from ffpdg import rongauss
 from ffpdg.data import (
     BINARY,
     CATEGORICAL,
@@ -35,6 +36,18 @@ from ffpdg.rongauss import (
 )
 
 LOOSE = PrivacyBudget.from_total(1e8)  # noise small enough to see the data
+
+
+def record_fair_samples(monkeypatch):
+    """Patch `rongauss.fit` to record each dataset it fits; returns the record."""
+    seen = []
+
+    def recording_fit(dataset, config):
+        seen.append(dataset)
+        return fit(dataset, config)
+
+    monkeypatch.setattr(rongauss, "fit", recording_fit)
+    return seen
 
 
 def regression_dataset(n, seed, noise=0.05):
@@ -260,7 +273,8 @@ def test_continuous_marginals_match_at_loose_budget():
         assert np.abs(qa - qb).max() < 0.1  # quantile-matched restoration
 
 
-def test_generate_reaches_parity_and_keeps_schema():
+def test_generate_reaches_parity_and_keeps_schema(monkeypatch):
+    fair = record_fair_samples(monkeypatch)
     ds = binary_group_dataset(3000, 0.2, 0.6, seed=12, n_features=4)
     result = generate_with_artifacts(ds, config=GenerationConfig(
         budget=PrivacyBudget.from_total(1.0), seed=6))
@@ -269,7 +283,7 @@ def test_generate_reaches_parity_and_keeps_schema():
     assert result.dataset.schema == ds.schema
     assert result.dataset.n == ds.n
     assert result.solution.converged
-    assert result.fair_dataset.n == ds.n
+    assert [f.n for f in fair] == [ds.n]
     # synthetic rows are valid under the schema by construction, and the
     # group gap lands near parity (DP noise allows slack)
     y, c = result.dataset.column("y"), result.dataset.column("c")
@@ -344,12 +358,14 @@ def labelled_dataset(kind, n=500, seed=0):
 
 
 @pytest.mark.parametrize("kind", [CATEGORICAL, CONTINUOUS])
-def test_rates_after_are_the_fair_sample_label_bit_rates(kind):
+def test_rates_after_are_the_fair_sample_label_bit_rates(kind, monkeypatch):
     # the fair stage equalizes the label's first bit: the first level, or y >= the first threshold
+    fair = record_fair_samples(monkeypatch)
     ds = labelled_dataset(kind)
     mode = "classification" if kind == CATEGORICAL else "regression"
     result = generate_with_artifacts(ds, GenerationConfig(budget=LOOSE, seed=4, mode=mode))
-    c, y = result.fair_dataset.column("c"), result.fair_dataset.column("y")
+    (fair_sample,) = fair
+    c, y = fair_sample.column("c"), fair_sample.column("y")
     # with one bit per continuous column, the threshold is the source median
     median = interp_quantiles(np.sort(ds.column("y")), [0.5])[0]
     bit = y == 0 if kind == CATEGORICAL else y >= median

@@ -31,7 +31,7 @@ def test_every_stage_prints_before_peak_and_after(capsys):
         depth = (len(line) - len(line.lstrip(" "))) // 2
         rows.append((depth, name, float(before), float(peak), float(after)))
     assert {name for _, name, *_ in rows} == (
-        {"load_csv", "save_csv"} | {attr for _, attr in script.STAGES})
+        {"load_csv", "generate_with_artifacts", "save_csv"} | {attr for _, attr in script.STAGES})
     for i, (depth, name, before, peak, after) in enumerate(rows):
         assert peak >= max(before, after), name
         # a caller's peak covers the peaks of the stages nested in it
