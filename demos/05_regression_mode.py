@@ -1,7 +1,10 @@
 """Regression mode: release a joint feature/target Gaussian privately.
 
 A continuous label switches the generator to modeling (projected
-features, y) jointly, so synthetic rows carry a usable regression
+features, t) jointly, where t is the label scaled into [-1, 1] by its
+range. The joint is one noised second moment over n, like the
+unsupervised release, so every entry of it is noised; sampling maps t
+back to raw units. Synthetic rows thus carry a usable regression
 signal. Least squares on the synthetic rows then recovers coefficients,
 with two error sources worth separating:
 

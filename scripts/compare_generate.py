@@ -25,7 +25,9 @@ output. The audit and the `inspect` output are compared without their
 `[model...]` sections: those hold the model in the tree's own audit
 format, so the model is compared by value instead: the numbers that make
 up the release (`RELEASE`, then each column's post-processing rate and
-grid), which every tree's model exposes, with floats as their repr. An
+grid), with floats as their repr. A model without one of the `RELEASE`
+attributes (a tree with another model layout) prints it as absent, and
+its case reports that the model layout differs. An
 `evaluate` case is identical when both exit with the same code and print
 the same standard output. Each differing case prints everything that
 differs: exit code, CSV bytes, the names of the audit `[section]`s, the
@@ -65,9 +67,11 @@ FLAG_CASES = {
 FLAG_CASES["all"] = [arg for args in FLAG_CASES.values() for arg in args] + ["--bins", "2"]
 THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 VOLATILE_AUDIT_PREFIX = "generate_seconds="
-# the rebuilt model's attributes `model_lines` prints, in order
-RELEASE = ("mode", "d_eff", "projection.p", "projection.W", "mu_dp", "sigma_dp",
-           "class_values", "class_weights_dp", "class_means_dp")
+ABSENT = object()
+# the rebuilt model's attributes `model_lines` prints, in order; a tree
+# whose model lacks one prints it as absent
+RELEASE = ("mode", "d_eff", "projection.p", "projection.W", "mu_dp", "weights_dp", "means_dp",
+           "sigma_dp", "class_values")
 
 
 def bundled_cases() -> list[dict]:
@@ -141,9 +145,16 @@ def run_tree(src: Path, cases: list[dict], out: Path) -> None:
 
 def model_lines(model) -> list[str]:
     """One `name=value` line for every number of the release a rebuilt
-    model holds: the `RELEASE` attributes, then each post-processing
-    entry's rate and quantile grid, arrays element by element."""
-    values = {f"model.{path}": operator.attrgetter(path)(model) for path in RELEASE}
+    model holds: the `RELEASE` attributes (`name absent` for one the model
+    lacks, as a tree with another model layout does), then each
+    post-processing entry's rate and quantile grid, arrays element by
+    element."""
+    values = {}
+    for path in RELEASE:
+        try:
+            values[f"model.{path}"] = operator.attrgetter(path)(model)
+        except AttributeError:
+            values[f"model.{path}"] = ABSENT
     for j, post in enumerate(model.postprocess):
         values[f"model.postprocess[{j}].rate"] = post.rate
         values[f"model.postprocess[{j}].quantile_grid"] = post.quantile_grid
@@ -152,7 +163,10 @@ def model_lines(model) -> list[str]:
 
 def value_lines(obj, name: str) -> list[str]:
     """`name=value` lines for a value, sequences element by element; each
-    value is printed as its repr, numpy numbers as Python ones."""
+    value is printed as its repr, numpy numbers as Python ones, and
+    `ABSENT` as `name absent`."""
+    if obj is ABSENT:
+        return [f"{name} absent"]
     if hasattr(obj, "tolist"):  # numpy arrays and numbers
         obj = obj.tolist()
     if isinstance(obj, (tuple, list)):
@@ -239,7 +253,9 @@ def difference(name: str, old: Path, new: Path, old_code: int, new_code: int) ->
         if changed:
             found.append("audit differs in " + " ".join(changed))
     if model_a.exists() and model_b.exists() and not filecmp.cmp(model_a, model_b, shallow=False):
-        found.append("model differs")
+        absent = any(line.endswith(" absent") for path in (model_a, model_b)
+                     for line in path.read_text(encoding="utf-8").splitlines())
+        found.append("model layout differs" if absent else "model differs")
     if inspect_a.exists() and inspect_b.exists() and not filecmp.cmp(inspect_a, inspect_b, shallow=False):
         found.append("inspect output differs")
     if stdout_a.exists() and stdout_b.exists() and not filecmp.cmp(stdout_a, stdout_b, shallow=False):

@@ -6,9 +6,9 @@ positive rates before and after the fair stage, the privacy-budget
 accounting line, and the fitted generative model itself. The model is
 the release, so its `[model]` section is one JSON record of it: the
 mode, the public schema (as `schema_to_text`), the projection W, the
-noised mean and covariance blocks, the class values with their noised
-weights and means, and one post-processing entry (rate and quantile
-grid) per schema column. Nothing that follows from the schema and W is
+noised mean, the Gaussian cells (weights, means, covariances) with each
+cell's class value in classification, and one post-processing entry
+(rate and quantile grid) per schema column. Nothing that follows from the schema and W is
 stored: the column layout, d_eff, p and the label are derived on
 reading. json writes each float as its repr, the shortest text that
 reads back to the same float64, so sampling from a parsed audit
@@ -34,7 +34,7 @@ from .rongauss import (
     RonProjection,
 )
 
-FORMAT_LINE = "ffpdg audit 3"
+FORMAT_LINE = "ffpdg audit 4"
 
 BUDGET_CAVEAT = (
     "the reported epsilon covers the noised mean and covariance releases; "
@@ -59,10 +59,10 @@ def model_section(model: RonGaussModel) -> list[str]:
         "schema": schema_to_text(model.schema),
         "mu": model.mu_dp.tolist(),
         "W": model.projection.W.tolist(),
+        "weights": model.weights_dp.tolist(),
+        "means": [mean.tolist() for mean in model.means_dp],
         "sigma": [sigma.tolist() for sigma in model.sigma_dp],
         "class_values": list(model.class_values),
-        "class_weights": None if model.class_weights_dp is None else model.class_weights_dp.tolist(),
-        "class_means": [mean.tolist() for mean in model.class_means_dp],
         "post": [vars(post) for post in model.postprocess],
     }
     return ["[model]", json.dumps(record)]
@@ -84,10 +84,10 @@ _RECORD_FIELDS = {
     "schema": _schema,
     "mu": _floats,
     "W": RonProjection,
+    "weights": _floats,
+    "means": lambda means: tuple(_floats(mean) for mean in means),
     "sigma": lambda blocks: tuple(_floats(sigma) for sigma in blocks),
     "class_values": lambda values: tuple(float(v) for v in values),
-    "class_weights": lambda weights: None if weights is None else _floats(weights),
-    "class_means": lambda means: tuple(_floats(mean) for mean in means),
     "post": lambda posts: tuple(
         ColumnPost(rate=float(q["rate"]), quantile_grid=tuple(_floats(q["quantile_grid"]))) for q in posts),
 }
@@ -108,8 +108,8 @@ def parse_model_section(lines: list[str]) -> RonGaussModel:
         raise DataError(f"{where}: {f'missing {exc}' if isinstance(exc, KeyError) else exc}") from None
     return RonGaussModel(
         mode=fields["mode"], schema=fields["schema"], projection=fields["W"], mu_dp=fields["mu"],
-        sigma_dp=fields["sigma"], postprocess=fields["post"], class_values=fields["class_values"],
-        class_weights_dp=fields["class_weights"], class_means_dp=fields["class_means"],
+        weights_dp=fields["weights"], means_dp=fields["means"], sigma_dp=fields["sigma"],
+        postprocess=fields["post"], class_values=fields["class_values"],
     )
 
 

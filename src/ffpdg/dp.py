@@ -126,8 +126,9 @@ def psd_repair(S: np.ndarray) -> np.ndarray:
     return 0.5 * (repaired + repaired.T)
 
 
-def dp_covariance(X: np.ndarray, epsilon_sigma: float, seed) -> np.ndarray:
-    """Laplace-noised, PSD-repaired second-moment matrix (1/n) X X^T.
+def dp_covariance(X: np.ndarray, n: int, epsilon_sigma: float, seed) -> np.ndarray:
+    """Laplace-noised, PSD-repaired second-moment matrix (1/n) X X^T of p x m
+    samples of norm <= 1 over the public n (a table's n also for its blocks).
 
     The noise matrix is symmetric by construction (the covariance must be
     sampleable), and eigenvalue clipping restores positive
@@ -135,8 +136,8 @@ def dp_covariance(X: np.ndarray, epsilon_sigma: float, seed) -> np.ndarray:
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise DataError("X must be p x n with p, n >= 1")
-    p, n = X.shape
+        raise DataError("X must be p x m with p, m >= 1")
+    p = X.shape[0]
     rng = np.random.default_rng(seed)
     S = (X @ X.T) / n
     Z = symmetrize_noise(p, covariance_noise_scale(p, n, epsilon_sigma), rng)

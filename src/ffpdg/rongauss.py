@@ -4,13 +4,13 @@ Pipeline, in order: one-hot + white-noise expansion of categorical
 columns and per-sample unit normalization; private centering with a
 Laplace-noised mean; re-normalization; projection through the first p
 columns of the orthogonal factor of a random Gaussian matrix; private
-covariance fitting in the projected space; sampling; back-projection and
+Gaussian cells in the projected space; sampling; back-projection and
 re-discretization into the original column formats.
 
-Three fitting modes: a single zero-mean Gaussian (unsupervised), one
-Gaussian per label class with noised class weights (classification), and
-a joint feature+target Gaussian whose conditional mean reproduces the
-least-squares regression as samples grow (regression).
+The release is a tuple of Gaussian cells (weight, mean, covariance) from
+noised sums over the public n: one zero-mean cell in unsupervised mode and
+in regression mode (whose samples carry their label scaled into [-1, 1]);
+one cell per class, from noised class sizes, sums and moments, otherwise.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .data import (
     scatter_runs,
     tie_runs,
 )
-from .dp import (PrivacyBudget, column_norms, covariance_noise_scale, dp_covariance, dp_mean,
-                 laplace_sample, mean_noise_scale, psd_repair)
+from .dp import (PrivacyBudget, column_norms, dp_covariance, dp_mean, laplace_sample,
+                 mean_noise_scale, psd_repair)
 from .errors import ConvergenceError, DataError, FeasibilityError, SchemaError, StageError
 
 MODE_UNSUPERVISED = "unsupervised"
@@ -50,6 +50,10 @@ DEFAULT_QUANTILE_POINTS = 257
 # Std of the Gaussian noise added to every one-hot entry of a categorical
 # column before normalization.
 CATEGORICAL_NOISE_SIGMA = 0.01
+
+# Share of epsilon_sigma that releases the class-size histogram in
+# classification mode; the class sums and second moments split the rest.
+CLASS_COUNT_SHARE = 0.1
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,8 @@ class ColumnPost:
     the training min and max: they rescale the column's coordinate back to
     raw units, and sampling then maps synthetic ranks through the grid,
     which keeps every restored value inside the training range. A
-    continuous label (regression mode) is modeled in raw units and only
-    clipped to the grid endpoints. Categorical columns carry neither.
+    continuous label (regression mode) is scaled into [-1, 1] by the grid
+    endpoints. Categorical columns carry neither.
     """
 
     rate: float = 0.0
@@ -115,19 +119,19 @@ class GenerationConfig:
 
 @dataclass(frozen=True)
 class RonGaussModel:
-    """The release (projection, noised mean, covariance blocks and class
-    statistics) with the public schema and the calibration that decodes
-    it; the column layout, d_eff, p and the label follow from these."""
+    """The release (projection, noised mean and Gaussian cells) with the
+    public schema and the calibration that decodes it; the column layout,
+    d_eff, p and the label follow from these."""
 
     mode: str
     schema: Schema
     projection: RonProjection
     mu_dp: np.ndarray
-    sigma_dp: tuple[np.ndarray, ...]   # one entry per class; single entry otherwise
+    weights_dp: np.ndarray               # (cells,): a distribution
+    means_dp: tuple[np.ndarray, ...]     # one (side,) mean per cell
+    sigma_dp: tuple[np.ndarray, ...]     # one (side, side) covariance per cell
     postprocess: tuple[ColumnPost, ...]
-    class_values: tuple[float, ...] = ()
-    class_weights_dp: np.ndarray | None = None
-    class_means_dp: tuple[np.ndarray, ...] = ()
+    class_values: tuple[float, ...] = ()  # the label value of each cell, classification only
 
     @property
     def d_eff(self) -> int:
@@ -136,42 +140,40 @@ class RonGaussModel:
     def __post_init__(self):
         """What `sample` relies on, for a fitted model and a parsed audit alike:
         a schema whose label suits the mode, W sized to its layout, finite
-        arrays sized to d_eff and p, a block and mean per class, and one
-        finite post-processing entry per schema column."""
+        arrays sized to d_eff and p, one cell per class (one outside
+        classification), and one finite post-processing entry per column."""
         if self.mode not in _MODES:
             raise DataError(f"model has unknown mode {self.mode!r}")
         d_eff = layout(self.schema, self.mode)[1]
         p = self.projection.p
         side = p + 1 if self.mode == MODE_REGRESSION else p
-        shapes = [("W", self.projection.W, (d_eff, p)), ("mu", self.mu_dp, (d_eff,))]
+        classes = len(self.class_values)
+        cells = classes if self.mode == MODE_CLASSIFICATION else 1
+        shapes = [("W", self.projection.W, (d_eff, p)), ("mu", self.mu_dp, (d_eff,)),
+                  ("weights", self.weights_dp, (cells,))]
         shapes += [(f"sigma {i}", s, (side, side)) for i, s in enumerate(self.sigma_dp)]
-        counts = [("covariance blocks", len(self.sigma_dp))]
-        blocks = 1
-        if self.mode == MODE_CLASSIFICATION:
-            blocks = len(self.class_values)
-            shapes.append(("class values", self.class_values, (blocks,)))
-            shapes.append(("class weights", self.class_weights_dp, (blocks,)))
-            shapes += [(f"mean{i}", m, (p,)) for i, m in enumerate(self.class_means_dp)]
-            counts.append(("class means", len(self.class_means_dp)))
+        shapes += [(f"mean {i}", m, (side,)) for i, m in enumerate(self.means_dp)]
         for name, array, shape in shapes:
             if np.shape(array) != shape:
                 raise DataError(f"model {name} has shape {np.shape(array)}, expected {shape}")
             if not np.all(np.isfinite(array)):
                 raise DataError(f"model {name} holds a non-finite value")
-        for name, count in counts:
-            if count != blocks:
-                raise DataError(f"{self.mode} model has {count} {name}, expected {blocks}")
+        for name, count in (("covariances", len(self.sigma_dp)), ("means", len(self.means_dp))):
+            if count != cells:
+                raise DataError(f"{self.mode} model has {count} {name}, expected {cells}")
+        weights = np.asarray(self.weights_dp)
+        # `Generator.choice` accepts a sum within about 1.5e-8 of 1
+        if not (cells and np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-8):
+            raise DataError(f"model weights {weights.tolist()} are not a distribution")
+        # as `fit`'s np.unique gives them: two or more, distinct, ascending, 0/1 or level indices
+        if classes < 2 if self.mode == MODE_CLASSIFICATION else classes:
+            raise DataError(f"{self.mode} model has {classes} class values")
         if self.mode == MODE_CLASSIFICATION:
-            # as `fit`'s np.unique gives them: distinct, ascending, 0/1 or level indices
             label = self.schema.columns[self.schema.label_index]
             domain = range(len(label.levels)) if label.kind == CATEGORICAL else (0, 1)
             if list(self.class_values) != sorted(set(self.class_values) & set(domain)):
                 raise DataError(f"model class values {list(self.class_values)} are not distinct "
                                 f"ascending values of the label {label.name}")
-            weights = np.asarray(self.class_weights_dp)
-            # `Generator.choice` accepts a sum within about 1.5e-8 of 1
-            if not (blocks and np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-8):
-                raise DataError(f"model class weights {weights.tolist()} are not a distribution")
         if len(self.postprocess) != self.schema.d:
             raise DataError(f"model has {len(self.postprocess)} post-processing entries, "
                             f"expected one per schema column ({self.schema.d})")
@@ -301,20 +303,19 @@ def _column_post(col: ColumnSpec, values: np.ndarray, points: int) -> ColumnPost
 
 
 def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
-    """Fit the projected DP Gaussian(s) on a dataset.
+    """Fit the projected DP Gaussian cells on a dataset.
 
     Unsupervised mode models every column; classification and regression
     modes model every column except the label. The projection and the DP
-    mean are shared across classes; each class gets its own DP mean and
-    covariance in projected space at a 1/k share of the covariance budget.
+    mean are shared by every cell; epsilon_sigma buys one `dp_covariance`
+    (in regression of the samples stacked with their scaled labels) or,
+    in classification, the cells of `_class_cells`.
     """
     mode = resolve_mode(dataset.schema, config.mode)
     schema = dataset.schema
     label_idx = schema.label_index
     seq = np.random.SeedSequence(config.seed)
-    rng_noise, rng_mu, rng_ron, rng_cov, rng_weights = (
-        np.random.default_rng(s) for s in seq.spawn(5)
-    )
+    rng_noise, rng_mu, rng_ron, rng_cov, rng_counts = (np.random.default_rng(s) for s in seq.spawn(5))
 
     X = pre_normalize(dataset, CATEGORICAL_NOISE_SIGMA, rng_noise, mode)
     d_eff = X.shape[0]
@@ -330,79 +331,65 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
 
     posts = tuple(_column_post(schema.columns[j], dataset.values[:, j], config.quantile_points)
                   for j in range(schema.d))
+    shared = dict(mode=mode, schema=schema, projection=projection, mu_dp=mu, postprocess=posts)
+    eps_sigma = config.budget.epsilon_sigma
 
     if mode == MODE_CLASSIFICATION:
-        labels = dataset.values[:, label_idx]
-        values, counts = np.unique(labels, return_counts=True)
-        class_values = tuple(float(value) for value in values)
-        k = len(class_values)
-        if k < 2:
-            raise DataError("classification mode needs at least two label values")
-        # per-class budget share eps_sigma/k, split evenly between the class
-        # mean and second moment: both queries share the 2*sqrt(p)/n bound,
-        # and a noisy mean shifts every downstream threshold directly
-        eps_class = config.budget.epsilon_sigma / k
-        mu_frac = 0.5
-        sigmas = []
-        means = []
-        for value in class_values:
-            idx = np.flatnonzero(labels == value)
-            if len(idx) < p:
-                raise DataError(
-                    f"class {value} has {len(idx)} samples, fewer than p={p}: covariance would be rank-deficient"
-                )
-            block = Xp[:, idx]
-            # projected samples keep norm <= 1 (contraction), so the d-space
-            # mean sensitivity bound 2*sqrt(p)/n carries over
-            m = block.mean(axis=1) + laplace_sample(
-                mean_noise_scale(p, len(idx), eps_class * mu_frac), rng_cov, size=p
-            )
-            if not np.all(np.isfinite(m)):
-                raise DataError(_class_noise_overflow(config.budget.epsilon_sigma, value, "mean"))
-            second = dp_covariance(block, eps_class * (1.0 - mu_frac), rng_cov)
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-                    sigma = psd_repair(second - np.outer(m, m))
-            except np.linalg.LinAlgError:  # eigh of a matrix that overflowed
-                sigma = None
-            if sigma is None or not np.all(np.isfinite(sigma)):
-                raise DataError(_class_noise_overflow(config.budget.epsilon_sigma, value, "covariance"))
-            means.append(m)
-            sigmas.append(sigma)
-        weights = counts / dataset.n + laplace_sample(
-            2.0 / (dataset.n * config.budget.epsilon_mu), rng_weights, size=k
-        )
-        weights = np.clip(weights, 0.0, None)
-        if weights.sum() == 0:
-            weights = np.full(k, 1.0 / k)
-        weights = weights / weights.sum()
-        return RonGaussModel(
-            mode=mode, schema=schema, projection=projection, mu_dp=mu,
-            sigma_dp=tuple(sigmas), postprocess=posts, class_values=class_values,
-            class_weights_dp=weights, class_means_dp=tuple(means),
-        )
-
+        return RonGaussModel(**shared, **_class_cells(Xp, dataset.values[:, label_idx], eps_sigma,
+                                                     rng_counts, rng_cov))
     if mode == MODE_REGRESSION:
+        lo, hi = posts[label_idx].quantile_grid[0], posts[label_idx].quantile_grid[-1]
         y = dataset.values[:, label_idx]
-        n = dataset.n
-        scale = covariance_noise_scale(p, n, config.budget.epsilon_sigma)
-        joint = np.zeros((p + 1, p + 1))
-        joint[:p, :p] = (Xp @ Xp.T) / n + np.diag(
-            np.clip(laplace_sample(scale, rng_cov, size=p), 0.0, None)
-        )
-        joint[:p, p] = joint[p, :p] = (Xp @ y) / n
-        joint[p, p] = (y @ y) / n + max(0.0, float(laplace_sample(scale, rng_cov)))
-        return RonGaussModel(mode=mode, schema=schema, projection=projection, mu_dp=mu,
-                             sigma_dp=(psd_repair(joint),), postprocess=posts)
-
-    sigma = dp_covariance(Xp, config.budget.epsilon_sigma, rng_cov)
-    return RonGaussModel(mode=mode, schema=schema, projection=projection, mu_dp=mu,
-                         sigma_dp=(sigma,), postprocess=posts)
+        t = np.clip((2.0 * y - lo - hi) / (hi - lo), -1.0, 1.0) if hi > lo else np.zeros(dataset.n)
+        # each (x', t)/sqrt(2) has norm <= 1 (t clipped against rounding): one bound noises all
+        sigma = 2.0 * dp_covariance(np.vstack([Xp, t]) / np.sqrt(2.0), dataset.n, eps_sigma, rng_cov)
+    else:
+        sigma = dp_covariance(Xp, dataset.n, eps_sigma, rng_cov)
+    return RonGaussModel(**shared, weights_dp=np.ones(1), means_dp=(np.zeros(len(sigma)),),
+                         sigma_dp=(sigma,))
 
 
-def _class_noise_overflow(epsilon_sigma: float, value: float, moment: str) -> str:
-    return (f"epsilon_sigma={epsilon_sigma:g} is too small: the noise on class {value:g}'s "
-            f"{moment} is so large that it overflows")
+def _class_cells(Xp: np.ndarray, labels: np.ndarray, epsilon_sigma: float,
+                 rng_counts: np.random.Generator, rng_cov: np.random.Generator) -> dict:
+    """One cell per label class, as `RonGaussModel` fields. `CLASS_COUNT_SHARE` of
+    epsilon_sigma noises the class sizes over n (replace-one L1 sensitivity 2/n);
+    each class's sum and second moment over n take half of a 1/k share of the
+    rest. With a = max(noised size over n, p/n), weight = clipped size over their
+    sum, mean = sum/a and sigma = the repaired moment/a - mean mean^T."""
+    p, n = Xp.shape
+    class_values, counts = np.unique(labels, return_counts=True)
+    k = len(class_values)
+    if k < 2:
+        raise DataError("classification mode needs at least two label values")
+    eps_counts = CLASS_COUNT_SHARE * epsilon_sigma
+    shares = counts / n + laplace_sample(2.0 / (n * eps_counts), rng_counts, size=k)
+    weights = np.clip(shares, 0.0, None)
+    weights = weights / weights.sum() if weights.sum() > 0 else np.full(k, 1.0 / k)
+    eps_half = (epsilon_sigma - eps_counts) / k / 2.0
+    means, sigmas = [], []
+    for value, count, share in zip(class_values, counts, shares):
+        if count < p:
+            raise DataError(f"class {float(value)} has {count} samples, fewer than p={p}: "
+                            "covariance would be rank-deficient")
+        block = Xp[:, labels == value]
+        a = max(share, p / n)
+        # projected samples keep norm <= 1 (contraction), so the d-space
+        # mean sensitivity bound 2*sqrt(p)/n carries over to the sum over n
+        total = block.sum(axis=1) / n + laplace_sample(mean_noise_scale(p, n, eps_half), rng_cov, size=p)
+        moment = dp_covariance(block, n, eps_half, rng_cov)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                m = total / a
+                sigma = psd_repair(moment / a - np.outer(m, m))
+        except np.linalg.LinAlgError:  # eigh of a matrix that overflowed
+            sigma = np.full(1, np.inf)
+        if not np.all(np.isfinite(sigma)):
+            raise DataError(f"epsilon_sigma={epsilon_sigma:g} is too small: the noise on class "
+                            f"{value:g}'s covariance is so large that it overflows")
+        means.append(m)
+        sigmas.append(sigma)
+    return dict(weights_dp=weights, means_dp=tuple(means), sigma_dp=tuple(sigmas),
+                class_values=tuple(float(value) for value in class_values))
 
 
 def _gaussian_draws(sigma: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -438,36 +425,39 @@ def _threshold_by_rate(values: np.ndarray, rate: float) -> np.ndarray:
 def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
     """Draw synthetic rows and restore the original column formats.
 
-    Projected draws are mapped back with x = W x' + mu. One-hot blocks
-    invert by argmax; binary columns threshold at the synthetic quantile
-    of the training positive rate; continuous columns map through the
-    stored training quantile grid. A regression label is sampled in raw
-    units from the joint and clipped to its training range.
+    Each row draws a cell by weight (a one-cell model draws no assignment)
+    and a point from its Gaussian, mapped back with x = W x' + mu. One-hot
+    blocks invert by argmax; binary columns threshold at the synthetic
+    quantile of the training positive rate, the protected one within each
+    drawn class so that the label keeps the fair parity; continuous
+    columns map through the stored training quantile grid. A regression
+    label is mapped back to raw units and clipped to its training range.
     """
     if n_out < 1:
         raise DataError("n_out must be >= 1")
     rng = np.random.default_rng(seed)
     p = model.projection.p
+    cells = len(model.weights_dp)
 
-    label_values = None
-    if model.mode == MODE_CLASSIFICATION:
-        assignments = rng.choice(len(model.class_values), size=n_out, p=model.class_weights_dp)
+    assignments = rng.choice(cells, size=n_out, p=model.weights_dp) if cells > 1 else None
+    if cells == 1:
+        projected = _gaussian_draws(model.sigma_dp[0], n_out, rng)
+        projected += model.means_dp[0][:, None]
+    else:
         projected = np.empty((p, n_out))
-        for c in range(len(model.class_values)):
+        for c in range(cells):
             idx = np.flatnonzero(assignments == c)
             if len(idx):
                 draws = _gaussian_draws(model.sigma_dp[c], len(idx), rng)
-                draws += model.class_means_dp[c][:, None]
+                draws += model.means_dp[c][:, None]
                 projected[:, idx] = draws
-        label_values = np.asarray(model.class_values)[assignments]
-        del assignments
-    elif model.mode == MODE_REGRESSION:
-        joint = _gaussian_draws(model.sigma_dp[0], n_out, rng)
-        projected = joint[:p]
+    label_values = np.asarray(model.class_values)[assignments] if model.class_values else None
+    del assignments
+    if model.mode == MODE_REGRESSION:
         grid = model.postprocess[model.schema.label_index].quantile_grid
-        label_values = np.clip(joint[p], grid[0], grid[-1])
-    else:
-        projected = _gaussian_draws(model.sigma_dp[0], n_out, rng)
+        lo, hi = grid[0], grid[-1]
+        label_values = np.clip((projected[p] * (hi - lo) + lo + hi) / 2.0, lo, hi)
+        projected = projected[:p]
 
     coords = model.projection.W @ projected
     del projected
@@ -480,6 +470,11 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
             out[:, j] = label_values
         elif col.kind == CATEGORICAL:
             out[:, j] = np.argmax(coords[rows[j]], axis=0)
+        elif col.kind == BINARY and j == model.schema.protected_index and model.class_values:
+            for value in model.class_values:  # skipping a class that drew no rows
+                drawn = label_values == value
+                if drawn.any():
+                    out[drawn, j] = _threshold_by_rate(coords[rows[j].start, drawn], post.rate)
         elif col.kind == BINARY:
             out[:, j] = _threshold_by_rate(coords[rows[j].start], post.rate)
         else:

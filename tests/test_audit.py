@@ -96,18 +96,21 @@ def _continuous_f0(record):
 # edits of the JSON model record of the fixture's classification audit
 # (d_eff 5, p 4, two classes), and the error each must raise
 CORRUPTIONS = {
-    "no class mean": (lambda r: r["class_means"].pop(),
-                      r"classification model has 1 class means, expected 2"),
-    "short class mean": (lambda r: r["class_means"][0].__delitem__(slice(2, None)),
-                         r"mean0 has shape \(2,\), expected \(4,\)"),
+    "no class mean": (lambda r: r["means"].pop(),
+                      r"classification model has 1 means, expected 2"),
+    "short class mean": (lambda r: r["means"][0].__delitem__(slice(2, None)),
+                         r"mean 0 has shape \(2,\), expected \(4,\)"),
     "short mu": (lambda r: r["mu"].pop(), r"mu has shape \(4,\), expected \(5,\)"),
-    "extra class weight": (lambda r: r["class_weights"].append(0.5),
-                           r"class weights has shape \(3,\), expected \(2,\)"),
+    "extra class weight": (lambda r: r["weights"].append(0.5),
+                           r"weights has shape \(3,\), expected \(2,\)"),
     "missing sigma row": (lambda r: r["sigma"][0].pop(), r"sigma 0 has shape \(3, 4\), expected \(4, 4\)"),
     "ragged sigma": (lambda r: r["sigma"][1][0].pop(),
                      r"field 'sigma': setting an array element with a sequence"),
+    # one cell, as regression has, whose blocks keep the classification sizes
     "regression sizes": (lambda r: r.update(mode="regression",
-                                            schema=r["schema"].replace("y binary", "y continuous")),
+                                            schema=r["schema"].replace("y binary", "y continuous"),
+                                            class_values=[], weights=[1.0], means=r["means"][:1],
+                                            sigma=r["sigma"][:1]),
                          r"sigma 0 has shape \(4, 4\), expected \(5, 5\)"),
     "regression on a binary label": (lambda r: r.update(mode="regression"),
                                      r"regression mode needs a continuous label column"),
@@ -122,10 +125,13 @@ CORRUPTIONS = {
     "short post": (lambda r: r["post"].pop(),
                    r"model has 4 post-processing entries, expected one per schema column \(5\)"),
     "empty grid": (_continuous_f0, r"post-processing of f0 has an empty quantile grid"),
-    "weights off one": (lambda r: r["class_weights"].__setitem__(0, 0.9),
-                        r"class weights \[0.9, .*\] are not a distribution"),
-    "no classes": (lambda r: r.update(class_values=[], class_weights=[], class_means=[], sigma=[]),
-                   r"class weights \[\] are not a distribution"),
+    "weights off one": (lambda r: r["weights"].__setitem__(0, 0.9),
+                        r"weights \[0.9, .*\] are not a distribution"),
+    "no classes": (lambda r: r.update(class_values=[], weights=[], means=[], sigma=[]),
+                   r"weights \[\] are not a distribution"),
+    "one class": (lambda r: r.update(class_values=[0.0], weights=[1.0], means=r["means"][:1],
+                                     sigma=r["sigma"][:1]),
+                  r"classification model has 1 class values"),
     "NaN sigma": (lambda r: r["sigma"][1][2].__setitem__(3, float("nan")),
                   r"model sigma 1 holds a non-finite value"),
     "infinite W": (lambda r: r["W"][4].__setitem__(0, float("-inf")), r"model W holds a non-finite value"),

@@ -227,8 +227,8 @@ def test_tiny_epsilon_exits_1_and_names_epsilon_mu(tmp_path, capsys, epsilon, ep
 @pytest.mark.parametrize("flags, epsilon_sigma, value", [
     (["--epsilon", "1e-155"], "7e-156", "1"),
     (["--epsilon", "1e-145", "--epsilon-split", "1:1e-10"], "1e-155", "1"),
-    (["--epsilon", "1e-148", "--epsilon-split", "1:1e-10"], "1e-158", "0"),
-], ids=["epsilon", "split-class1", "split-class0"])
+    (["--epsilon", "1e-148", "--epsilon-split", "1:1e-10"], "1e-158", "1"),
+], ids=["epsilon", "split-class1", "split-smaller"])
 def test_tiny_epsilon_sigma_exits_1_and_names_epsilon_sigma(tmp_path, capsys, flags, epsilon_sigma, value):
     # finite class-mean noise whose outer product overflows the class covariance:
     # the error names the budget, with no numpy warning on the way

@@ -80,15 +80,31 @@ def test_model_lines_print_every_field_by_value():
 
     model = Fields(
         mode="regression", d_eff=2, projection=Fields(p=1, W=np.array([[1.5], [-0.0]])),
-        mu_dp=np.array([0.25, 0.1]), sigma_dp=(np.eye(1),), class_values=(), class_weights_dp=None,
-        class_means_dp=(), postprocess=(Fields(rate=np.float64(0.5), quantile_grid=()),
-                                        Fields(rate=0.0, quantile_grid=(np.float64(0.1), 2.0))))
+        mu_dp=np.array([0.25, 0.1]), weights_dp=np.ones(1), means_dp=(np.zeros(1),), sigma_dp=(np.eye(1),),
+        class_values=(), postprocess=(Fields(rate=np.float64(0.5), quantile_grid=()),
+                                      Fields(rate=0.0, quantile_grid=(np.float64(0.1), 2.0))))
     assert load_script().model_lines(model) == [
         "model.mode='regression'", "model.d_eff=2", "model.projection.p=1",
         "model.projection.W[0][0]=1.5", "model.projection.W[1][0]=-0.0",
-        "model.mu_dp[0]=0.25", "model.mu_dp[1]=0.1", "model.sigma_dp[0][0][0]=1.0",
-        "model.class_weights_dp=None", "model.postprocess[0].rate=0.5", "model.postprocess[1].rate=0.0",
+        "model.mu_dp[0]=0.25", "model.mu_dp[1]=0.1", "model.weights_dp[0]=1.0", "model.means_dp[0][0]=0.0",
+        "model.sigma_dp[0][0][0]=1.0", "model.postprocess[0].rate=0.5", "model.postprocess[1].rate=0.0",
         "model.postprocess[1].quantile_grid[0]=0.1", "model.postprocess[1].quantile_grid[1]=2.0"]
+
+
+def test_a_model_of_another_layout_prints_absent_fields_and_differs_in_layout(tmp_path):
+    from types import SimpleNamespace as Fields
+
+    script = load_script()
+    model = Fields(mode="unsupervised", d_eff=2, projection=Fields(p=1, W=np.array([[1.0], [0.0]])),
+                   mu_dp=np.zeros(2), sigma_dp=(np.eye(1),), class_values=(), postprocess=())
+    lines = script.model_lines(model)
+    assert "model.weights_dp absent" in lines and "model.means_dp absent" in lines
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+    (old / "case.model").write_text("\n".join(lines) + "\n")
+    (new / "case.model").write_text("\n".join(lines).replace(" absent", "[0]=1.0") + "\n")
+    assert script.difference("case", old, new, 0, 0) == "model layout differs"
 
 
 def test_difference_names_a_differing_evaluate_output(tmp_path):

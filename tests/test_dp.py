@@ -80,17 +80,17 @@ def test_dp_mean_noise_magnitude_tracks_epsilon():
 
 def test_dp_covariance_symmetric_psd_and_convergent():
     X = unit_columns(5, 40, seed=7)
-    S = dp_covariance(X, 1.0, seed=2)
+    S = dp_covariance(X, X.shape[1], 1.0, seed=2)
     assert np.array_equal(S, S.T)
     assert np.linalg.eigvalsh(S).min() >= -1e-12
-    S9 = dp_covariance(X, 1e9, seed=2)
+    S9 = dp_covariance(X, X.shape[1], 1e9, seed=2)
     assert np.abs(S9 - (X @ X.T) / X.shape[1]).max() < 1e-6
 
 
 def test_dp_functions_deterministic_given_seed():
     X = unit_columns(4, 25, seed=9)
     assert np.array_equal(dp_mean(X, 1.0, seed=5), dp_mean(X, 1.0, seed=5))
-    assert np.array_equal(dp_covariance(X, 1.0, seed=5), dp_covariance(X, 1.0, seed=5))
+    assert np.array_equal(dp_covariance(X, 25, 1.0, seed=5), dp_covariance(X, 25, 1.0, seed=5))
     assert not np.array_equal(dp_mean(X, 1.0, seed=5), dp_mean(X, 1.0, seed=6))
 
 

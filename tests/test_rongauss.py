@@ -1,10 +1,13 @@
 """Projection pipeline: normalization, centering, RON, fit/sample, generate."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import binary_group_dataset, mixed_dataset
-from ffpdg import rongauss
+from ffpdg import dp, rongauss
 from ffpdg.data import (
     BINARY,
     CATEGORICAL,
@@ -16,8 +19,10 @@ from ffpdg.data import (
     Schema,
     average_ranks,
     interp_quantiles,
+    load_csv,
+    load_schema,
 )
-from ffpdg.dp import PrivacyBudget
+from ffpdg.dp import PrivacyBudget, laplace_sample
 from ffpdg.errors import DataError, SchemaError, StageError
 from ffpdg.rongauss import (
     CATEGORICAL_NOISE_SIGMA,
@@ -36,6 +41,7 @@ from ffpdg.rongauss import (
 )
 
 LOOSE = PrivacyBudget.from_total(1e8)  # noise small enough to see the data
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def record_fair_samples(monkeypatch):
@@ -48,6 +54,20 @@ def record_fair_samples(monkeypatch):
 
     monkeypatch.setattr(rongauss, "fit", recording_fit)
     return seen
+
+
+def record_laplace_draws(monkeypatch):
+    """Patch `laplace_sample` in `dp` and `rongauss` to record the scale and
+    the number of draws of each call; returns the record."""
+    calls = []
+
+    def recording_laplace(b, rng, size=None):
+        calls.append((float(b), int(np.prod(size)) if size is not None else 1))
+        return laplace_sample(b, rng, size)
+
+    monkeypatch.setattr(dp, "laplace_sample", recording_laplace)
+    monkeypatch.setattr(rongauss, "laplace_sample", recording_laplace)
+    return calls
 
 
 def regression_dataset(n, seed, noise=0.05):
@@ -202,10 +222,18 @@ def test_fit_sample_classification_round_trip():
     assert all(type(v) is float for v in model.class_values)
     # loose budget: noised class weights track the empirical proportions
     want = np.array([np.mean(ds.column("y") == v) for v in model.class_values])
-    assert np.abs(np.asarray(model.class_weights_dp) - want).max() < 1e-4
+    assert np.abs(np.asarray(model.weights_dp) - want).max() < 1e-4
     syn = sample(model, 1500, seed=4)
     assert syn.schema == ds.schema and syn.n == 1500
     assert set(np.unique(syn.column("y"))) <= {0.0, 1.0}
+
+
+def test_one_cell_modes_release_weight_one_and_mean_zero():
+    for mode, ds in (("unsupervised", mixed_dataset(300, 19)), ("regression", regression_dataset(300, 19))):
+        model = fit(ds, GenerationConfig(budget=LOOSE, seed=5, mode=mode))
+        assert model.weights_dp.tolist() == [1.0] and not model.means_dp[0].any()
+        with pytest.raises(DataError, match=f"{mode} model has 1 class values"):
+            replace(model, class_values=(0.0,))
 
 
 def test_sample_deterministic_in_seed():
@@ -389,3 +417,52 @@ def test_fair_sample_without_a_protected_group_fails_tagged(monkeypatch):
     with pytest.raises(StageError, match="both protected groups must be present") as err:
         generate_with_artifacts(ds, GenerationConfig(budget=LOOSE, seed=1))
     assert err.value.stage == "code inversion"
+
+
+def test_classification_noise_scales_do_not_read_the_class_sizes(monkeypatch):
+    # every noised class statistic is a sum over the public n, so two tables
+    # with the same n and k draw the same noise scales whatever their class sizes
+    base = binary_group_dataset(1000, 0.3, 0.6, seed=16, n_features=4)
+    scales = []
+    for positives in (300, 700):
+        values = base.values.copy()
+        values[:, -1] = np.arange(base.n) < positives
+        calls = record_laplace_draws(monkeypatch)
+        fit(Dataset(base.schema, values), GenerationConfig(seed=2))
+        scales.append(calls)
+    assert scales[0] == scales[1]
+    assert len(scales[0]) == 1 + 1 + 2 * 2  # the mean, the class sizes, a sum and a moment per class
+
+
+def test_regression_noises_every_entry_of_the_joint(monkeypatch):
+    # the shared mean's d_eff draws, then one draw per entry on and above the
+    # diagonal of the (p+1) x (p+1) joint of the projected features and the label
+    calls = record_laplace_draws(monkeypatch)
+    model = fit(regression_dataset(500, seed=17), GenerationConfig(seed=3, mode="regression"))
+    p = model.projection.p
+    assert sum(size for _, size in calls) == model.d_eff + (p + 1) * (p + 2) // 2
+
+
+@pytest.mark.parametrize("stem", ["adult", "compas"])
+def test_released_rows_keep_the_fair_parity(stem):
+    # the protected column is thresholded within each drawn class, so the
+    # released label is independent of the protected group
+    schema = load_schema(DATA / f"{stem}.schema")
+    train = load_csv(DATA / f"{stem}_sample.csv", schema)
+    gaps = []
+    for seed in range(10):
+        synth = generate(train, GenerationConfig(seed=seed))
+        y, c = synth.values[:, schema.label_index], synth.values[:, schema.protected_index]
+        gaps.append(abs(y[c == 1].mean() - y[c == 0].mean()))
+    assert max(gaps) <= 0.01, gaps
+
+
+def test_sampling_one_row_leaves_a_class_without_rows():
+    # one row draws one class; the other class's protected threshold is skipped
+    model = fit(binary_group_dataset(400, 0.3, 0.6, seed=18, n_features=2), GenerationConfig(seed=4))
+    drawn = set()
+    for seed in range(8):
+        synth = sample(model, 1, seed=seed)
+        assert synth.n == 1
+        drawn.add(float(synth.column("y")[0]))
+    assert drawn == {0.0, 1.0}
