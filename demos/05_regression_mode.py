@@ -2,9 +2,10 @@
 
 A continuous label switches the generator to modeling (projected
 features, t) jointly, where t is the label scaled into [-1, 1] by its
-range. The joint is one noised second moment over n, like the
-unsupervised release, so every entry of it is noised; sampling maps t
-back to raw units. Synthetic rows thus carry a usable regression
+range. The release is t's noised mean and one noised second moment over
+n of the rows stacked with t centred on it, like the unsupervised
+release, so every entry of the joint is noised; sampling adds the mean
+back and maps t to raw units. Synthetic rows thus carry a usable regression
 signal. Least squares on the synthetic rows then recovers coefficients,
 with two error sources worth separating:
 

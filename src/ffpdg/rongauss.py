@@ -8,9 +8,10 @@ Gaussian cells in the projected space; sampling; back-projection and
 re-discretization into the original column formats.
 
 The release is a tuple of Gaussian cells (weight, mean, covariance) from
-noised sums over the public n: one zero-mean cell in unsupervised mode and
-in regression mode (whose samples carry their label scaled into [-1, 1]);
-one cell per class, from noised class sizes, sums and moments, otherwise.
+noised sums over the public n: one zero-mean cell in unsupervised mode;
+one cell in regression mode, whose samples carry their label scaled into
+[-1, 1] and whose mean is zero but for the label's noised mean; one cell
+per class, from noised class sizes, sums and moments, otherwise.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ CATEGORICAL_NOISE_SIGMA = 0.01
 # Share of epsilon_sigma that releases the class-size histogram in
 # classification mode; the class sums and second moments split the rest.
 CLASS_COUNT_SHARE = 0.1
+
+# Share of epsilon_sigma that releases the scaled label's mean in regression mode.
+LABEL_MEAN_SHARE = 0.1
 
 
 @dataclass(frozen=True)
@@ -147,8 +151,9 @@ class RonGaussModel:
         d_eff = layout(self.schema, self.mode)[1]
         p = self.projection.p
         side = p + 1 if self.mode == MODE_REGRESSION else p
+        classification = self.mode == MODE_CLASSIFICATION
         classes = len(self.class_values)
-        cells = classes if self.mode == MODE_CLASSIFICATION else 1
+        cells = classes if classification else 1
         shapes = [("W", self.projection.W, (d_eff, p)), ("mu", self.mu_dp, (d_eff,)),
                   ("weights", self.weights_dp, (cells,))]
         shapes += [(f"sigma {i}", s, (side, side)) for i, s in enumerate(self.sigma_dp)]
@@ -165,10 +170,10 @@ class RonGaussModel:
         # `Generator.choice` accepts a sum within about 1.5e-8 of 1
         if not (cells and np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-8):
             raise DataError(f"model weights {weights.tolist()} are not a distribution")
-        # as `fit`'s np.unique gives them: two or more, distinct, ascending, 0/1 or level indices
-        if classes < 2 if self.mode == MODE_CLASSIFICATION else classes:
+        if (classes < 2) if classification else (classes != 0):
             raise DataError(f"{self.mode} model has {classes} class values")
-        if self.mode == MODE_CLASSIFICATION:
+        if classification:
+            # as `fit`'s np.unique gives them: distinct, ascending, 0/1 or level indices
             label = self.schema.columns[self.schema.label_index]
             domain = range(len(label.levels)) if label.kind == CATEGORICAL else (0, 1)
             if list(self.class_values) != sorted(set(self.class_values) & set(domain)):
@@ -308,14 +313,15 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
     Unsupervised mode models every column; classification and regression
     modes model every column except the label. The projection and the DP
     mean are shared by every cell; epsilon_sigma buys one `dp_covariance`
-    (in regression of the samples stacked with their scaled labels) or,
-    in classification, the cells of `_class_cells`.
+    (in regression, after the scaled label's mean, of the samples stacked
+    with their centred labels) or, in classification, the cells of
+    `_class_cells`.
     """
     mode = resolve_mode(dataset.schema, config.mode)
     schema = dataset.schema
     label_idx = schema.label_index
     seq = np.random.SeedSequence(config.seed)
-    rng_noise, rng_mu, rng_ron, rng_cov, rng_counts = (np.random.default_rng(s) for s in seq.spawn(5))
+    rng_noise, rng_mu, rng_ron, rng_cov, rng_share = (np.random.default_rng(s) for s in seq.spawn(5))
 
     X = pre_normalize(dataset, CATEGORICAL_NOISE_SIGMA, rng_noise, mode)
     d_eff = X.shape[0]
@@ -336,21 +342,27 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
 
     if mode == MODE_CLASSIFICATION:
         return RonGaussModel(**shared, **_class_cells(Xp, dataset.values[:, label_idx], eps_sigma,
-                                                     rng_counts, rng_cov))
+                                                     rng_share, rng_cov))
     if mode == MODE_REGRESSION:
         lo, hi = posts[label_idx].quantile_grid[0], posts[label_idx].quantile_grid[-1]
-        y = dataset.values[:, label_idx]
-        t = np.clip((2.0 * y - lo - hi) / (hi - lo), -1.0, 1.0) if hi > lo else np.zeros(dataset.n)
-        # each (x', t)/sqrt(2) has norm <= 1 (t clipped against rounding): one bound noises all
-        sigma = 2.0 * dp_covariance(np.vstack([Xp, t]) / np.sqrt(2.0), dataset.n, eps_sigma, rng_cov)
+        t = (2.0 * dataset.values[:, label_idx] - lo - hi) / (hi - lo) if hi > lo else np.zeros(dataset.n)
+        # t in [-1, 1] gets a noised mean m; t - m, scaled by s = 1 + |m| into [-1, 1]
+        # (clipped against rounding), joins x', and each stacked column / sqrt(2) has norm <= 1
+        eps_mean = LABEL_MEAN_SHARE * eps_sigma
+        m = np.clip(t.mean() + laplace_sample(mean_noise_scale(1, dataset.n, eps_mean), rng_share), -1, 1)
+        scale = np.append(np.ones(p), 1.0 + abs(m))  # the label's row and column back to t - m
+        u = np.clip((t - m) / scale[p], -1.0, 1.0)
+        sigma = dp_covariance(np.vstack([Xp, u]) / np.sqrt(2.0), dataset.n, eps_sigma - eps_mean, rng_cov)
+        sigma *= 2.0 * np.outer(scale, scale)
+        mean = np.append(np.zeros(p), m)
     else:
         sigma = dp_covariance(Xp, dataset.n, eps_sigma, rng_cov)
-    return RonGaussModel(**shared, weights_dp=np.ones(1), means_dp=(np.zeros(len(sigma)),),
-                         sigma_dp=(sigma,))
+        mean = np.zeros(p)
+    return RonGaussModel(**shared, weights_dp=np.ones(1), means_dp=(mean,), sigma_dp=(sigma,))
 
 
 def _class_cells(Xp: np.ndarray, labels: np.ndarray, epsilon_sigma: float,
-                 rng_counts: np.random.Generator, rng_cov: np.random.Generator) -> dict:
+                 rng_share: np.random.Generator, rng_cov: np.random.Generator) -> dict:
     """One cell per label class, as `RonGaussModel` fields. `CLASS_COUNT_SHARE` of
     epsilon_sigma noises the class sizes over n (replace-one L1 sensitivity 2/n);
     each class's sum and second moment over n take half of a 1/k share of the
@@ -362,7 +374,7 @@ def _class_cells(Xp: np.ndarray, labels: np.ndarray, epsilon_sigma: float,
     if k < 2:
         raise DataError("classification mode needs at least two label values")
     eps_counts = CLASS_COUNT_SHARE * epsilon_sigma
-    shares = counts / n + laplace_sample(2.0 / (n * eps_counts), rng_counts, size=k)
+    shares = counts / n + laplace_sample(2.0 / (n * eps_counts), rng_share, size=k)
     weights = np.clip(shares, 0.0, None)
     weights = weights / weights.sum() if weights.sum() > 0 else np.full(k, 1.0 / k)
     eps_half = (epsilon_sigma - eps_counts) / k / 2.0
@@ -428,10 +440,11 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
     Each row draws a cell by weight (a one-cell model draws no assignment)
     and a point from its Gaussian, mapped back with x = W x' + mu. One-hot
     blocks invert by argmax; binary columns threshold at the synthetic
-    quantile of the training positive rate, the protected one within each
-    drawn class so that the label keeps the fair parity; continuous
-    columns map through the stored training quantile grid. A regression
-    label is mapped back to raw units and clipped to its training range.
+    quantile of the training positive rate, the protected one in
+    classification within each drawn class so that the label keeps the
+    fair parity; continuous columns map through the stored training
+    quantile grid. A regression label is mapped back to raw units and
+    clipped to its training range.
     """
     if n_out < 1:
         raise DataError("n_out must be >= 1")
@@ -440,17 +453,14 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
     cells = len(model.weights_dp)
 
     assignments = rng.choice(cells, size=n_out, p=model.weights_dp) if cells > 1 else None
-    if cells == 1:
-        projected = _gaussian_draws(model.sigma_dp[0], n_out, rng)
-        projected += model.means_dp[0][:, None]
-    else:
-        projected = np.empty((p, n_out))
-        for c in range(cells):
-            idx = np.flatnonzero(assignments == c)
-            if len(idx):
-                draws = _gaussian_draws(model.sigma_dp[c], len(idx), rng)
-                draws += model.means_dp[c][:, None]
-                projected[:, idx] = draws
+    projected = np.empty((len(model.means_dp[0]), n_out))
+    for c in range(cells):
+        idx = slice(None) if assignments is None else np.flatnonzero(assignments == c)
+        count = n_out if assignments is None else len(idx)
+        if count:
+            draws = _gaussian_draws(model.sigma_dp[c], count, rng)
+            draws += model.means_dp[c][:, None]
+            projected[:, idx] = draws
     label_values = np.asarray(model.class_values)[assignments] if model.class_values else None
     del assignments
     if model.mode == MODE_REGRESSION:

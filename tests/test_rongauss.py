@@ -228,10 +228,10 @@ def test_fit_sample_classification_round_trip():
     assert set(np.unique(syn.column("y"))) <= {0.0, 1.0}
 
 
-def test_one_cell_modes_release_weight_one_and_mean_zero():
+def test_one_cell_modes_release_weight_one_and_mean_zero_but_the_label():
     for mode, ds in (("unsupervised", mixed_dataset(300, 19)), ("regression", regression_dataset(300, 19))):
         model = fit(ds, GenerationConfig(budget=LOOSE, seed=5, mode=mode))
-        assert model.weights_dp.tolist() == [1.0] and not model.means_dp[0].any()
+        assert model.weights_dp.tolist() == [1.0] and not model.means_dp[0][:model.projection.p].any()
         with pytest.raises(DataError, match=f"{mode} model has 1 class values"):
             replace(model, class_values=(0.0,))
 
@@ -435,12 +435,26 @@ def test_classification_noise_scales_do_not_read_the_class_sizes(monkeypatch):
 
 
 def test_regression_noises_every_entry_of_the_joint(monkeypatch):
-    # the shared mean's d_eff draws, then one draw per entry on and above the
-    # diagonal of the (p+1) x (p+1) joint of the projected features and the label
+    # the shared mean's d_eff draws, the label mean's one, then one draw per entry on and
+    # above the diagonal of the (p+1) x (p+1) joint of the projected features and the label
     calls = record_laplace_draws(monkeypatch)
     model = fit(regression_dataset(500, seed=17), GenerationConfig(seed=3, mode="regression"))
     p = model.projection.p
-    assert sum(size for _, size in calls) == model.d_eff + (p + 1) * (p + 2) // 2
+    assert sum(size for _, size in calls) == model.d_eff + 1 + (p + 1) * (p + 2) // 2
+
+
+def test_regression_keeps_the_mean_of_a_skewed_label():
+    # an Exp(1) label sits far below the middle of its range [0, ~8.5]: the released
+    # cell's noised label mean keeps the synthetic mean near the real one
+    r = np.random.default_rng(20)
+    n = 5000
+    x = r.random((n, 3))
+    y = r.exponential(1.0, n) * (1.0 + x[:, 0])
+    c = (r.random(n) < 0.5).astype(float)
+    ds = Dataset(regression_dataset(1, 0).schema, np.column_stack([x, c, y]))
+    for seed in range(5):
+        synth = sample(fit(ds, GenerationConfig(seed=seed, mode="regression")), n, seed=seed)
+        assert abs(synth.column("y").mean() - y.mean()) < 0.2 * y.std(), seed
 
 
 @pytest.mark.parametrize("stem", ["adult", "compas"])
