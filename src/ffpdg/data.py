@@ -124,6 +124,7 @@ class Dataset:
         if d < 2:
             raise DataError("dataset needs at least two columns")
         _validate_values(self.schema, values)
+        # a copy even of a fresh array: owning it instead raised generate's peak RSS (ROADMAP)
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -463,13 +464,20 @@ def interp_quantiles(sorted_values: np.ndarray, levels) -> np.ndarray:
 def tie_runs(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(order, mean_ranks, sizes) of a 1-d array: the argsort that puts it in
     ascending order, then for each run of equal values in that order the
-    mean of its 1-based ranks and its length."""
+    mean of its 1-based ranks and its length. When no two values tie, the
+    ranks are 1..n and `sizes` is a read-only view of ones that holds no
+    buffer: no run bounds are built."""
     values = np.asarray(values, dtype=np.float64)
+    n = len(values)
     order = np.argsort(values)
     ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    new_run = ordered[1:] != ordered[:-1]
     del ordered
-    sizes = np.diff(starts, append=len(values))
+    if new_run.all():
+        return order, np.arange(1.0, n + 1), np.broadcast_to(np.intp(1), n)
+    starts = np.flatnonzero(np.r_[True, new_run])
+    del new_run
+    sizes = np.diff(starts, append=n)
     # a tie run holds ranks starts+1 .. starts+sizes; twice their mean is the
     # integer 2*starts+1+sizes (built in place), and half of it is exact in float64
     starts *= 2
@@ -479,12 +487,14 @@ def tie_runs(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, means, sizes
 
 
-def scatter_runs(order, run_values, sizes) -> np.ndarray:
+def scatter_runs(order, run_values, sizes, out=None) -> np.ndarray:
     """Give every row the value of its tie run: the rows of `tie_runs`'
-    `order`, one value per run of `sizes` rows."""
+    `order`, one value per run of `sizes` rows; written into `out` (a view
+    with one slot per row) if given, else into a new array."""
     if len(run_values) < len(order):
         run_values = np.repeat(run_values, sizes)
-    out = np.empty(len(order))
+    if out is None:
+        out = np.empty(len(order))
     out[order] = run_values
     return out
 

@@ -59,6 +59,11 @@ CLASS_COUNT_SHARE = 0.1
 # Share of epsilon_sigma that releases the scaled label's mean in regression mode.
 LABEL_MEAN_SHARE = 0.1
 
+# Ranks per np.interp call when sampling maps a continuous column through
+# its grid: each block's result goes back into the rank buffer, so no
+# second n-length array is allocated.
+INTERP_BLOCK = 16_384
+
 
 @dataclass(frozen=True)
 class RonProjection:
@@ -261,22 +266,23 @@ def pre_normalize(dataset: Dataset, categorical_noise_sigma: float, seed,
 
 
 def center_and_renormalize(X: np.ndarray, budget: PrivacyBudget, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the DP mean, then rescale each sample back to unit norm."""
+    """Subtract the DP mean, then rescale each sample back to unit norm, in
+    place: returns (X, mu), and a caller that needs X as it was passes a copy."""
     rng = np.random.default_rng(seed)
     mu = dp_mean(X, budget.epsilon_mu, rng)
-    Xbar = X - mu[:, None]
+    X -= mu[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        norms = column_norms(Xbar)
+        norms = column_norms(X)
     if not np.all(np.isfinite(norms)):
         raise DataError(f"epsilon_mu={budget.epsilon_mu:g} is too small: the mean's noise "
                         "is so large that the centred samples' norms overflow")
     zero = norms == 0.0
     if np.any(zero):
         warnings.warn(f"{int(zero.sum())} samples equal the DP mean; perturbing by 1e-12")
-        Xbar[:, zero] += 1e-12
-        norms = column_norms(Xbar)
-    Xbar /= norms
-    return Xbar, mu
+        X[:, zero] += 1e-12
+        norms = column_norms(X)
+    X /= norms
+    return X, mu
 
 
 def make_ron(d: int, p: int, seed) -> RonProjection:
@@ -315,48 +321,52 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
     mean are shared by every cell; epsilon_sigma buys one `dp_covariance`
     (in regression, after the scaled label's mean, of the samples stacked
     with their centred labels) or, in classification, the cells of
-    `_class_cells`.
+    `_class_cells`. A caller that keeps no other reference to `dataset` lets
+    `fit` free it once the calibration, the labels and the expanded matrix
+    are read.
     """
     mode = resolve_mode(dataset.schema, config.mode)
     schema = dataset.schema
     label_idx = schema.label_index
+    n = dataset.n
     seq = np.random.SeedSequence(config.seed)
     rng_noise, rng_mu, rng_ron, rng_cov, rng_share = (np.random.default_rng(s) for s in seq.spawn(5))
 
+    posts = tuple(_column_post(schema.columns[j], dataset.values[:, j], config.quantile_points)
+                  for j in range(schema.d))
     X = pre_normalize(dataset, CATEGORICAL_NOISE_SIGMA, rng_noise, mode)
+    labels = dataset.values[:, label_idx].copy() if mode != MODE_UNSUPERVISED else None
+    # the table's last reader: a caller that hands it over (as generate does) frees it here
+    del dataset
     d_eff = X.shape[0]
     p = config.p if config.p is not None else min(d_eff - 1, 8)
     if not 1 <= p < d_eff:
         raise DataError(f"projected dimension p={p} must satisfy 1 <= p < d_eff={d_eff}")
 
-    Xbar, mu = center_and_renormalize(X, config.budget, rng_mu)
-    del X
+    X, mu = center_and_renormalize(X, config.budget, rng_mu)
     projection = make_ron(d_eff, p, rng_ron)
-    Xp = projection.W.T @ Xbar
-    del Xbar
+    Xp = projection.W.T @ X
+    del X
 
-    posts = tuple(_column_post(schema.columns[j], dataset.values[:, j], config.quantile_points)
-                  for j in range(schema.d))
     shared = dict(mode=mode, schema=schema, projection=projection, mu_dp=mu, postprocess=posts)
     eps_sigma = config.budget.epsilon_sigma
 
     if mode == MODE_CLASSIFICATION:
-        return RonGaussModel(**shared, **_class_cells(Xp, dataset.values[:, label_idx], eps_sigma,
-                                                     rng_share, rng_cov))
+        return RonGaussModel(**shared, **_class_cells(Xp, labels, eps_sigma, rng_share, rng_cov))
     if mode == MODE_REGRESSION:
         lo, hi = posts[label_idx].quantile_grid[0], posts[label_idx].quantile_grid[-1]
-        t = (2.0 * dataset.values[:, label_idx] - lo - hi) / (hi - lo) if hi > lo else np.zeros(dataset.n)
+        t = (2.0 * labels - lo - hi) / (hi - lo) if hi > lo else np.zeros(n)
         # t in [-1, 1] gets a noised mean m; t - m, scaled by s = 1 + |m| into [-1, 1]
         # (clipped against rounding), joins x', and each stacked column / sqrt(2) has norm <= 1
         eps_mean = LABEL_MEAN_SHARE * eps_sigma
-        m = np.clip(t.mean() + laplace_sample(mean_noise_scale(1, dataset.n, eps_mean), rng_share), -1, 1)
+        m = np.clip(t.mean() + laplace_sample(mean_noise_scale(1, n, eps_mean), rng_share), -1, 1)
         scale = np.append(np.ones(p), 1.0 + abs(m))  # the label's row and column back to t - m
         u = np.clip((t - m) / scale[p], -1.0, 1.0)
-        sigma = dp_covariance(np.vstack([Xp, u]) / np.sqrt(2.0), dataset.n, eps_sigma - eps_mean, rng_cov)
+        sigma = dp_covariance(np.vstack([Xp, u]) / np.sqrt(2.0), n, eps_sigma - eps_mean, rng_cov)
         sigma *= 2.0 * np.outer(scale, scale)
         mean = np.append(np.zeros(p), m)
     else:
-        sigma = dp_covariance(Xp, dataset.n, eps_sigma, rng_cov)
+        sigma = dp_covariance(Xp, n, eps_sigma, rng_cov)
         mean = np.zeros(p)
     return RonGaussModel(**shared, weights_dp=np.ones(1), means_dp=(mean,), sigma_dp=(sigma,))
 
@@ -413,16 +423,18 @@ def _gaussian_draws(sigma: np.ndarray, count: int, rng: np.random.Generator) -> 
     return root @ rng.standard_normal((sigma.shape[0], count))
 
 
-def _match_quantiles(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def _match_quantiles(values: np.ndarray, grid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each value's average rank, as a level, through the quantile grid;
-    interpolated once per run of tied values, in ascending order."""
+    interpolated once per run of tied values, in ascending order, into
+    `out` (a view with one slot per value) if given, else a new array."""
     levels = np.linspace(0.0, 1.0, len(grid))
     order, ranks, sizes = tie_runs(values)
     ranks -= 0.5  # to a level, in place
     ranks /= len(values)
-    run_values = np.interp(ranks, levels, grid)
-    del ranks
-    return scatter_runs(order, run_values, sizes)
+    for start in range(0, len(ranks), INTERP_BLOCK):  # through the grid, in place
+        block = ranks[start:start + INTERP_BLOCK]
+        block[:] = np.interp(block, levels, grid)
+    return scatter_runs(order, ranks, sizes, out)
 
 
 def _threshold_by_rate(values: np.ndarray, rate: float) -> np.ndarray:
@@ -474,23 +486,30 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
     coords += model.mu_dp[:, None]
 
     rows = layout(model.schema, model.mode)[0]
+    label = model.schema.label_index
     out = np.empty((n_out, model.schema.d))
+    if label_values is not None:  # drawn above; the protected column reads it back from out
+        out[:, label] = label_values
+    del label_values
     for j, (col, post) in enumerate(zip(model.schema.columns, model.postprocess)):
-        if j not in rows:  # the label, drawn above
-            out[:, j] = label_values
-        elif col.kind == CATEGORICAL:
+        if j not in rows:  # the label
+            continue
+        if col.kind == CATEGORICAL:
             out[:, j] = np.argmax(coords[rows[j]], axis=0)
         elif col.kind == BINARY and j == model.schema.protected_index and model.class_values:
             for value in model.class_values:  # skipping a class that drew no rows
-                drawn = label_values == value
+                drawn = out[:, label] == value
                 if drawn.any():
                     out[drawn, j] = _threshold_by_rate(coords[rows[j].start, drawn], post.rate)
         elif col.kind == BINARY:
             out[:, j] = _threshold_by_rate(coords[rows[j].start], post.rate)
         else:
             grid = np.asarray(post.quantile_grid)
-            out[:, j] = _match_quantiles(coords[rows[j].start] * (grid[-1] - grid[0]) + grid[0], grid)
-    del coords, label_values  # freed before Dataset copies `out`
+            row = rows[j].start  # scaled in place: no other column reads it
+            coords[row] *= grid[-1] - grid[0]
+            coords[row] += grid[0]
+            _match_quantiles(coords[row], grid, out[:, j])
+    del coords  # freed before Dataset copies `out`
     return Dataset(model.schema, out)
 
 
@@ -513,9 +532,9 @@ def generate(dataset: Dataset, config: GenerationConfig | None = None) -> Datase
 
 def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = None) -> GenerationResult:
     """`generate`, with its artifacts. The input is dropped once the fair
-    codes are decoded and the fair sample once `fit` returns, so a caller
-    that keeps no reference to the input (as the CLI) holds one n-row
-    table at a time from `fit` on."""
+    codes are decoded, and `fit` takes the fair sample over and drops it
+    once it has expanded it, so a caller that keeps no reference to the
+    input (as the CLI) holds one n-row table at a time from `fit` on."""
     config = config or GenerationConfig()
     schema = dataset.schema
     n = dataset.n
@@ -550,16 +569,16 @@ def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = 
         rows = binarize.decode_codes(codes, codebook, dataset.values, seed_decode)
         # the input goes before Dataset copies the rows: two tables alive, not three
         del codes, dataset
-        fair = Dataset(schema, rows)
+        fair = [Dataset(schema, rows)]
         del rows
     except Exception as exc:
         raise StageError("code inversion", exc) from exc
 
     try:
-        model = fit(fair, replace(config, seed=seed_fit))
+        # pop hands the fair table over: fit holds the only reference and frees it
+        model = fit(fair.pop(), replace(config, seed=seed_fit))
     except Exception as exc:
         raise StageError("projection fit", exc) from exc
-    del fair
 
     n_out = config.n_out if config.n_out is not None else n
     try:

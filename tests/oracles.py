@@ -10,7 +10,10 @@ logistic-regression fit is the library's Newton loop with its design
 matrix built by np.hstack and a sigmoid by boolean masks (the library
 fills the design in place and takes a mask-free sigmoid), the tree
 reference argsorts every feature at every node (the library sorts once
-per fit), the AUC reference counts pairs one by one, the codebook
+per fit), the AUC reference counts pairs one by one, the quantile-matching
+reference builds every tie run's bounds and interpolates all runs in one
+call (the library builds no run bounds when no two values tie, and
+interpolates in blocks into its rank buffer), the codebook
 reference works on rows of bits (the library packs each code into one
 byte-string key), and the CSV
 references parse and format one cell at a time (the library reads an
@@ -249,6 +252,22 @@ def pairwise_auc(scores, labels):
             elif sp == sn:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def run_array_match_quantiles(values, grid):
+    """Each value's average rank, as a level, through a quantile grid: the
+    starts, sizes and mean ranks of every run of tied values as arrays,
+    one np.interp call over the runs, and a repeat back to the rows."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(starts, append=len(values))
+    means = 0.5 * (2 * starts + 1 + sizes)
+    run_values = np.interp((means - 0.5) / len(values), np.linspace(0.0, 1.0, len(grid)), grid)
+    out = np.empty(len(values))
+    out[order] = np.repeat(run_values, sizes)
+    return out
 
 
 def row_codebook(binary):

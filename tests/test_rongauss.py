@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import binary_group_dataset, mixed_dataset
+from oracles import run_array_match_quantiles
 from ffpdg import dp, rongauss
 from ffpdg.data import (
     BINARY,
@@ -171,7 +172,7 @@ def test_quantile_grid_ends_at_the_exact_min_and_max(points):
 def test_center_and_renormalize_recovers_mean_at_loose_budget():
     ds = mixed_dataset(300, seed=7)
     X = pre_normalize(ds, 0.01, seed=1)
-    Xbar, mu = center_and_renormalize(X, LOOSE, seed=2)
+    Xbar, mu = center_and_renormalize(X.copy(), LOOSE, seed=2)  # it centres its argument in place
     assert np.abs(mu - X.mean(axis=1)).max() < 1e-6
     assert np.allclose(np.linalg.norm(Xbar, axis=0), 1.0, atol=1e-12)
 
@@ -359,7 +360,8 @@ def test_generate_deterministic_per_seed():
     assert not np.array_equal(a.values, c.values)
 
 
-@pytest.mark.parametrize("n, ties", [(1, False), (2, True), (7, True), (500, False), (5000, True)])
+@pytest.mark.parametrize("n, ties", [(1, False), (2, True), (7, True), (500, False), (5000, True),
+                                     (rongauss.INTERP_BLOCK + 7, False), (rongauss.INTERP_BLOCK + 7, True)])
 def test_match_quantiles_equals_interpolating_every_rows_average_rank(n, ties):
     # one interpolation per tie run, in sorted order, gives every row's value byte for byte
     r = np.random.default_rng(n)
@@ -367,6 +369,39 @@ def test_match_quantiles_equals_interpolating_every_rows_average_rank(n, ties):
     grid = np.sort(r.normal(size=33))
     expected = np.interp((average_ranks(values) - 0.5) / n, np.linspace(0.0, 1.0, 33), grid)
     assert _match_quantiles(values, grid).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", ["constant column", "zero-covariance cells", "one zero-covariance cell"])
+def test_sample_maps_tied_continuous_values_as_the_run_array_reference(case, monkeypatch):
+    # ties reach sample's continuous mapping when the grid is flat (every
+    # value tied) or a cell's covariance is zero (its rows draw one point)
+    ds = mixed_dataset(600, seed=3)
+    if case == "constant column":
+        values = ds.values.copy()
+        values[:, 0] = 170.0
+        ds = Dataset(ds.schema, values)
+    model = fit(ds, GenerationConfig(budget=LOOSE, seed=4))
+    zero = np.zeros_like(model.sigma_dp[0])
+    if case == "zero-covariance cells":
+        model = replace(model, sigma_dp=(zero,) * len(model.sigma_dp))
+    elif case == "one zero-covariance cell":
+        model = replace(model, sigma_dp=(zero,) + model.sigma_dp[1:])
+    mapped = []
+
+    def recording(values, grid, out=None):
+        mapped.append((values.copy(), grid))
+        return _match_quantiles(values, grid, out)
+
+    monkeypatch.setattr(rongauss, "_match_quantiles", recording)
+    synthetic = sample(model, 500, seed=5)
+    [(values, grid)] = mapped  # the height column's coordinate, scaled
+    outcome = synthetic.column("outcome")
+    distinct = {"constant column": 1, "zero-covariance cells": 2,
+                "one zero-covariance cell": 1 + int(np.count_nonzero(outcome == model.class_values[1]))}
+    assert 0 < np.count_nonzero(outcome == model.class_values[0]) < len(outcome)
+    assert len(np.unique(values)) == distinct[case]
+    expected = run_array_match_quantiles(values, grid)
+    assert synthetic.column("height").tobytes() == expected.tobytes()
 
 
 def labelled_dataset(kind, n=500, seed=0):

@@ -1,4 +1,4 @@
-"""scripts/stage_memory.py: traced memory of each stage of one generate run."""
+"""scripts/stage_memory.py: traced and resident memory of each stage of one generate run."""
 
 import importlib.util
 from pathlib import Path
@@ -18,24 +18,30 @@ def load_script():
 
 def test_every_stage_prints_before_peak_and_after(capsys):
     script = load_script()
-    fit = rongauss.fit
+    sample = rongauss.sample
     rc = script.main(["--schema", str(ROOT / "data" / "adult.schema"),
                       "--input", str(ROOT / "data" / "adult_sample.csv")])
     assert rc == 0
-    assert rongauss.fit is fit  # the wrappers are gone again
+    assert rongauss.sample is sample  # the wrappers are gone again
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("rows=1000 ")
+    assert lines[1].split() == ["stage", "before_mb", "peak_mb", "after_mb", "hwm_mb"]
     rows = []
     for line in lines[2:]:
-        name, before, peak, after = line.split()
+        name, *figures = line.split()
         depth = (len(line) - len(line.lstrip(" "))) // 2
-        rows.append((depth, name, float(before), float(peak), float(after)))
+        rows.append((depth, name, *map(float, figures)))
     assert {name for _, name, *_ in rows} == (
         {"load_csv", "generate_with_artifacts", "save_csv"} | {attr for _, attr in script.STAGES})
-    for i, (depth, name, before, peak, after) in enumerate(rows):
+    assert "fit" not in {name for _, name, *_ in rows}  # a wrapper would keep its table alive
+    for i, (depth, name, before, peak, after, hwm) in enumerate(rows):
         assert peak >= max(before, after), name
-        # a caller's peak covers the peaks of the stages nested in it
+        assert hwm > 0, name
+        # a caller's peak and high water cover those of the stages nested in it
         for inner in rows[i + 1:]:
             if inner[0] <= depth:
                 break
-            assert peak >= inner[3], (name, inner[1])
+            assert peak >= inner[3] and hwm >= inner[5], (name, inner[1])
+    # the high water only rises from one top-level stage to the next
+    top = [hwm for depth, *_, hwm in rows if depth == 0]
+    assert top == sorted(top)
