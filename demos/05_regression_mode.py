@@ -5,7 +5,8 @@ features, t) jointly, where t is the label scaled into [-1, 1] by its
 range. The release is t's noised mean and one noised second moment over
 n of the rows stacked with t centred on it, like the unsupervised
 release, so every entry of the joint is noised; sampling adds the mean
-back and maps t to raw units. Synthetic rows thus carry a usable regression
+back and maps t by rank through the label's training quantile grid, as it
+does every continuous feature. Synthetic rows thus carry a usable regression
 signal. Least squares on the synthetic rows then recovers coefficients,
 with two error sources worth separating:
 

@@ -7,15 +7,16 @@ of two checkouts):
 
 `generate` cases: data/{adult,compas}_sample.csv at seeds 0-9, plus the
 inputs of the benchmark's adult-300k and wide-codes workloads (built
-with perfbench/simulate.py at seed 1), each at `--bins` 1 and 3; and
-both extracts at seed 0 once per set of the other generate flags (budget
-and split, projected dimension, output rows, unsupervised mode, relaxed
-rate, quantile count), and once with all of them. `evaluate` cases: the
-benchmark's evaluate-10k inputs at `--seed` 0-2 (three 10,000-row
-perfbench/simulate.py Adult draws per seed, as that workload writes
-them), and each extract with its holdout as both `--test` and
-`--synthetic` at seeds 0-9. Each tree runs every case in one child
-process, with BLAS pinned to one thread, and runs `inspect` on each
+with perfbench/simulate.py at seed 1), each at `--bins` 1 and 3; both
+extracts at seed 0 once per set of the other generate flags (budget and
+split, projected dimension, output rows, unsupervised mode, relaxed
+rate, quantile count), and once with all of them; and a 2,000-row table
+with a skewed continuous label (regression mode) at seeds 0-2.
+`evaluate` cases: the benchmark's evaluate-10k inputs at `--seed` 0-2
+(three 10,000-row perfbench/simulate.py Adult draws per seed, as that
+workload writes them), and each extract with its holdout as both
+`--test` and `--synthetic` at seeds 0-9. Each tree runs every case in
+one child process, with BLAS pinned to one thread, and runs `inspect` on each
 audit a `generate` case writes, and rebuilds the model from that audit
 with its own `read_audit`. A `generate` case is identical when both
 trees exit with the same code, write the same CSV bytes, the same audit
@@ -30,9 +31,10 @@ attributes (a tree with another model layout) prints it as absent, and
 its case reports that the model layout differs. An
 `evaluate` case is identical when both exit with the same code and print
 the same standard output. Each differing case prints everything that
-differs: exit code, CSV bytes, the names of the audit `[section]`s, the
-model, the inspect output and the evaluate output. Then prints `N of M
-identical` and exits 1 on any difference.
+differs: exit code, the names of the CSV columns whose cells differ, the
+names of the audit `[section]`s, the model, the inspect output and the
+evaluate output. Then prints `N of M identical` and exits 1 on any
+difference.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
 SEEDS = range(10)
@@ -56,6 +60,11 @@ BINS = (1, 3)
 SIMULATED_SEED = 1
 EVALUATE_SEEDS = range(3)
 EVALUATE_ROWS = 10_000
+REGRESSION_SEEDS = range(3)
+REGRESSION_ROWS = 2_000
+# five uniform features, a protected bit, and a label y = Exp(1) * (1 + x0)
+REGRESSION_SCHEMA = (tuple((f"x{j}", "continuous", "feature", ()) for j in range(5))
+                     + (("c", "binary", "protected", ()), ("y", "continuous", "label", ())))
 FLAG_CASES = {
     "epsilon": ["--epsilon", "4", "--epsilon-split", "1:3"],
     "p": ["--p", "3"],
@@ -107,6 +116,19 @@ def simulated_cases(work: Path) -> list[dict]:
                    "args": ["--bins", str(bins)]}
                   for bins in BINS]
     return cases
+
+
+def regression_cases(work: Path) -> list[dict]:
+    """`generate` in regression mode (the label is continuous) on one seeded
+    `REGRESSION_SCHEMA` table, written under `work`, at each of `REGRESSION_SEEDS`."""
+    r = np.random.default_rng(SIMULATED_SEED)
+    x = r.random((REGRESSION_ROWS, 5))
+    c = (r.random(REGRESSION_ROWS) < 0.5).astype(float)
+    y = r.exponential(1.0, REGRESSION_ROWS) * (1.0 + x[:, 0])
+    schema, table = _simulate().write_inputs(work, "regression", REGRESSION_SCHEMA,
+                                             np.column_stack([x, c, y]))
+    return [{"name": f"regression-seed{seed}", "command": "generate", "schema": str(schema),
+             "input": str(table), "seed": seed, "args": []} for seed in REGRESSION_SEEDS]
 
 
 def evaluate_cases(work: Path) -> list[dict]:
@@ -228,11 +250,17 @@ def _audit_sections(path: Path) -> dict[str, str]:
             if not header.startswith("[model")}
 
 
+def _csv_columns(path: Path) -> dict[str, tuple[str, ...]]:
+    """A CSV file's cells as text, by header name."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines() or [""]
+    return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+
 def difference(name: str, old: Path, new: Path, old_code: int, new_code: int) -> str | None:
     """Everything that differs for case `name` between the two output
     directories, joined by "; ", or None: the exit codes, an output written
-    by one tree only, the CSV bytes, the audit sections by name, the
-    rebuilt model, the inspect output and the evaluate output."""
+    by one tree only, the CSV bytes by column, the audit sections by name,
+    the rebuilt model, the inspect output and the evaluate output."""
     found = []
     if old_code != new_code:
         found.append(f"exit code {old_code} != {new_code}")
@@ -246,7 +274,9 @@ def difference(name: str, old: Path, new: Path, old_code: int, new_code: int) ->
         if a.exists() != b.exists():
             found.append(f"{suffix} written by one tree only")
     if csv_a.exists() and csv_b.exists() and not filecmp.cmp(csv_a, csv_b, shallow=False):
-        found.append("CSV bytes differ")
+        columns_a, columns_b = _csv_columns(csv_a), _csv_columns(csv_b)
+        changed = [c for c in {**columns_a, **columns_b} if columns_a.get(c) != columns_b.get(c)]
+        found.append("CSV bytes differ" + (" in " + " ".join(changed) if changed else ""))
     if audit_a.exists() and audit_b.exists():
         sections_a, sections_b = _audit_sections(audit_a), _audit_sections(audit_b)
         changed = [s for s in {**sections_a, **sections_b} if sections_a.get(s) != sections_b.get(s)]
@@ -287,7 +317,7 @@ def main(argv=None) -> int:
         parser.error("OLD_SRC and NEW_SRC are required")
     with tempfile.TemporaryDirectory(prefix="compare_generate_") as tmp:
         work = Path(tmp)
-        cases = bundled_cases() + simulated_cases(work) + evaluate_cases(work)
+        cases = bundled_cases() + simulated_cases(work) + regression_cases(work) + evaluate_cases(work)
         results = compare(args.old_src, args.new_src, cases, work)
     for name, why in results.items():
         if why is not None:

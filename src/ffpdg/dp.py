@@ -1,8 +1,9 @@
-"""Laplace-mechanism primitives: noise sampling, DP mean, DP covariance.
+"""Laplace mechanisms, the only code that draws privacy noise, and the budget.
 
-Noise scales follow the sensitivity of unit-norm sample columns: the mean
-query uses scale 2*sqrt(d)/(n*eps_mu) per coordinate and the second-moment
-query 2*sqrt(p)/(n*eps_sigma) per entry.
+Each noises a query over the public row count n at its replace-one sensitivity:
+`dp_mean` a sum over n of p-vectors of norm <= 1, at 2*sqrt(p)/(n*eps) per
+coordinate; `dp_histogram` shares counts/n, at 2/(n*eps) per bin; and
+`dp_covariance` their second moment (1/n) X X^T, at 2*sqrt(p)/(n*eps) per entry.
 """
 
 from __future__ import annotations
@@ -96,18 +97,27 @@ def column_norms(X: np.ndarray) -> np.ndarray:
     return norms
 
 
-def dp_mean(X: np.ndarray, epsilon_mu: float, seed) -> np.ndarray:
-    """Laplace-noised column mean of a d x n matrix of unit-norm samples."""
+def dp_mean(X: np.ndarray, n: int, epsilon: float, seed) -> np.ndarray:
+    """Laplace-noised sum over the public n, X.sum(axis=1) / n, of a p x m
+    matrix whose columns have norm <= 1: a table's mean with n = m, or one
+    class's share of it. Raises on a longer column (or a NaN), naming it."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] < 1:
-        raise DataError("X must be d x n with n >= 1")
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+        raise DataError("X must be p x m with p, m >= 1")
     norms = column_norms(X)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        j = int(np.argmax(np.abs(norms - 1.0)))
-        raise DataError(f"column {j} has norm {norms[j]:.12g}, expected 1")
-    d, n = X.shape
+    j = int(np.argmax(norms))  # a NaN's index if there is one
+    if not norms[j] <= 1.0 + 1e-9:
+        raise DataError(f"column {j} has norm {norms[j]:.12g}, expected <= 1")
+    p = X.shape[0]
     rng = np.random.default_rng(seed)
-    return X.mean(axis=1) + laplace_sample(mean_noise_scale(d, n, epsilon_mu), rng, size=d)
+    return X.sum(axis=1) / n + laplace_sample(mean_noise_scale(p, n, epsilon), rng, size=p)
+
+
+def dp_histogram(counts: np.ndarray, n: int, epsilon: float, seed) -> np.ndarray:
+    """Laplace-noised shares counts / n over the public n: a replaced row moves
+    between two bins, so each takes scale 2/(n*epsilon) whatever the counts."""
+    rng = np.random.default_rng(seed)
+    return np.asarray(counts) / n + laplace_sample(2.0 / (n * epsilon), rng, size=len(counts))
 
 
 def symmetrize_noise(p: int, scale: float, rng: np.random.Generator) -> np.ndarray:

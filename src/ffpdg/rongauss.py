@@ -33,8 +33,7 @@ from .data import (
     scatter_runs,
     tie_runs,
 )
-from .dp import (PrivacyBudget, column_norms, dp_covariance, dp_mean, laplace_sample,
-                 mean_noise_scale, psd_repair)
+from .dp import PrivacyBudget, column_norms, dp_covariance, dp_histogram, dp_mean, psd_repair
 from .errors import ConvergenceError, DataError, FeasibilityError, SchemaError, StageError
 
 MODE_UNSUPERVISED = "unsupervised"
@@ -91,13 +90,12 @@ class ColumnPost:
     holds one per schema column, in schema order.
 
     Binary columns carry the training positive rate (the synthetic column
-    is thresholded at its own quantile of 1 - rate). Continuous columns
-    carry training values at the fixed quantile grid, whose endpoints are
-    the training min and max: they rescale the column's coordinate back to
-    raw units, and sampling then maps synthetic ranks through the grid,
-    which keeps every restored value inside the training range. A
-    continuous label (regression mode) is scaled into [-1, 1] by the grid
-    endpoints. Categorical columns carry neither.
+    is thresholded at its own quantile of 1 - rate). Continuous columns, a
+    regression label included, carry training values at the fixed quantile
+    grid, whose endpoints (the training min and max) also scale the label
+    into [-1, 1] for fitting: sampling maps the ranks of a coordinate
+    through its grid, keeping every restored value in the training range.
+    Categorical columns carry neither.
     """
 
     rate: float = 0.0
@@ -269,7 +267,7 @@ def center_and_renormalize(X: np.ndarray, budget: PrivacyBudget, seed) -> tuple[
     """Subtract the DP mean, then rescale each sample back to unit norm, in
     place: returns (X, mu), and a caller that needs X as it was passes a copy."""
     rng = np.random.default_rng(seed)
-    mu = dp_mean(X, budget.epsilon_mu, rng)
+    mu = dp_mean(X, X.shape[1], budget.epsilon_mu, rng)
     X -= mu[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         norms = column_norms(X)
@@ -359,7 +357,7 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
         # t in [-1, 1] gets a noised mean m; t - m, scaled by s = 1 + |m| into [-1, 1]
         # (clipped against rounding), joins x', and each stacked column / sqrt(2) has norm <= 1
         eps_mean = LABEL_MEAN_SHARE * eps_sigma
-        m = np.clip(t.mean() + laplace_sample(mean_noise_scale(1, n, eps_mean), rng_share), -1, 1)
+        m = np.clip(dp_mean(t[None, :], n, eps_mean, rng_share)[0], -1, 1)
         scale = np.append(np.ones(p), 1.0 + abs(m))  # the label's row and column back to t - m
         u = np.clip((t - m) / scale[p], -1.0, 1.0)
         sigma = dp_covariance(np.vstack([Xp, u]) / np.sqrt(2.0), n, eps_sigma - eps_mean, rng_cov)
@@ -373,18 +371,18 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
 
 def _class_cells(Xp: np.ndarray, labels: np.ndarray, epsilon_sigma: float,
                  rng_share: np.random.Generator, rng_cov: np.random.Generator) -> dict:
-    """One cell per label class, as `RonGaussModel` fields. `CLASS_COUNT_SHARE` of
-    epsilon_sigma noises the class sizes over n (replace-one L1 sensitivity 2/n);
-    each class's sum and second moment over n take half of a 1/k share of the
-    rest. With a = max(noised size over n, p/n), weight = clipped size over their
-    sum, mean = sum/a and sigma = the repaired moment/a - mean mean^T."""
+    """One cell per label class, as `RonGaussModel` fields: `CLASS_COUNT_SHARE` of
+    epsilon_sigma buys the class-size histogram, and each class's sum and second
+    moment over n take half of a 1/k share of the rest. With a = max(noised size
+    over n, p/n), weight = clipped size over their sum, mean = sum/a and sigma =
+    the repaired moment/a - mean mean^T."""
     p, n = Xp.shape
     class_values, counts = np.unique(labels, return_counts=True)
     k = len(class_values)
     if k < 2:
         raise DataError("classification mode needs at least two label values")
     eps_counts = CLASS_COUNT_SHARE * epsilon_sigma
-    shares = counts / n + laplace_sample(2.0 / (n * eps_counts), rng_share, size=k)
+    shares = dp_histogram(counts, n, eps_counts, rng_share)
     weights = np.clip(shares, 0.0, None)
     weights = weights / weights.sum() if weights.sum() > 0 else np.full(k, 1.0 / k)
     eps_half = (epsilon_sigma - eps_counts) / k / 2.0
@@ -395,9 +393,7 @@ def _class_cells(Xp: np.ndarray, labels: np.ndarray, epsilon_sigma: float,
                             "covariance would be rank-deficient")
         block = Xp[:, labels == value]
         a = max(share, p / n)
-        # projected samples keep norm <= 1 (contraction), so the d-space
-        # mean sensitivity bound 2*sqrt(p)/n carries over to the sum over n
-        total = block.sum(axis=1) / n + laplace_sample(mean_noise_scale(p, n, eps_half), rng_cov, size=p)
+        total = dp_mean(block, n, eps_half, rng_cov)
         moment = dp_covariance(block, n, eps_half, rng_cov)
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # checked just below
@@ -423,10 +419,11 @@ def _gaussian_draws(sigma: np.ndarray, count: int, rng: np.random.Generator) -> 
     return root @ rng.standard_normal((sigma.shape[0], count))
 
 
-def _match_quantiles(values: np.ndarray, grid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _match_quantiles(values: np.ndarray, grid, out: np.ndarray | None = None) -> np.ndarray:
     """Each value's average rank, as a level, through the quantile grid;
     interpolated once per run of tied values, in ascending order, into
     `out` (a view with one slot per value) if given, else a new array."""
+    grid = np.asarray(grid, dtype=np.float64)
     levels = np.linspace(0.0, 1.0, len(grid))
     order, ranks, sizes = tie_runs(values)
     ranks -= 0.5  # to a level, in place
@@ -454,9 +451,8 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
     blocks invert by argmax; binary columns threshold at the synthetic
     quantile of the training positive rate, the protected one in
     classification within each drawn class so that the label keeps the
-    fair parity; continuous columns map through the stored training
-    quantile grid. A regression label is mapped back to raw units and
-    clipped to its training range.
+    fair parity; continuous coordinates, a regression label's included,
+    map by rank through their stored training quantile grid.
     """
     if n_out < 1:
         raise DataError("n_out must be >= 1")
@@ -473,12 +469,11 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
             draws = _gaussian_draws(model.sigma_dp[c], count, rng)
             draws += model.means_dp[c][:, None]
             projected[:, idx] = draws
+    label = model.schema.label_index
     label_values = np.asarray(model.class_values)[assignments] if model.class_values else None
     del assignments
     if model.mode == MODE_REGRESSION:
-        grid = model.postprocess[model.schema.label_index].quantile_grid
-        lo, hi = grid[0], grid[-1]
-        label_values = np.clip((projected[p] * (hi - lo) + lo + hi) / 2.0, lo, hi)
+        label_values = _match_quantiles(projected[p], model.postprocess[label].quantile_grid)
         projected = projected[:p]
 
     coords = model.projection.W @ projected
@@ -486,7 +481,6 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
     coords += model.mu_dp[:, None]
 
     rows = layout(model.schema, model.mode)[0]
-    label = model.schema.label_index
     out = np.empty((n_out, model.schema.d))
     if label_values is not None:  # drawn above; the protected column reads it back from out
         out[:, label] = label_values
@@ -504,11 +498,7 @@ def sample(model: RonGaussModel, n_out: int, seed) -> Dataset:
         elif col.kind == BINARY:
             out[:, j] = _threshold_by_rate(coords[rows[j].start], post.rate)
         else:
-            grid = np.asarray(post.quantile_grid)
-            row = rows[j].start  # scaled in place: no other column reads it
-            coords[row] *= grid[-1] - grid[0]
-            coords[row] += grid[0]
-            _match_quantiles(coords[row], grid, out[:, j])
+            _match_quantiles(coords[rows[j].start], post.quantile_grid, out[:, j])
     del coords  # freed before Dataset copies `out`
     return Dataset(model.schema, out)
 

@@ -41,6 +41,20 @@ def test_evaluate_cases_cover_the_benchmark_inputs_and_both_extracts(tmp_path):
     assert len(Path(first["input"]).read_text().splitlines()) == 10_001
 
 
+def test_regression_cases_run_a_continuous_label_at_three_seeds(tmp_path):
+    script = load_script()
+    cases = script.regression_cases(tmp_path)
+    assert [c["name"] for c in cases] == [f"regression-seed{seed}" for seed in range(3)]
+    assert [c["seed"] for c in cases] == [0, 1, 2]
+    assert {(c["command"], c["input"], tuple(c["args"])) for c in cases} == {
+        ("generate", cases[0]["input"], ())}
+    assert Path(cases[0]["schema"]).read_text().splitlines()[-1] == "y continuous label"
+    header, *rows = Path(cases[0]["input"]).read_text().splitlines()
+    assert header == "x0,x1,x2,x3,x4,c,y" and len(rows) == 2_000
+    y = np.array([float(row.split(",")[-1]) for row in rows])
+    assert y.min() >= 0.0 and np.median(y) < y.mean()  # skewed right
+
+
 def test_difference_names_what_differs(tmp_path):
     script = load_script()
     old, new = tmp_path / "old", tmp_path / "new"
@@ -61,18 +75,29 @@ def test_difference_names_what_differs(tmp_path):
     assert script.difference("case", old, new, 0, 0) == "audit differs in [maxent]"
     (new / "case.csv").write_text("a\n2\n")
     assert (script.difference("case", old, new, 0, 0)
-            == "CSV bytes differ; audit differs in [maxent]")
+            == "CSV bytes differ in a; audit differs in [maxent]")
     (new / "case.model").write_text("model.mode='unsupervised'\nmodel.d_eff=6\n")
     assert (script.difference("case", old, new, 0, 0)
-            == "CSV bytes differ; audit differs in [maxent]; model differs")
+            == "CSV bytes differ in a; audit differs in [maxent]; model differs")
     (new / "case.inspect").write_text("[config]\nseed=1\n\n[model]\np=5\n")
     assert (script.difference("case", old, new, 0, 0)
-            == "CSV bytes differ; audit differs in [maxent]; model differs; inspect output differs")
+            == "CSV bytes differ in a; audit differs in [maxent]; model differs; inspect output differs")
     for suffix in (".audit", ".model", ".inspect"):
         (new / f"case{suffix}").unlink()
     assert (script.difference("case", old, new, 0, 1)
             == "exit code 0 != 1; .audit written by one tree only; .model written by one tree only; "
-               ".inspect written by one tree only; CSV bytes differ")
+               ".inspect written by one tree only; CSV bytes differ in a")
+
+
+def test_a_csv_difference_names_the_differing_columns(tmp_path):
+    script = load_script()
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d, y in ((old, "1.5"), (new, "2.5")):
+        d.mkdir()
+        (d / "case.csv").write_text(f"x,c,y\n0.25,1,{y}\n0.75,0,3\n")
+    assert script.difference("case", old, new, 0, 0) == "CSV bytes differ in y"
+    (new / "case.csv").write_bytes(b"x,c,y\r\n0.25,1,1.5\r\n0.75,0,3\r\n")  # line ends only
+    assert script.difference("case", old, new, 0, 0) == "CSV bytes differ"
 
 
 def test_model_lines_print_every_field_by_value():

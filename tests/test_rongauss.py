@@ -58,8 +58,8 @@ def record_fair_samples(monkeypatch):
 
 
 def record_laplace_draws(monkeypatch):
-    """Patch `laplace_sample` in `dp` and `rongauss` to record the scale and
-    the number of draws of each call; returns the record."""
+    """Patch `dp.laplace_sample`, the one noise source of every release, to
+    record the scale and the number of draws of each call; returns the record."""
     calls = []
 
     def recording_laplace(b, rng, size=None):
@@ -67,7 +67,6 @@ def record_laplace_draws(monkeypatch):
         return laplace_sample(b, rng, size)
 
     monkeypatch.setattr(dp, "laplace_sample", recording_laplace)
-    monkeypatch.setattr(rongauss, "laplace_sample", recording_laplace)
     return calls
 
 
@@ -373,8 +372,8 @@ def test_match_quantiles_equals_interpolating_every_rows_average_rank(n, ties):
 
 @pytest.mark.parametrize("case", ["constant column", "zero-covariance cells", "one zero-covariance cell"])
 def test_sample_maps_tied_continuous_values_as_the_run_array_reference(case, monkeypatch):
-    # ties reach sample's continuous mapping when the grid is flat (every
-    # value tied) or a cell's covariance is zero (its rows draw one point)
+    # ties reach sample's continuous mapping when a cell's covariance is zero
+    # (its rows draw one point); a flat grid restores a constant column's value
     ds = mixed_dataset(600, seed=3)
     if case == "constant column":
         values = ds.values.copy()
@@ -394,12 +393,15 @@ def test_sample_maps_tied_continuous_values_as_the_run_array_reference(case, mon
 
     monkeypatch.setattr(rongauss, "_match_quantiles", recording)
     synthetic = sample(model, 500, seed=5)
-    [(values, grid)] = mapped  # the height column's coordinate, scaled
+    [(values, grid)] = mapped  # the height column's coordinate
     outcome = synthetic.column("outcome")
-    distinct = {"constant column": 1, "zero-covariance cells": 2,
-                "one zero-covariance cell": 1 + int(np.count_nonzero(outcome == model.class_values[1]))}
     assert 0 < np.count_nonzero(outcome == model.class_values[0]) < len(outcome)
-    assert len(np.unique(values)) == distinct[case]
+    if case == "constant column":
+        assert np.all(synthetic.column("height") == 170.0)
+    else:
+        distinct = {"zero-covariance cells": 2,
+                    "one zero-covariance cell": 1 + int(np.count_nonzero(outcome == model.class_values[1]))}
+        assert len(np.unique(values)) == distinct[case]
     expected = run_array_match_quantiles(values, grid)
     assert synthetic.column("height").tobytes() == expected.tobytes()
 
@@ -467,20 +469,24 @@ def test_classification_noise_scales_do_not_read_the_class_sizes(monkeypatch):
         scales.append(calls)
     assert scales[0] == scales[1]
     assert len(scales[0]) == 1 + 1 + 2 * 2  # the mean, the class sizes, a sum and a moment per class
+    assert not any(hasattr(rongauss, name) for name in ("laplace_sample", "mean_noise_scale"))
 
 
 def test_regression_noises_every_entry_of_the_joint(monkeypatch):
     # the shared mean's d_eff draws, the label mean's one, then one draw per entry on and
-    # above the diagonal of the (p+1) x (p+1) joint of the projected features and the label
-    calls = record_laplace_draws(monkeypatch)
-    model = fit(regression_dataset(500, seed=17), GenerationConfig(seed=3, mode="regression"))
-    p = model.projection.p
-    assert sum(size for _, size in calls) == model.d_eff + 1 + (p + 1) * (p + 2) // 2
+    # above the diagonal of the (p+1) x (p+1) joint of the projected features and the
+    # label; unsupervised, the mean's draws and the p x p second moment's
+    for mode, label_draws in (("regression", 1), ("unsupervised", 0)):
+        calls = record_laplace_draws(monkeypatch)
+        model = fit(regression_dataset(500, seed=17), GenerationConfig(seed=3, mode=mode))
+        side = model.projection.p + label_draws
+        assert sum(size for _, size in calls) == model.d_eff + label_draws + side * (side + 1) // 2, mode
 
 
 def test_regression_keeps_the_mean_of_a_skewed_label():
     # an Exp(1) label sits far below the middle of its range [0, ~8.5]: the released
-    # cell's noised label mean keeps the synthetic mean near the real one
+    # cell's noised label mean keeps the synthetic mean near the real one, and the
+    # label's grid keeps its shape, with no pile of clipped values at the minimum
     r = np.random.default_rng(20)
     n = 5000
     x = r.random((n, 3))
@@ -490,6 +496,7 @@ def test_regression_keeps_the_mean_of_a_skewed_label():
     for seed in range(5):
         synth = sample(fit(ds, GenerationConfig(seed=seed, mode="regression")), n, seed=seed)
         assert abs(synth.column("y").mean() - y.mean()) < 0.2 * y.std(), seed
+        assert np.mean(synth.column("y") == y.min()) <= 0.01, seed
 
 
 @pytest.mark.parametrize("stem", ["adult", "compas"])
