@@ -1,4 +1,4 @@
-"""Typed tabular datasets: schema declaration, CSV I/O, quantiles and ranks.
+"""Typed tabular datasets: schema declaration, CSV I/O, quantiles, ranks and group rates.
 
 Values are stored in a single float64 matrix. Continuous columns hold the
 raw value, binary columns hold 0/1, categorical columns hold the level
@@ -449,7 +449,7 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[1:-2]
 
 
-# -- quantiles and ranks ------------------------------------------------------
+# -- quantiles, ranks and group rates -----------------------------------------
 
 def interp_quantiles(sorted_values: np.ndarray, levels) -> np.ndarray:
     """Linear-interpolation quantiles of a sorted 1-d array at each level in [0, 1]."""
@@ -502,3 +502,21 @@ def scatter_runs(order, run_values, sizes, out=None) -> np.ndarray:
 def average_ranks(values) -> np.ndarray:
     """1-based ranks of a 1-d array; tied values share the mean of their ranks."""
     return scatter_runs(*tie_runs(values))
+
+
+def group_rates(values, groups, weights=None) -> tuple[float, float]:
+    """(mean over protected group 0, mean over group 1) of `values`, each row
+    counted `weights` times (once without weights). Sums of 0/1 values with
+    integer weights are exact, so a code histogram gives the rates of the
+    rows it counts, bit for bit."""
+    values = np.asarray(values, dtype=np.float64)
+    groups = np.asarray(groups)
+    weights = np.ones(len(values)) if weights is None else np.asarray(weights, dtype=np.float64)
+    rates = []
+    for g in (0, 1):
+        mask = groups == g
+        total = weights[mask].sum()
+        if total == 0:
+            raise DataError(f"protected group {g} has no rows")
+        rates.append(float(weights[mask] @ values[mask] / total))
+    return rates[0], rates[1]

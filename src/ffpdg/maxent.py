@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binarize import distinct_codes
+from .data import group_rates
 from .errors import ConvergenceError, DataError, FeasibilityError
 
 # Additive smoothing of the empirical prior over observed codes, and the
@@ -96,19 +97,12 @@ def empirical_prior(support: np.ndarray, counts: np.ndarray,
     return DiscreteDistribution(support, probs / probs.sum())
 
 
-def group_rates(binary: np.ndarray, protected_bit: int, label_bit: int) -> tuple[float, float]:
-    """(P(Y=1 | C=0), P(Y=1 | C=1)) of a binary dataset."""
-    binary = np.asarray(binary)
-    c = binary[:, protected_bit]
-    y = binary[:, label_bit]
-    if not (np.any(c == 0) and np.any(c == 1)):
-        raise DataError("both protected groups must be present")
-    return float(y[c == 0].mean()), float(y[c == 1].mean())
-
-
-def fair_marginals(binary: np.ndarray, protected_bit: int, label_bit: int,
+def fair_marginals(keys: np.ndarray, counts: np.ndarray, protected_bit: int, label_bit: int,
                    rate: float = 1.0) -> ParityConstraints:
-    """Constraint targets that preserve every bit mean and enforce parity.
+    """Constraint targets that preserve every bit mean and enforce parity,
+    read from distinct codes and their row counts (a CodeBook's `keys` and
+    `counts`). Every mean is an integer sum over the counts divided by n,
+    so the targets equal the row means of the table the counts describe.
 
     With rate=1 (exact parity) both group-conditional positive rates are
     pinned to the overall positive rate r, which fixes E[Y*C] = r * P(C=1).
@@ -116,18 +110,20 @@ def fair_marginals(binary: np.ndarray, protected_bit: int, label_bit: int,
     two group rates already reaches tau, and otherwise shrinks the gap
     just enough, preserving the overall positive rate.
     """
-    binary = np.asarray(binary, dtype=np.uint8)
+    keys = np.asarray(keys, dtype=np.uint8)
+    counts = np.asarray(counts)
     if protected_bit == label_bit:
         raise DataError("protected and label bits must differ")
     if not 0.0 < rate <= 1.0:
         raise DataError("rate must be in (0, 1]")
-    theta = binary.mean(axis=0)
-    r0, r1 = group_rates(binary, protected_bit, label_bit)
+    n = counts.sum()
+    theta = counts @ keys / n
+    r0, r1 = group_rates(keys[:, label_bit], keys[:, protected_bit], counts)
     c = float(theta[protected_bit])
     r = float(theta[label_bit])
     lo, hi = min(r0, r1), max(r0, r1)
     if hi == 0.0 or (hi > 0 and lo / hi >= rate):
-        joint = float((binary[:, protected_bit] * binary[:, label_bit]).mean())
+        joint = float(counts @ (keys[:, protected_bit] & keys[:, label_bit]) / n)
     else:
         # target rates t0 (group C=0) and t1 (group C=1) with
         # min/max ratio = rate and (1-c) t0 + c t1 = r

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .data import BINARY, Dataset, average_ranks
+from .data import BINARY, Dataset, average_ranks, group_rates
 from .errors import DataError
 
 PREDICTION_THRESHOLD = 0.5
@@ -74,57 +74,25 @@ def _score_zoo(Xs, ys, Xr, yr):
     return per_model, scores, skipped
 
 
-def tstr(synthetic: Dataset, real_test: Dataset):
-    """Fit each zoo model on synthetic rows, score AUC on real rows.
-
-    Returns (best AUC, per-model AUCs, skipped models with their errors).
-    """
-    Xs, ys, _ = _split_columns(synthetic)
-    Xr, yr, _ = _split_columns(real_test)
-    per_model, _, skipped = _score_zoo(Xs, ys, Xr, yr)
-    return max(per_model.values()), per_model, skipped
+def dsp(predictions, protected) -> float:
+    """Absolute gap in positive prediction rate between the two groups."""
+    rate0, rate1 = group_rates(predictions, protected)
+    return abs(rate0 - rate1)
 
 
 def deo(predictions, labels, protected) -> float:
-    """Absolute gap in true positive rate between the two groups."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    protected = np.asarray(protected, dtype=np.float64)
-    tpr = []
-    for g in (0.0, 1.0):
-        mask = (protected == g) & (labels == 1)
-        if not mask.any():
-            raise DataError(f"group {int(g)} has no positive-label members")
-        tpr.append(predictions[mask].mean())
-    return float(abs(tpr[0] - tpr[1]))
-
-
-def dsp(predictions, protected) -> float:
-    """Absolute gap in positive prediction rate between the two groups."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    protected = np.asarray(protected, dtype=np.float64)
-    rates = []
-    for g in (0.0, 1.0):
-        mask = protected == g
-        if not mask.any():
-            raise DataError(f"group {int(g)} is empty")
-        rates.append(predictions[mask].mean())
-    return float(abs(rates[0] - rates[1]))
+    """Absolute gap in true positive rate between the two groups: the DSP
+    of the positive-label rows."""
+    positive = np.asarray(labels) == 1
+    return dsp(np.asarray(predictions)[positive], np.asarray(protected)[positive])
 
 
 def disparate_impact(labels, protected) -> tuple[float, bool]:
     """Positive-rate ratio P(Y=1|C=0)/P(Y=1|C=1) and the <= 0.8 flag."""
-    labels = np.asarray(labels, dtype=np.float64)
-    protected = np.asarray(protected, dtype=np.float64)
-    rates = []
-    for g in (0.0, 1.0):
-        mask = protected == g
-        if not mask.any():
-            raise DataError(f"group {int(g)} is empty")
-        rates.append(labels[mask].mean())
-    if rates[1] == 0.0:
+    rate0, rate1 = group_rates(labels, protected)
+    if rate1 == 0.0:
         raise DataError("privileged group has zero positive rate; ratio undefined")
-    ratio = float(rates[0] / rates[1])
+    ratio = rate0 / rate1
     return ratio, ratio <= 0.8
 
 

@@ -29,6 +29,7 @@ from .data import (
     ColumnSpec,
     Dataset,
     Schema,
+    group_rates,
     interp_quantiles,
     scatter_runs,
     tie_runs,
@@ -535,27 +536,28 @@ def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = 
     seed_codes, seed_decode, seed_fit, seed_sample = (int(s.generate_state(1)[0]) for s in seq.spawn(4))
 
     try:
-        binary, codebook = binarize.build_codebook(dataset, config.bins)
+        codebook = binarize.build_codebook(dataset, config.bins)[1]
     except Exception as exc:
         raise StageError("binarize", exc) from exc
 
-    # the fair stage equalizes the label's first bit: the label if binary, its
-    # first level if categorical, y >= its first threshold if continuous
+    # the fair stage reads the code histogram alone, and equalizes the
+    # label's first bit: the label if binary, its first level if
+    # categorical, y >= its first threshold if continuous
+    keys, counts = codebook.keys, codebook.counts
     protected_bit = codebook.bits(schema.protected_index)[0]
     label_bit = codebook.bits(schema.label_index)[0]
 
     try:
-        prior = maxent.empirical_prior(codebook.keys, codebook.counts)
-        constraints = maxent.fair_marginals(binary, protected_bit, label_bit, config.rate)
+        prior = maxent.empirical_prior(keys, counts)
+        constraints = maxent.fair_marginals(keys, counts, protected_bit, label_bit, config.rate)
         solution = maxent.solve_maxent(prior, constraints)
     except (FeasibilityError, ConvergenceError, DataError) as exc:
         raise StageError("fair redistribution", exc) from exc
-    rates_before = maxent.group_rates(binary, protected_bit, label_bit)
-    del binary
+    rates_before = group_rates(keys[:, label_bit], keys[:, protected_bit], counts)
 
     try:
         codes = maxent.sample_codes(solution.distribution, n, seed_codes)
-        rates_after = maxent.group_rates(codes, protected_bit, label_bit)
+        rates_after = group_rates(codes[:, label_bit], codes[:, protected_bit])
         rows = binarize.decode_codes(codes, codebook, dataset.values, seed_decode)
         # the input goes before Dataset copies the rows: two tables alive, not three
         del codes, dataset

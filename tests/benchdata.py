@@ -18,6 +18,7 @@ import numpy as np
 
 from ffpdg.data import (
     BINARY,
+    CATEGORICAL,
     CONTINUOUS,
     ColumnSpec,
     Dataset,
@@ -42,6 +43,13 @@ COMPAS_SCHEMA = Schema((
     ColumnSpec("race_minority", BINARY, role=ROLE_PROTECTED),
     ColumnSpec("two_year_recid", BINARY, role=ROLE_LABEL),
 ))
+
+WIDE_SCHEMA = Schema(
+    tuple(ColumnSpec(f"x{i}", CONTINUOUS) for i in range(3))
+    + tuple(ColumnSpec(f"cat{i}", CATEGORICAL, levels=("a", "b", "c", "d", "e")) for i in range(3))
+    + tuple(ColumnSpec(f"b{i}", BINARY) for i in range(8))
+    + (ColumnSpec("group", BINARY, role=ROLE_PROTECTED), ColumnSpec("outcome", BINARY, role=ROLE_LABEL))
+)
 
 
 def _sigmoid(z):
@@ -75,6 +83,24 @@ def make_compas(n: int, seed: int) -> Dataset:
            + 0.35 * felony + 0.55 * race + 0.35 * sex)
     y = (r.random(n) < _sigmoid(eta)).astype(float)
     return Dataset(COMPAS_SCHEMA, np.column_stack([age, priors, felony, sex, race, y]))
+
+
+def make_wide(n: int, seed: int) -> Dataset:
+    """Near-independent, near-uniform features; the protected group holds
+    60% of rows, with positive rates about 0.49 outside it and 0.68 inside."""
+    r = np.random.default_rng(seed)
+    group = (r.random(n) < 0.6).astype(float)
+    x = np.column_stack([
+        r.normal(0.0, 1.0, n),
+        r.lognormal(0.0, 0.75, n),
+        r.uniform(-1.0, 1.0, n),
+    ])
+    cats = r.integers(0, 5, size=(n, 3)).astype(float)
+    bits = (r.random((n, 8)) < np.linspace(0.35, 0.65, 8)).astype(float)
+    eta = (0.80 * group + 0.25 * x[:, 0] - 0.15 * (x[:, 2] > 0)
+           + 0.10 * (cats[:, 0] == 0) + 0.20 * bits[:, 0] - 0.20 * bits[:, 1])
+    y = (r.random(n) < _sigmoid(eta)).astype(float)
+    return Dataset(WIDE_SCHEMA, np.column_stack([x, cats, bits, group, y]))
 
 
 # seeds used to freeze the bundled extracts; tests that load data/*.csv

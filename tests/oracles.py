@@ -15,7 +15,8 @@ reference builds every tie run's bounds and interpolates all runs in one
 call (the library builds no run bounds when no two values tie, and
 interpolates in blocks into its rank buffer), the codebook
 reference works on rows of bits (the library packs each code into one
-byte-string key), and the CSV
+byte-string key), the parity-target reference takes means over the rows
+of a bit matrix (the library sums a code histogram), and the CSV
 references parse and format one cell at a time (the library reads an
 ordinary file with numpy's C text reader, and formats a block of rows
 with one row template). The library's fallback reader also parses one
@@ -30,7 +31,7 @@ from scipy.optimize import minimize
 
 from ffpdg.data import BINARY, CATEGORICAL, Dataset
 from ffpdg.errors import DataError
-from ffpdg.maxent import feature_matrix
+from ffpdg.maxent import ParityConstraints, feature_matrix
 from ffpdg.models import (LR_L2, LR_MAX_HALVINGS, LR_MAX_ITER, LR_TOLERANCE, TREE_MAX_DEPTH,
                           TREE_MIN_LEAF, lr_loss)
 
@@ -280,6 +281,33 @@ def row_codebook(binary):
     inverse = inverse.ravel()
     groups = [np.flatnonzero(inverse == i) for i in range(len(keys))]
     return keys.astype(np.uint8), counts, groups
+
+
+def row_group_rates(bits, protected_bit, label_bit):
+    """(P(Y=1 | C=0), P(Y=1 | C=1)) as means over the rows of a bit matrix."""
+    c = bits[:, protected_bit]
+    y = bits[:, label_bit]
+    return float(y[c == 0].mean()), float(y[c == 1].mean())
+
+
+def row_fair_marginals(bits, protected_bit, label_bit, rate=1.0):
+    """Parity targets from the rows of a bit matrix: theta as the column
+    means, the joint as the mean of the product bit, the group rates by
+    rows; the targets from them by the same formulas as the library."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    theta = bits.mean(axis=0)
+    r0, r1 = row_group_rates(bits, protected_bit, label_bit)
+    c = float(theta[protected_bit])
+    r = float(theta[label_bit])
+    lo, hi = min(r0, r1), max(r0, r1)
+    if hi == 0.0 or (hi > 0 and lo / hi >= rate):
+        joint = float((bits[:, protected_bit] * bits[:, label_bit]).mean())
+    elif r1 >= r0:
+        joint = c * (r / ((1 - c) * rate + c))
+    else:
+        joint = c * (rate * (r / ((1 - c) + c * rate)))
+    return ParityConstraints(theta=theta, joint_target=joint,
+                             protected_bit=protected_bit, label_bit=label_bit)
 
 
 def cellwise_load_csv(path, schema):

@@ -78,6 +78,20 @@ def test_evaluate_prints_report_and_kv(workdir):
     assert "AUCROC best" in proc.stdout
 
 
+def test_evaluate_report_file_holds_exactly_the_printed_text(workdir):
+    syn = workdir / "for_report.csv"
+    assert run_cli("generate", "--schema", workdir / "data.schema",
+                   "--input", workdir / "train.csv", "--output", syn,
+                   "--seed", "6", "--n-out", "600").returncode == 0
+    report = workdir / "eval.report"
+    proc = run_cli("evaluate", "--schema", workdir / "data.schema",
+                   "--input", workdir / "train.csv", "--test", workdir / "holdout.csv",
+                   "--synthetic", syn, "--seed", "1", "--report", report)
+    assert proc.returncode == 0, proc.stderr
+    assert "aucroc_best=" in proc.stdout
+    assert report.read_text(encoding="utf-8") == proc.stdout
+
+
 def test_bench_reports_growth_exponent(workdir):
     proc = run_cli("bench", "--schema", workdir / "data.schema",
                    "--input", workdir / "train.csv", "--max-n", "2000",

@@ -1,11 +1,15 @@
 """Max-entropy fair re-distribution: solver, targets, code sampling."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from benchdata import make_adult
-from oracles import kl_projection, row_codebook, two_pass_dual_descent
+from benchdata import make_adult, make_wide
+from oracles import (kl_projection, row_codebook, row_fair_marginals, row_group_rates,
+                     two_pass_dual_descent)
 from ffpdg.binarize import build_codebook
+from ffpdg.data import group_rates, load_csv, load_schema
 from ffpdg.errors import ConvergenceError, DataError, FeasibilityError
 from ffpdg.maxent import (
     DiscreteDistribution,
@@ -13,10 +17,11 @@ from ffpdg.maxent import (
     empirical_prior,
     fair_marginals,
     feature_matrix,
-    group_rates,
     sample_codes,
     solve_maxent,
 )
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def counts_to_binary(counts):
@@ -27,9 +32,14 @@ def counts_to_binary(counts):
     return np.asarray(rows, dtype=np.uint8)
 
 
-def prior_of(binary, smooth=0.1):
+def histogram(binary):
+    """(distinct codes, row counts) of a bit matrix."""
     keys, counts, _ = row_codebook(binary)
-    return empirical_prior(keys, counts, smooth)
+    return keys, counts
+
+
+def prior_of(binary, smooth=0.1):
+    return empirical_prior(*histogram(binary), smooth)
 
 
 def full_support(m):
@@ -49,7 +59,7 @@ def test_four_cell_solution_is_the_unique_feasible_point():
     # means, the product, normalization) pin the answer completely:
     # p11=0.2, p10=0.3, p01=0.2, p00=0.3, whatever the prior.
     binary = counts_to_binary({(1, 1): 30, (1, 0): 20, (0, 1): 10, (0, 0): 40})
-    constraints = fair_marginals(binary, protected_bit=0, label_bit=1)
+    constraints = fair_marginals(*histogram(binary), protected_bit=0, label_bit=1)
     assert constraints.joint_target == pytest.approx(0.2)
     for smooth in (0.0, 0.1, 2.0):
         prior = prior_of(binary, smooth=smooth)
@@ -90,13 +100,13 @@ def test_solver_matches_primal_reference_on_random_problems():
 
 def test_dual_objective_trace_never_increases():
     binary = (np.random.default_rng(3).random((400, 4)) < 0.4).astype(np.uint8)
-    sol = solve_maxent(prior_of(binary), fair_marginals(binary, 0, 3))
+    sol = solve_maxent(prior_of(binary), fair_marginals(*histogram(binary), 0, 3))
     assert np.all(np.diff(sol.objective_trace) <= 0.0)
 
 
 def test_residual_is_the_constraint_gap_of_the_returned_distribution():
     binary = (np.random.default_rng(9).random((300, 3)) < 0.5).astype(np.uint8)
-    constraints = fair_marginals(binary, 0, 2)
+    constraints = fair_marginals(*histogram(binary), 0, 2)
     sol = solve_maxent(prior_of(binary), constraints)
     phi = feature_matrix(sol.distribution.support, constraints)
     gap = np.abs(phi.T @ sol.distribution.probs - constraints.targets).max()
@@ -116,7 +126,7 @@ def test_infeasible_target_raises():
 def test_convergence_error_carries_partial_solution():
     binary = (np.random.default_rng(1).random((500, 4)) < 0.3).astype(np.uint8)
     with pytest.raises(ConvergenceError) as err:
-        solve_maxent(prior_of(binary), fair_marginals(binary, 0, 3), max_iter=1)
+        solve_maxent(prior_of(binary), fair_marginals(*histogram(binary), 0, 3), max_iter=1)
     partial = err.value.solution
     assert partial is not None and not partial.converged
     assert partial.residual > 1e-6
@@ -124,7 +134,7 @@ def test_convergence_error_carries_partial_solution():
 
 def test_fair_marginals_exact_parity_targets():
     binary = counts_to_binary({(1, 1): 30, (1, 0): 20, (0, 1): 10, (0, 0): 40})
-    constraints = fair_marginals(binary, 0, 1, rate=1.0)
+    constraints = fair_marginals(*histogram(binary), 0, 1, rate=1.0)
     assert np.allclose(constraints.theta, [0.5, 0.4])
     # parity: E[CY] = P(C=1) * overall rate
     assert constraints.joint_target == pytest.approx(0.5 * 0.4)
@@ -134,22 +144,46 @@ def test_fair_marginals_relaxed_rate():
     binary = counts_to_binary({(1, 1): 30, (1, 0): 20, (0, 1): 10, (0, 0): 40})
     # r0=0.2, r1=0.6, c=0.5, r=0.4; at tau=0.5 the rates become
     # t1 = r / ((1-c) tau + c) = 0.5333..., t0 = tau t1, joint = c t1
-    constraints = fair_marginals(binary, 0, 1, rate=0.5)
+    constraints = fair_marginals(*histogram(binary), 0, 1, rate=0.5)
     assert constraints.joint_target == pytest.approx(0.5 * 0.4 / 0.75)
     # already fair enough: targets keep the observed joint
-    lax = fair_marginals(binary, 0, 1, rate=0.3)
+    lax = fair_marginals(*histogram(binary), 0, 1, rate=0.3)
     assert lax.joint_target == pytest.approx(0.3)  # observed E[CY] = 30/100
 
 
 def test_fair_marginals_validation():
     binary = counts_to_binary({(1, 1): 5, (0, 0): 5})
     with pytest.raises(DataError):
-        fair_marginals(binary, 1, 1)
+        fair_marginals(*histogram(binary), 1, 1)
     with pytest.raises(DataError):
-        fair_marginals(binary, 0, 1, rate=0.0)
+        fair_marginals(*histogram(binary), 0, 1, rate=0.0)
     all_one_group = counts_to_binary({(1, 1): 5, (1, 0): 5})
-    with pytest.raises(DataError, match="both protected groups"):
-        group_rates(all_one_group, 0, 1)
+    with pytest.raises(DataError, match="protected group 0 has no rows"):
+        fair_marginals(*histogram(all_one_group), 0, 1)
+    with pytest.raises(DataError, match="protected group 0 has no rows"):
+        group_rates(all_one_group[:, 1], all_one_group[:, 0])
+
+
+@pytest.mark.parametrize("name, bins", [("adult", 1), ("adult", 3), ("compas", 1),
+                                        ("compas", 3), ("wide", 1)])
+def test_histogram_targets_and_rates_equal_the_row_means_bit_for_bit(name, bins):
+    # the bundled extracts, and a wide simulation with nearly every code distinct
+    if name == "wide":
+        ds = make_wide(5000, 1)
+    else:
+        ds = load_csv(DATA / f"{name}_sample.csv", load_schema(DATA / f"{name}.schema"))
+    bits, book = build_codebook(ds, bins)
+    protected = book.bits(ds.schema.protected_index)[0]
+    label = book.bits(ds.schema.label_index)[0]
+    want_rates = row_group_rates(bits, protected, label)
+    assert group_rates(book.keys[:, label], book.keys[:, protected], book.counts) == want_rates
+    assert group_rates(bits[:, label], bits[:, protected]) == want_rates
+    # 1 and 0.9 move the joint to a target; 1e-9 keeps the observed joint
+    for rate in (1.0, 0.9, 1e-9):
+        got = fair_marginals(book.keys, book.counts, protected, label, rate)
+        want = row_fair_marginals(bits, protected, label, rate)
+        assert np.array_equal(got.theta, want.theta)
+        assert got.joint_target == want.joint_target
 
 
 def test_empirical_prior_smoothing_formula():
@@ -202,12 +236,13 @@ def test_sample_codes_keeps_the_solved_parity_on_a_wide_support():
     c = r.random(n) < 0.6
     y = r.random(n) < np.where(c, 0.68, 0.49)
     binary = np.column_stack([c, y, r.random((n, 14)) < 0.5]).astype(np.uint8)
-    sol = solve_maxent(prior_of(binary), fair_marginals(binary, 0, 1))
+    sol = solve_maxent(prior_of(binary), fair_marginals(*histogram(binary), 0, 1))
     assert len(sol.distribution.support) > 4500
-    rates_before = group_rates(binary, 0, 1)
+    rates_before = group_rates(binary[:, 1], binary[:, 0])
     assert abs(rates_before[0] - rates_before[1]) > 0.15
     for seed in range(5):
-        rates = group_rates(sample_codes(sol.distribution, n, seed), 0, 1)
+        codes = sample_codes(sol.distribution, n, seed)
+        rates = group_rates(codes[:, 1], codes[:, 0])
         assert abs(rates[0] - rates[1]) <= 0.01
 
 
@@ -227,10 +262,11 @@ def test_distribution_validation():
 
 def adult_like_problem():
     ds = make_adult(3000, 5)
-    binary, book = build_codebook(ds, 2)
+    book = build_codebook(ds, 2)[1]
     protected = book.bits(ds.schema.protected_index)[0]
     label = book.bits(ds.schema.label_index)[0]
-    return empirical_prior(book.keys, book.counts), fair_marginals(binary, protected, label)
+    return (empirical_prior(book.keys, book.counts),
+            fair_marginals(book.keys, book.counts, protected, label))
 
 
 def wide_like_problem():
@@ -238,7 +274,7 @@ def wide_like_problem():
     r = np.random.default_rng(3)
     binary = (r.random((3000, 28)) < 0.5).astype(np.uint8)
     binary[:, -1] = r.random(3000) < 0.3 + 0.4 * binary[:, 0]
-    return prior_of(binary), fair_marginals(binary, 0, 27)
+    return prior_of(binary), fair_marginals(*histogram(binary), 0, 27)
 
 
 def backtracking_problem():
@@ -248,7 +284,7 @@ def backtracking_problem():
     c, f = r.random(400) < 0.5, r.random(400) < 0.5
     y = r.random(400) < np.where(c, 0.7, 0.3)
     binary = np.column_stack([c, y] + [f] * 12).astype(np.uint8)
-    return prior_of(binary), fair_marginals(binary, 0, 1)
+    return prior_of(binary), fair_marginals(*histogram(binary), 0, 1)
 
 
 def one_hot_problem():
@@ -259,7 +295,7 @@ def one_hot_problem():
     level = r.integers(0, 5, 600)
     y = r.random(600) < 0.2 + 0.05 * level + 0.3 * c
     binary = np.column_stack([c, y, np.eye(5, dtype=bool)[level]]).astype(np.uint8)
-    return prior_of(binary), fair_marginals(binary, 0, 1)
+    return prior_of(binary), fair_marginals(*histogram(binary), 0, 1)
 
 
 @pytest.mark.parametrize("problem", [adult_like_problem, wide_like_problem, backtracking_problem])

@@ -16,7 +16,6 @@ from ffpdg.metrics import (
     dsp,
     evaluate,
     lrd,
-    tstr,
 )
 
 
@@ -77,7 +76,7 @@ def test_dsp_zero_for_group_blind_predictions():
 
 
 def test_deo_requires_positives_in_both_groups():
-    with pytest.raises(DataError, match="no positive-label"):
+    with pytest.raises(DataError, match="protected group 1 has no rows"):
         deo(np.ones(4), np.array([1, 1, 0, 0], dtype=float),
             np.array([0, 0, 1, 1], dtype=float))
 
@@ -133,15 +132,16 @@ def test_lrd_subsamples_and_validates():
 
 
 def test_tstr_cannot_see_the_protected_column():
-    # label equals the protected bit exactly; every other feature is noise.
-    # a leak would give AUC ~1, a clean split leaves it near chance.
-    ds = binary_group_dataset(1500, 0.0, 1.0, seed=3, n_features=4)
+    # label equals the protected bit on 95% of rows (DEO needs positives in
+    # both groups); every other feature is noise. a leak would give AUC
+    # ~0.95, a clean split leaves it near chance.
+    ds = binary_group_dataset(1500, 0.05, 0.95, seed=3, n_features=4)
     train, test = ds.take(np.arange(1000)), ds.take(np.arange(1000, 1500))
-    best, per_model, skipped = tstr(train, test)
-    assert best < 0.6
-    assert set(per_model) == {"logistic_regression", "gaussian_nb",
-                              "bernoulli_nb", "decision_tree"}
-    assert skipped == {}
+    report = evaluate(train, test, train)
+    assert report.aucroc_best < 0.6
+    assert set(report.aucroc_per_model) == {"logistic_regression", "gaussian_nb",
+                                            "bernoulli_nb", "decision_tree"}
+    assert report.models_skipped == {}
 
 
 def informative_dataset(n, seed):

@@ -278,6 +278,19 @@ def test_binary_rates_survive_restoration():
         assert abs(syn.column(name).mean() - ds.column(name).mean()) < 0.05
 
 
+@pytest.mark.parametrize("constant", [0.0, 1.0])
+def test_a_binary_feature_constant_in_training_comes_out_constant(constant):
+    # a training rate of 0 or 1 sets every synthetic cell, whatever the draw
+    ds = binary_group_dataset(1000, 0.3, 0.6, seed=12, n_features=2)
+    values = ds.values.copy()
+    values[:, 0] = constant
+    model = fit(Dataset(ds.schema, values), GenerationConfig(budget=LOOSE, seed=3))
+    assert model.postprocess[0].rate == constant
+    syn = sample(model, 800, seed=4)
+    assert np.all(syn.column("f0") == constant)
+    assert 0.0 < syn.column("f1").mean() < 1.0
+
+
 def test_continuous_restoration_stays_in_training_range():
     ds = regression_dataset(800, seed=10)
     model = fit(ds, GenerationConfig(budget=LOOSE, seed=5, mode="regression"))
@@ -451,7 +464,7 @@ def test_fair_sample_without_a_protected_group_fails_tagged(monkeypatch):
         return codes[codes[:, protected] == 0]
 
     monkeypatch.setattr(maxent, "sample_codes", one_group)
-    with pytest.raises(StageError, match="both protected groups must be present") as err:
+    with pytest.raises(StageError, match="protected group 1 has no rows") as err:
         generate_with_artifacts(ds, GenerationConfig(budget=LOOSE, seed=1))
     assert err.value.stage == "code inversion"
 
