@@ -10,7 +10,8 @@ inputs of the benchmark's adult-300k and wide-codes workloads (built
 with perfbench/simulate.py at seed 1), each at `--bins` 1 and 3; both
 extracts at seed 0 once per set of the other generate flags (budget and
 split, projected dimension, output rows, unsupervised mode, relaxed
-rate, quantile count), and once with all of them; and a 2,000-row table
+rate, quantile count), once with all of them, and once at `--rate 0.5`,
+which keeps compas's observed joint; and a 2,000-row table
 with a skewed continuous label (regression mode) at seeds 0-2.
 `evaluate` cases: the benchmark's evaluate-10k inputs at `--seed` 0-2
 (three 10,000-row perfbench/simulate.py Adult draws per seed, as that
@@ -74,6 +75,8 @@ FLAG_CASES = {
     "quantiles": ["--quantiles", "33"],
 }
 FLAG_CASES["all"] = [arg for args in FLAG_CASES.values() for arg in args] + ["--bins", "2"]
+# below compas's observed group-rate ratio, so that extract keeps its joint; adult's moves
+FLAG_CASES["rate-0.5"] = ["--rate", "0.5"]
 THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 VOLATILE_AUDIT_PREFIX = "generate_seconds="
 ABSENT = object()

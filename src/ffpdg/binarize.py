@@ -3,8 +3,8 @@
 A CodeBook holds the schema, each continuous column's quantile
 thresholds and the observed code -> source row indices dictionary; the
 bit layout follows from the schema and the thresholds (`CodeBook.bits`).
-Only observed codes can be inverted: each maps back to one of its own
-rows, which the caller passes in.
+Only observed codes can be inverted: `decode_codes` draws each code's
+count of its own rows, which the caller passes in.
 
 This module alone decides how a code is keyed. `pack_codes` packs each
 0/1 row into bytes with np.packbits, which is big-endian, and views the
@@ -146,47 +146,42 @@ def build_codebook(dataset: Dataset, bins_per_continuous: int = 1) -> tuple[np.n
     return binary, codebook
 
 
-def decode_codes(codes: np.ndarray, codebook: CodeBook, rows: np.ndarray, seed: int) -> np.ndarray:
-    """Invert a batch of observed codes to rows of `rows`, the original-space
-    values of the table the codebook was built from.
+def decode_codes(codes: np.ndarray, counts: np.ndarray, codebook: CodeBook, rows: np.ndarray,
+                 seed: int) -> np.ndarray:
+    """`counts[i]` rows of `rows` (the table the codebook was built from)
+    for each distinct observed code `codes[i]`, grouped in that order.
 
-    The queries are packed, grouped by distinct code (distinct_codes) and
-    matched to the packed codebook keys by np.searchsorted; a code the
-    codebook does not hold raises DataError. One stable argsort of the
-    exact uint64 key `entry << 32 | 32 random bits` shuffles every
-    entry's row_order slice at once. The j-th query of an entry, counting
-    in input order, takes row j mod count of its shuffled slice, so an
-    entry's rows are drawn without replacement until its queries outnumber
-    them, and no source row is returned more than ceil(queries / count)
-    times. A fixed seed fixes the output; row order follows the input.
+    The packed codes are matched to the packed codebook keys by
+    np.searchsorted; a code the codebook does not hold, or one given
+    twice, raises DataError. One stable argsort of the exact uint64 key
+    `entry << 32 | 32 random bits` shuffles every entry's row_order slice
+    at once. The j-th draw of an entry takes row j mod count of its
+    shuffled slice, so an entry's rows are drawn without replacement until
+    its draws outnumber them, and no source row is returned more than
+    ceil(draws / count) times. A fixed seed fixes the output.
     """
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[1] != codebook.m:
-        raise DataError(f"codes must be (n, {codebook.m})")
+        raise DataError(f"codes must be (k, {codebook.m})")
     if len(rows) != len(codebook.row_order):
         raise DataError(f"rows has {len(rows)} rows, the codebook indexes {len(codebook.row_order)}")
-    uniq, _, where_order, where_starts = distinct_codes(codes)
+    queries = pack_codes(codes)
     packed = pack_codes(codebook.keys)
-    entry = np.minimum(np.searchsorted(packed, uniq), codebook.entry_count() - 1)
-    unseen = int(np.count_nonzero(packed[entry] != uniq))
+    entry = np.minimum(np.searchsorted(packed, queries), codebook.entry_count() - 1)
+    unseen = int(np.count_nonzero(packed[entry] != queries))
     if unseen:
-        raise DataError(f"{unseen} of {len(uniq)} distinct codes are not in the codebook")
-    counts = codebook.counts
-    sort_key = np.repeat(np.arange(len(counts), dtype=np.uint64), counts) << np.uint64(32)
+        raise DataError(f"{unseen} of {len(codes)} codes are not in the codebook")
+    if len(np.unique(entry)) < len(entry):
+        raise DataError(f"{len(entry) - len(np.unique(entry))} codes are given more than once")
+    sort_key = np.repeat(np.arange(len(packed), dtype=np.uint64), codebook.counts) << np.uint64(32)
     sort_key |= np.random.default_rng(seed).integers(0, 1 << 32, size=len(sort_key), dtype=np.uint64)
     # stable: two rows of an entry that drew the same 32 bits keep their
     # order on every platform, whichever sort numpy dispatches to
     shuffled = codebook.row_order[np.argsort(sort_key, kind="stable")]
     del sort_key
-    sizes = np.diff(where_starts)
-    query_entry = np.repeat(entry, sizes)
-    rank = np.arange(len(codes)) - np.repeat(where_starts[:-1], sizes)
-    rank %= counts[query_entry]
-    rank += codebook.row_starts[query_entry]
-    del query_entry
-    # scatter the row indices into query order, so the (n, d) rows are
-    # gathered once, with no n-row index array left but `source`
-    source = np.empty_like(rank)
-    source[where_order] = shuffled[rank]
-    del shuffled, rank, where_order
+    rank = np.arange(np.sum(counts)) - np.repeat(np.cumsum(counts) - counts, counts)
+    rank %= np.repeat(codebook.counts[entry], counts)
+    rank += np.repeat(codebook.row_starts[entry], counts)
+    source = shuffled[rank]
+    del shuffled, rank
     return rows[source]

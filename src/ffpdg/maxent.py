@@ -13,7 +13,7 @@ whose gradient is the constraint gap E_p[phi] - targets and whose
 Hessian is the covariance of phi under p. `solve_maxent` takes damped
 Newton steps: a minimum-norm least-squares solve (`np.linalg.lstsq`)
 against that singular covariance, then Armijo backtracking along the
-Newton direction.
+Newton direction. `sample_codes` draws the fair sample as a histogram.
 """
 
 from __future__ import annotations
@@ -26,13 +26,15 @@ from .binarize import distinct_codes
 from .data import group_rates
 from .errors import ConvergenceError, DataError, FeasibilityError
 
-# Additive smoothing of the empirical prior over observed codes, and the
+# Additive smoothing of the empirical prior over observed codes, the
 # solver's residual tolerance and Newton step limit (a few steps converge
 # on every bundled and benchmark input, so a problem that needs 100 is
-# reported rather than ground through).
+# reported rather than ground through), and how far past the support's
+# reach a target may sit before it is reported infeasible.
 FAIR_PRIOR_SMOOTH = 0.1
 MAXENT_TOL = 1e-6
 MAXENT_MAX_ITER = 100
+FEASIBILITY_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,8 @@ def fair_marginals(keys: np.ndarray, counts: np.ndarray, protected_bit: int, lab
     pinned to the overall positive rate r, which fixes E[Y*C] = r * P(C=1).
     A relaxed rate tau < 1 leaves the data unchanged when min/max of the
     two group rates already reaches tau, and otherwise shrinks the gap
-    just enough, preserving the overall positive rate.
+    just enough, preserving the overall positive rate. A group whose codes
+    lack a label value a target needs raises FeasibilityError.
     """
     keys = np.asarray(keys, dtype=np.uint8)
     counts = np.asarray(counts)
@@ -122,7 +125,7 @@ def fair_marginals(keys: np.ndarray, counts: np.ndarray, protected_bit: int, lab
     c = float(theta[protected_bit])
     r = float(theta[label_bit])
     lo, hi = min(r0, r1), max(r0, r1)
-    if hi == 0.0 or (hi > 0 and lo / hi >= rate):
+    if hi == 0.0 or lo / hi >= rate:
         joint = float(counts @ (keys[:, protected_bit] & keys[:, label_bit]) / n)
     else:
         # target rates t0 (group C=0) and t1 (group C=1) with
@@ -134,6 +137,11 @@ def fair_marginals(keys: np.ndarray, counts: np.ndarray, protected_bit: int, lab
             t0 = r / ((1 - c) + c * rate)
             t1 = rate * t0
         joint = c * t1
+    # a group rate of exactly 0 or 1 means its codes lack the other label value
+    for g, observed, target in ((0, r0, (r - joint) / (1 - c)), (1, r1, joint / c)):
+        if observed in (0.0, 1.0) and abs(target - observed) > FEASIBILITY_SLACK:
+            raise FeasibilityError(f"protected group {g} has no rows whose label bit is {int(1 - observed)}, "
+                                   f"but parity needs its positive rate at {target:.6g}")
     return ParityConstraints(theta=theta, joint_target=joint,
                              protected_bit=protected_bit, label_bit=label_bit)
 
@@ -179,8 +187,7 @@ def solve_maxent(prior: DiscreteDistribution, constraints: ParityConstraints,
     features = feature_matrix(prior.support, constraints)
     targets = constraints.targets
     fmin, fmax = features.min(axis=0), features.max(axis=0)
-    slack = 1e-12
-    bad = np.flatnonzero((targets < fmin - slack) | (targets > fmax + slack))
+    bad = np.flatnonzero((targets < fmin - FEASIBILITY_SLACK) | (targets > fmax + FEASIBILITY_SLACK))
     if len(bad):
         j = int(bad[0])
         raise FeasibilityError(
@@ -238,21 +245,19 @@ def solve_maxent(prior: DiscreteDistribution, constraints: ParityConstraints,
     return solution
 
 
-def sample_codes(distribution: DiscreteDistribution, k: int, seed: int) -> np.ndarray:
-    """k codes by systematic sampling, in support order.
+def sample_codes(distribution: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
+    """The (k,) count of n systematic draws on each support code.
 
-    One uniform offset u places k evenly spaced points (u + j)/k on the
-    cumulative distribution; a code is taken once per point in its cell.
-    Cell i therefore appears floor(k p_i) or ceil(k p_i) times, which
-    reproduces the distribution up to 1/k per cell, and over seeds each
-    cell's mean count is exactly k p_i. i.i.d. draws would stack binomial
-    noise on top of the solved re-weighting; one fixed rounding of every
-    share can rebuild the source table when most shares are close to 1.
-    Points past the last cumulative sum (by rounding) fall in the last
-    cell.
+    One uniform offset u places n evenly spaced points (u + j)/n on the
+    cumulative distribution, so code i is drawn floor(n p_i) or
+    ceil(n p_i) times, and n p_i times on average over seeds. i.i.d.
+    draws would stack binomial noise on top of the solved re-weighting;
+    one fixed rounding of every share can rebuild the source table when
+    most shares are close to 1. Points past the last cumulative sum (by
+    rounding) fall in the last cell.
     """
-    if k < 1:
-        raise DataError("k must be >= 1")
+    if n < 1:
+        raise DataError("n must be >= 1")
     u = np.random.default_rng(seed).random()
-    cells = np.searchsorted(np.cumsum(distribution.probs)[:-1], (u + np.arange(k)) / k, side="right")
-    return distribution.support[cells]
+    cells = np.searchsorted(np.cumsum(distribution.probs)[:-1], (u + np.arange(n)) / n, side="right")
+    return np.bincount(cells, minlength=len(distribution.probs))

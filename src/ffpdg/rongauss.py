@@ -189,6 +189,8 @@ class RonGaussModel:
         for col, post in zip(self.schema.columns, self.postprocess):
             if not np.all(np.isfinite([post.rate, *post.quantile_grid])):
                 raise DataError(f"model post-processing of {col.name} holds a non-finite value")
+            if not 0.0 <= post.rate <= 1.0:
+                raise DataError(f"model post-processing of {col.name} has rate {post.rate!r}, outside [0, 1]")
             if col.kind == CONTINUOUS and len(post.quantile_grid) == 0:
                 raise DataError(f"model post-processing of {col.name} has an empty quantile grid")
 
@@ -436,11 +438,8 @@ def _match_quantiles(values: np.ndarray, grid, out: np.ndarray | None = None) ->
 
 
 def _threshold_by_rate(values: np.ndarray, rate: float) -> np.ndarray:
-    if rate <= 0.0:
-        return np.zeros(len(values))
-    if rate >= 1.0:
-        return np.ones(len(values))
-    cut = np.quantile(values, 1.0 - rate)
+    # the model holds 0 <= rate <= 1: rate 1 cuts at the minimum, rate 0 above every value
+    cut = np.quantile(values, 1.0 - rate) if rate > 0.0 else np.inf
     return (values >= cut).astype(float)
 
 
@@ -540,9 +539,9 @@ def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = 
     except Exception as exc:
         raise StageError("binarize", exc) from exc
 
-    # the fair stage reads the code histogram alone, and equalizes the
-    # label's first bit: the label if binary, its first level if
-    # categorical, y >= its first threshold if continuous
+    # the fair stage reads the code histogram alone, samples one over the
+    # same keys, and equalizes the label's first bit: the label if binary,
+    # its first level if categorical, y >= its first threshold if continuous
     keys, counts = codebook.keys, codebook.counts
     protected_bit = codebook.bits(schema.protected_index)[0]
     label_bit = codebook.bits(schema.label_index)[0]
@@ -556,11 +555,11 @@ def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = 
     rates_before = group_rates(keys[:, label_bit], keys[:, protected_bit], counts)
 
     try:
-        codes = maxent.sample_codes(solution.distribution, n, seed_codes)
-        rates_after = group_rates(codes[:, label_bit], codes[:, protected_bit])
-        rows = binarize.decode_codes(codes, codebook, dataset.values, seed_decode)
+        fair_counts = maxent.sample_codes(solution.distribution, n, seed_codes)
+        rates_after = group_rates(keys[:, label_bit], keys[:, protected_bit], fair_counts)
+        rows = binarize.decode_codes(keys, fair_counts, codebook, dataset.values, seed_decode)
         # the input goes before Dataset copies the rows: two tables alive, not three
-        del codes, dataset
+        del dataset, fair_counts
         fair = [Dataset(schema, rows)]
         del rows
     except Exception as exc:

@@ -16,7 +16,10 @@ call (the library builds no run bounds when no two values tie, and
 interpolates in blocks into its rank buffer), the codebook
 reference works on rows of bits (the library packs each code into one
 byte-string key), the parity-target reference takes means over the rows
-of a bit matrix (the library sums a code histogram), and the CSV
+of a bit matrix (the library sums a code histogram), the fair-sample
+references gather one code row per draw and decode that n-row batch in
+query order (the library counts the draws per code and decodes the
+counts), and the CSV
 references parse and format one cell at a time (the library reads an
 ordinary file with numpy's C text reader, and formats a block of rows
 with one row template). The library's fallback reader also parses one
@@ -29,6 +32,7 @@ import csv
 import numpy as np
 from scipy.optimize import minimize
 
+from ffpdg.binarize import distinct_codes, pack_codes
 from ffpdg.data import BINARY, CATEGORICAL, Dataset
 from ffpdg.errors import DataError
 from ffpdg.maxent import ParityConstraints, feature_matrix
@@ -308,6 +312,41 @@ def row_fair_marginals(bits, protected_bit, label_bit, rate=1.0):
         joint = c * (rate * (r / ((1 - c) + c * rate)))
     return ParityConstraints(theta=theta, joint_target=joint,
                              protected_bit=protected_bit, label_bit=label_bit)
+
+
+def expanded_sample_codes(distribution, n, seed):
+    """n systematic draws from a DiscreteDistribution as an n x m matrix of
+    code rows: the support row of each point's cell, in support order."""
+    u = np.random.default_rng(seed).random()
+    cells = np.searchsorted(np.cumsum(distribution.probs)[:-1], (u + np.arange(n)) / n, side="right")
+    return distribution.support[cells]
+
+
+def query_order_decode(codes, codebook, rows, seed):
+    """One row of `rows` per code row of a batch, in the batch's order.
+
+    The queries are grouped by code with distinct_codes and matched to the
+    codebook keys by np.searchsorted; every entry's source rows are shuffled
+    by one stable argsort of `entry << 32 | 32 random bits`, and the j-th
+    query of an entry, counting in batch order, takes row j mod count of
+    its shuffled slice. The rows are scattered back into batch order.
+    """
+    uniq, _, where_order, where_starts = distinct_codes(codes)
+    packed = pack_codes(codebook.keys)
+    entry = np.minimum(np.searchsorted(packed, uniq), codebook.entry_count() - 1)
+    if np.any(packed[entry] != uniq):
+        raise DataError("codes are not in the codebook")
+    counts = codebook.counts
+    sort_key = np.repeat(np.arange(len(counts), dtype=np.uint64), counts) << np.uint64(32)
+    sort_key |= np.random.default_rng(seed).integers(0, 1 << 32, size=len(sort_key), dtype=np.uint64)
+    shuffled = codebook.row_order[np.argsort(sort_key, kind="stable")]
+    sizes = np.diff(where_starts)
+    query_entry = np.repeat(entry, sizes)
+    rank = np.arange(len(codes)) - np.repeat(where_starts[:-1], sizes)
+    rank = rank % counts[query_entry] + codebook.row_starts[query_entry]
+    source = np.empty_like(rank)
+    source[where_order] = shuffled[rank]
+    return rows[source]
 
 
 def cellwise_load_csv(path, schema):

@@ -137,6 +137,10 @@ CORRUPTIONS = {
     "infinite W": (lambda r: r["W"][4].__setitem__(0, float("-inf")), r"model W holds a non-finite value"),
     "NaN rate": (lambda r: r["post"][2].update(rate=float("nan")),
                  r"post-processing of f2 holds a non-finite value"),
+    "rate above one": (lambda r: r["post"][2].update(rate=1.7),
+                       r"post-processing of f2 has rate 1.7, outside \[0, 1\]"),
+    "negative rate": (lambda r: r["post"][2].update(rate=-3.0),
+                      r"post-processing of f2 has rate -3.0, outside \[0, 1\]"),
     "class value outside the label": (lambda r: r["class_values"].__setitem__(1, 7.0),
                                       r"class values \[0.0, 7.0\] are not distinct ascending values"),
     "class values out of order": (lambda r: r["class_values"].reverse(),

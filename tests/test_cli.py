@@ -11,7 +11,7 @@ import pytest
 from conftest import binary_group_dataset, mixed_dataset
 from ffpdg import cli
 from ffpdg.audit import FORMAT_LINE, read_audit
-from ffpdg.data import load_csv, save_csv, save_schema
+from ffpdg.data import Dataset, load_csv, save_csv, save_schema
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -254,6 +254,28 @@ def test_tiny_epsilon_sigma_exits_1_and_names_epsilon_sigma(tmp_path, capsys, fl
     assert capsys.readouterr().err == (
         f"error: projection fit: epsilon_sigma={epsilon_sigma} is too small: the noise on "
         f"class {value}'s covariance is so large that it overflows\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("table, rate", [("no-positives", "1"), ("no-positives", "0.5"),
+                                         ("label-is-protected", "1")])
+def test_parity_a_group_cannot_reach_exits_1_as_infeasible(tmp_path, capsys, table, rate):
+    # protected group 0 holds no positive label, so no re-weighting of its
+    # observed codes raises its positive rate to the target
+    ds = binary_group_dataset(200, 0.0, 0.6, seed=3, n_features=2)
+    if table == "label-is-protected":
+        values = ds.values.copy()
+        values[:, -1] = values[:, -2]
+        ds = Dataset(ds.schema, values)
+    save_schema(ds.schema, tmp_path / "t.schema")
+    save_csv(ds, tmp_path / "t.csv")
+    out = tmp_path / "o.csv"
+    rc = cli.main(["generate", "--schema", str(tmp_path / "t.schema"), "--input", str(tmp_path / "t.csv"),
+                   "--output", str(out), "--rate", rate])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: fair redistribution: protected group 0 has no rows whose label bit is 1, "
+        "but parity needs its positive rate at ")
     assert not out.exists()
 
 

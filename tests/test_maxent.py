@@ -123,6 +123,18 @@ def test_infeasible_target_raises():
         solve_maxent(prior, bad)
 
 
+def test_a_group_target_its_codes_cannot_reach_raises_before_the_solver():
+    # group 1's rows are all positive: parity at rate 1 needs it at 0.7,
+    # which no re-weighting of its codes reaches; at rate 0.3 its rate stays 1
+    binary = counts_to_binary({(1, 1): 5, (0, 0): 3, (0, 1): 2})
+    with pytest.raises(FeasibilityError, match="protected group 1 has no rows whose label bit is 0, "
+                                               "but parity needs its positive rate at 0.7"):
+        fair_marginals(*histogram(binary), 0, 1)
+    kept = fair_marginals(*histogram(binary), 0, 1, rate=0.3)
+    assert kept.joint_target == 0.5
+    assert solve_maxent(prior_of(binary), kept).converged
+
+
 def test_convergence_error_carries_partial_solution():
     binary = (np.random.default_rng(1).random((500, 4)) < 0.3).astype(np.uint8)
     with pytest.raises(ConvergenceError) as err:
@@ -202,10 +214,8 @@ def test_sample_code_counts_are_floors_or_ceilings_of_the_shares():
     for trial in range(200):
         probs = r.dirichlet(np.full(len(support), r.choice([0.05, 1.0, 20.0])))
         k = int(r.integers(1, 400))
-        codes = sample_codes(DiscreteDistribution(support, probs), k, seed=trial)
-        assert codes.shape == (k, 6)
-        # full_support lists codes in binary order, so a code's cell is its value
-        counts = np.bincount(codes @ (1 << np.arange(5, -1, -1)), minlength=len(support))
+        counts = sample_codes(DiscreteDistribution(support, probs), k, seed=trial)
+        assert counts.shape == (len(support),) and counts.sum() == k
         share = probs * k
         assert np.all((counts == np.floor(share)) | (counts == np.ceil(share)))
 
@@ -214,16 +224,14 @@ def test_sample_code_counts_move_by_at_most_one_across_seeds_and_average_the_sha
     r = np.random.default_rng(17)
     support = full_support(3)
     dist = DiscreteDistribution(support, r.dirichlet(np.ones(8)))
-    counts = np.array([np.bincount(sample_codes(dist, 503, seed) @ [4, 2, 1], minlength=8)
-                       for seed in range(1, 41)])
+    counts = np.array([sample_codes(dist, 503, seed) for seed in range(1, 41)])
     assert np.all(counts.max(axis=0) - counts.min(axis=0) <= 1)
     assert np.array_equal(sample_codes(dist, 503, seed=1), sample_codes(dist, 503, seed=1))
     # shares 2.4, 2.6, 5.0: the seed decides floor or ceiling, and over many
     # seeds each cell's mean count is its share (one fixed rounding would
     # stay 0.4 away from two of them)
     dist = DiscreteDistribution(full_support(2)[:3], np.array([0.24, 0.26, 0.5]))
-    mean = np.mean([np.bincount(sample_codes(dist, 10, seed) @ [2, 1], minlength=3)
-                    for seed in range(400)], axis=0)
+    mean = np.mean([sample_codes(dist, 10, seed) for seed in range(400)], axis=0)
     assert np.allclose(mean, [2.4, 2.6, 5.0], atol=0.1)
 
 
@@ -240,9 +248,9 @@ def test_sample_codes_keeps_the_solved_parity_on_a_wide_support():
     assert len(sol.distribution.support) > 4500
     rates_before = group_rates(binary[:, 1], binary[:, 0])
     assert abs(rates_before[0] - rates_before[1]) > 0.15
+    support = sol.distribution.support
     for seed in range(5):
-        codes = sample_codes(sol.distribution, n, seed)
-        rates = group_rates(codes[:, 1], codes[:, 0])
+        rates = group_rates(support[:, 1], support[:, 0], sample_codes(sol.distribution, n, seed))
         assert abs(rates[0] - rates[1]) <= 0.01
 
 

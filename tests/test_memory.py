@@ -43,9 +43,9 @@ def peak_over_live(fn, *args):
 
 
 def test_decode_codes_gathers_the_rows_once(adult):
-    binary, codebook = binarize.build_codebook(adult, 1)
-    codes = binary[np.random.default_rng(0).permutation(N)]
-    rows, peak = peak_over_live(binarize.decode_codes, codes, codebook, adult.values, 3)
+    codebook = binarize.build_codebook(adult, 1)[1]
+    rows, peak = peak_over_live(binarize.decode_codes, codebook.keys, codebook.counts, codebook,
+                                adult.values, 3)
     assert rows.shape == adult.values.shape
     assert peak <= 2.0 * adult.values.nbytes
 

@@ -459,9 +459,10 @@ def test_fair_sample_without_a_protected_group_fails_tagged(monkeypatch):
     protected = ds.schema.protected_index  # every column is binary: its bit is its index
     sample_codes = maxent.sample_codes
 
-    def one_group(distribution, k, seed):
-        codes = sample_codes(distribution, k, seed)
-        return codes[codes[:, protected] == 0]
+    def one_group(distribution, n, seed):
+        counts = sample_codes(distribution, n, seed)
+        counts[distribution.support[:, protected] == 1] = 0
+        return counts
 
     monkeypatch.setattr(maxent, "sample_codes", one_group)
     with pytest.raises(StageError, match="protected group 1 has no rows") as err:
