@@ -10,7 +10,7 @@ inputs of the benchmark's adult-300k and wide-codes workloads (built
 with perfbench/simulate.py at seed 1), each at `--bins` 1 and 3; both
 extracts at seed 0 once per set of the other generate flags (budget and
 split, projected dimension, output rows, unsupervised mode, relaxed
-rate, quantile count), once with all of them, and once at `--rate 0.5`,
+rate), once with all of them, and once at `--rate 0.5`,
 which keeps compas's observed joint; and a 2,000-row table
 with a skewed continuous label (regression mode) at seeds 0-2.
 `evaluate` cases: the benchmark's evaluate-10k inputs at `--seed` 0-2
@@ -72,7 +72,6 @@ FLAG_CASES = {
     "n-out": ["--n-out", "1700"],
     "unsupervised": ["--mode", "unsupervised"],
     "rate": ["--rate", "0.8"],
-    "quantiles": ["--quantiles", "33"],
 }
 FLAG_CASES["all"] = [arg for args in FLAG_CASES.values() for arg in args] + ["--bins", "2"]
 # below compas's observed group-rate ratio, so that extract keeps its joint; adult's moves

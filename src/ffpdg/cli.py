@@ -46,9 +46,7 @@ def cmd_generate(args) -> int:
     from . import audit as audit_mod
     from . import rongauss
 
-    # without --quantiles, GenerationConfig's default count applies
-    quantiles = {"quantile_points": args.quantiles} if "quantiles" in args else {}
-    config = _generation_config(args, n_out=args.n_out, rate=args.rate, **quantiles)
+    config = _generation_config(args, n_out=args.n_out, rate=args.rate)
     # pop hands the table over: generate_with_artifacts holds the only
     # reference and frees the table once the fair codes are decoded
     tables = [_load(args, args.input)]
@@ -185,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n-out", type=int, default=None, help="synthetic rows (default: input size)")
     g.add_argument("--rate", type=float, default=1.0,
                    help="statistical-rate target, 1 = exact parity (default 1)")
-    g.add_argument("--quantiles", type=int, default=argparse.SUPPRESS,
-                   help="stored training quantiles per continuous column (default 257)")
 
     e = sub.add_parser("evaluate", help="score synthetic against real data")
     add_common(e)

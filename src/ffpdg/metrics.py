@@ -10,7 +10,7 @@ synthetic ones, so 0.5 means indistinguishable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,21 +57,17 @@ def _score_zoo(Xs, ys, Xr, yr):
     """Fit each zoo model once on synthetic rows and score it once on real rows.
 
     Returns (per-model AUCs, per-model class-1 probabilities on the real
-    rows, skipped models with their errors). A model whose fit fails is
-    skipped and recorded rather than fatal.
+    rows). Every fit runs the same input checks, so one failure ends the evaluation.
     """
-    scores, skipped = {}, {}
+    scores = {}
     for kind in models.ZOO:  # fixed order keeps reports deterministic
         try:
             clf = models.fit(kind, Xs, ys)
         except DataError as exc:
-            skipped[kind] = str(exc)
-            continue
+            raise DataError(f"the synthetic rows cannot train the zoo: {exc}") from None
         scores[kind] = models.predict_proba(clf, Xr)
-    if not scores:
-        raise DataError("every zoo model failed to fit: " + "; ".join(skipped.values()))
     per_model = {kind: auc_roc(s, yr) for kind, s in scores.items()}
-    return per_model, scores, skipped
+    return per_model, scores
 
 
 def dsp(predictions, protected) -> float:
@@ -140,6 +136,8 @@ def lrd(real: Dataset, synthetic: Dataset, folds: int = 5, seed: int = 0) -> flo
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One evaluation's metrics, with an AUC for each of the four zoo models."""
+
     aucroc_best: float
     aucroc_per_model: dict
     deo: float
@@ -147,7 +145,6 @@ class EvalReport:
     disparate_impact_ratio: float
     disparate_impact_flag: bool
     lrd: float
-    models_skipped: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("aucroc_best", "deo", "dsp", "lrd"):
@@ -168,8 +165,6 @@ class EvalReport:
         ]
         for kind in sorted(self.aucroc_per_model):
             rows.append((f"  AUCROC {kind}", f"{self.aucroc_per_model[kind]:.4f}", ""))
-        for kind in sorted(self.models_skipped):
-            rows.append((f"  skipped {kind}", "-", self.models_skipped[kind]))
         w0 = max(len(r[0]) for r in rows)
         w1 = max(len(r[1]) for r in rows)
         lines = [f"{'metric':<{w0}}  {'value':>{w1}}  notes"]
@@ -197,7 +192,7 @@ def evaluate(real_train: Dataset, real_test: Dataset, synthetic: Dataset,
 
     Xs, ys, csyn = _split_columns(synthetic)
     Xr, yr, cr = _split_columns(real_test)
-    per_model, scores, skipped = _score_zoo(Xs, ys, Xr, yr)
+    per_model, scores = _score_zoo(Xs, ys, Xr, yr)
     deo_vals, dsp_vals = [], []
     for proba in scores.values():
         pred = (proba >= PREDICTION_THRESHOLD).astype(float)
@@ -215,5 +210,4 @@ def evaluate(real_train: Dataset, real_test: Dataset, synthetic: Dataset,
         disparate_impact_ratio=ratio,
         disparate_impact_flag=flag,
         lrd=lrd_value,
-        models_skipped=skipped,
     )

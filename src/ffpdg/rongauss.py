@@ -35,7 +35,7 @@ from .data import (
     tie_runs,
 )
 from .dp import PrivacyBudget, column_norms, dp_covariance, dp_histogram, dp_mean, psd_repair
-from .errors import ConvergenceError, DataError, FeasibilityError, SchemaError, StageError
+from .errors import DataError, SchemaError, StageError
 
 MODE_UNSUPERVISED = "unsupervised"
 MODE_CLASSIFICATION = "classification"
@@ -44,9 +44,9 @@ MODE_AUTO = "auto"
 
 _MODES = (MODE_UNSUPERVISED, MODE_CLASSIFICATION, MODE_REGRESSION)
 
-# Default number of training quantiles stored per continuous column for
-# post-processing; the levels are evenly spaced on [0, 1].
-DEFAULT_QUANTILE_POINTS = 257
+# Training quantiles stored per continuous column for post-processing;
+# the levels are evenly spaced on [0, 1].
+QUANTILE_POINTS = 257
 
 # Std of the Gaussian noise added to every one-hot entry of a categorical
 # column before normalization.
@@ -92,11 +92,11 @@ class ColumnPost:
 
     Binary columns carry the training positive rate (the synthetic column
     is thresholded at its own quantile of 1 - rate). Continuous columns, a
-    regression label included, carry training values at the fixed quantile
-    grid, whose endpoints (the training min and max) also scale the label
-    into [-1, 1] for fitting: sampling maps the ranks of a coordinate
-    through its grid, keeping every restored value in the training range.
-    Categorical columns carry neither.
+    regression label included, carry training values at `QUANTILE_POINTS`
+    evenly spaced levels, whose endpoints (the training min and max) also
+    scale the label into [-1, 1] for fitting: sampling maps the ranks of a
+    coordinate through its grid, keeping every restored value in the
+    training range. Categorical columns carry neither.
     """
 
     rate: float = 0.0
@@ -112,7 +112,6 @@ class GenerationConfig:
     seed: int = 0
     bins: int = 1                 # discretization bits per continuous column
     rate: float = 1.0             # statistical-rate target (1 = exact parity)
-    quantile_points: int = DEFAULT_QUANTILE_POINTS
 
     def __post_init__(self):
         if self.mode not in _MODES + (MODE_AUTO,):
@@ -121,8 +120,6 @@ class GenerationConfig:
             raise DataError("p must be >= 1")
         if self.n_out is not None and self.n_out < 1:
             raise DataError("n_out must be >= 1")
-        if self.quantile_points < 2:
-            raise DataError("quantile_points must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -305,11 +302,17 @@ def make_ron(d: int, p: int, seed) -> RonProjection:
         return RonProjection(W=Q[:, :p])
 
 
-def _column_post(col: ColumnSpec, values: np.ndarray, points: int) -> ColumnPost:
+def _column_post(col: ColumnSpec, values: np.ndarray) -> ColumnPost:
     if col.kind == BINARY:
         return ColumnPost(rate=float(values.mean()))
     if col.kind == CONTINUOUS:
-        grid = interp_quantiles(np.sort(values), np.linspace(0.0, 1.0, points))
+        grid = interp_quantiles(np.sort(values), np.linspace(0.0, 1.0, QUANTILE_POINTS))
+        # `pre_normalize` divides by the range, `sample` interpolates with the slopes
+        with np.errstate(over="ignore"):
+            widest = max(grid[-1] - grid[0], np.diff(grid).max() * (QUANTILE_POINTS - 1))
+        if not np.isfinite(widest):
+            raise DataError(f"continuous column {col.name!r} spans [{grid[0]:g}, {grid[-1]:g}]: "
+                            "its range or its quantile grid's slope overflows float64")
         return ColumnPost(quantile_grid=tuple(grid))
     return ColumnPost()
 
@@ -333,8 +336,7 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
     seq = np.random.SeedSequence(config.seed)
     rng_noise, rng_mu, rng_ron, rng_cov, rng_share = (np.random.default_rng(s) for s in seq.spawn(5))
 
-    posts = tuple(_column_post(schema.columns[j], dataset.values[:, j], config.quantile_points)
-                  for j in range(schema.d))
+    posts = tuple(_column_post(schema.columns[j], dataset.values[:, j]) for j in range(schema.d))
     X = pre_normalize(dataset, CATEGORICAL_NOISE_SIGMA, rng_noise, mode)
     labels = dataset.values[:, label_idx].copy() if mode != MODE_UNSUPERVISED else None
     # the table's last reader: a caller that hands it over (as generate does) frees it here
@@ -356,7 +358,11 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
         return RonGaussModel(**shared, **_class_cells(Xp, labels, eps_sigma, rng_share, rng_cov))
     if mode == MODE_REGRESSION:
         lo, hi = posts[label_idx].quantile_grid[0], posts[label_idx].quantile_grid[-1]
-        t = (2.0 * labels - lo - hi) / (hi - lo) if hi > lo else np.zeros(n)
+        with np.errstate(over="ignore"):  # checked just below
+            t = (2.0 * labels - lo - hi) / (hi - lo) if hi > lo else np.zeros(n)
+        if not np.all(np.isfinite(t)):
+            raise DataError(f"label {schema.columns[label_idx].name!r} spans [{lo:g}, {hi:g}]: "
+                            "scaling it into [-1, 1] overflows float64")
         # t in [-1, 1] gets a noised mean m; t - m, scaled by s = 1 + |m| into [-1, 1]
         # (clipped against rounding), joins x', and each stacked column / sqrt(2) has norm <= 1
         eps_mean = LABEL_MEAN_SHARE * eps_sigma
@@ -550,14 +556,15 @@ def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = 
         prior = maxent.empirical_prior(keys, counts)
         constraints = maxent.fair_marginals(keys, counts, protected_bit, label_bit, config.rate)
         solution = maxent.solve_maxent(prior, constraints)
-    except (FeasibilityError, ConvergenceError, DataError) as exc:
+    except Exception as exc:
         raise StageError("fair redistribution", exc) from exc
     rates_before = group_rates(keys[:, label_bit], keys[:, protected_bit], counts)
 
     try:
         fair_counts = maxent.sample_codes(solution.distribution, n, seed_codes)
         rates_after = group_rates(keys[:, label_bit], keys[:, protected_bit], fair_counts)
-        rows = binarize.decode_codes(keys, fair_counts, codebook, dataset.values, seed_decode)
+        drawn = fair_counts > 0
+        rows = binarize.decode_codes(keys[drawn], fair_counts[drawn], codebook, dataset.values, seed_decode)
         # the input goes before Dataset copies the rows: two tables alive, not three
         del dataset, fair_counts
         fair = [Dataset(schema, rows)]

@@ -52,6 +52,27 @@ def mixed_dataset(n, seed):
     return Dataset(schema, values)
 
 
+def float_limit_column(kind, n, seed):
+    """n values near the float64 limit: N(0, 1) * 1e307 ("normal", whose
+    quantile grid has slopes that overflow) or a spread of +-1.7e308 with
+    both ends present ("span", whose range overflows)."""
+    r = np.random.default_rng(seed)
+    if kind == "normal":
+        return r.standard_normal(n) * 1e307
+    x = r.uniform(-1.0, 1.0, n) * 1.7e308
+    x[:2] = -1.7e308, 1.7e308
+    return x
+
+
+def one_feature_dataset(x, seed):
+    """A continuous feature x beside a random protected bit c and label y."""
+    r = np.random.default_rng(seed)
+    n = len(x)
+    schema = Schema((ColumnSpec("x", CONTINUOUS), ColumnSpec("c", BINARY, role=ROLE_PROTECTED),
+                     ColumnSpec("y", BINARY, role=ROLE_LABEL)))
+    return Dataset(schema, np.column_stack([x, r.random(n) < 0.5, r.random(n) < 0.5]).astype(float))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import binary_group_dataset, mixed_dataset
+from conftest import binary_group_dataset, float_limit_column, mixed_dataset, one_feature_dataset
 from ffpdg import cli
 from ffpdg.audit import FORMAT_LINE, read_audit
-from ffpdg.data import Dataset, load_csv, save_csv, save_schema
+from ffpdg.data import Dataset, load_csv, load_schema, save_csv, save_schema
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -150,7 +150,7 @@ def test_generate_maps_every_flag_into_the_run(mixed_dir, capsys):
                    "--input", str(mixed_dir / "mixed.csv"), "--output", str(out),
                    "--audit", str(audit), "--epsilon", "3", "--epsilon-split", "1:2",
                    "--p", "3", "--n-out", "250", "--bins", "2", "--mode", "unsupervised",
-                   "--rate", "0.9", "--quantiles", "17", "--seed", "4"])
+                   "--rate", "0.9", "--seed", "4"])
     assert rc == 0, capsys.readouterr().err
     parsed = read_audit(audit)
     config = dict(line.split("=", 1) for line in parsed["sections"]["config"] if "=" in line)
@@ -158,8 +158,6 @@ def test_generate_maps_every_flag_into_the_run(mixed_dir, capsys):
                                    "mode", "seed", "rate")} == {
         "epsilon": "3", "eps_mu": "1", "eps_sigma": "2", "p": "3", "n_out": "250",
         "bins": "2", "mode": "unsupervised", "seed": "4", "rate": "0.90000000000000002"}
-    model = parsed["model"]
-    assert len(model.postprocess[model.schema.index_of("height")].quantile_grid) == 17
     assert "rows=250" in capsys.readouterr().out
 
 
@@ -385,3 +383,75 @@ def test_generate_on_a_categorical_label_in_auto_mode(tmp_path, capsys):
                    "--input", str(tmp_path / "cat.csv"), "--output", str(tmp_path / "o.csv")])
     assert rc == 0, capsys.readouterr().err
     assert set(load_csv(tmp_path / "o.csv", ds.schema).column("outcome")) <= {0.0, 1.0, 2.0}
+
+
+def test_an_unexpected_error_in_the_fair_stage_exits_1_tagged(mixed_dir, capsys, monkeypatch):
+    from ffpdg import maxent
+
+    def broken(prior, constraints):
+        raise RuntimeError("solver broke")
+
+    monkeypatch.setattr(maxent, "solve_maxent", broken)
+    rc = cli.main(["generate", "--schema", str(mixed_dir / "mixed.schema"),
+                   "--input", str(mixed_dir / "mixed.csv"), "--output", str(mixed_dir / "x.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: fair redistribution: solver broke\n"
+    assert not (mixed_dir / "x.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, scale", [("normal", 1.0), ("span", 1.0), ("normal", 1e-7)],
+                         ids=["normal-1e307", "span-1.7e308", "normal-1e300"])
+def test_a_column_near_the_float64_limit_fails_once_naming_it(tmp_path, capsys, kind, scale):
+    # N(0, 1) * 1e307 has a finite range but grid slopes that overflow in
+    # `sample`; +-1.7e308 has a range that overflows in `pre_normalize`;
+    # N(0, 1) * 1e300 fits in both
+    ds = one_feature_dataset(float_limit_column(kind, 300, 7) * scale, seed=8)
+    save_schema(ds.schema, tmp_path / "t.schema")
+    save_csv(ds, tmp_path / "t.csv")
+    out = tmp_path / "o.csv"
+    rc = cli.main(["generate", "--schema", str(tmp_path / "t.schema"), "--input", str(tmp_path / "t.csv"),
+                   "--output", str(out)])
+    err = capsys.readouterr().err
+    if scale < 1.0:
+        assert rc == 0, err
+        assert load_csv(out, ds.schema).n == 300
+        return
+    assert rc == 1
+    assert err.startswith("error: projection fit: continuous column 'x' spans [")
+    assert err.endswith("]: its range or its quantile grid's slope overflows float64\n")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_regression_label_too_large_to_scale_fails_once_naming_it(tmp_path, capsys):
+    # range and grid slopes are finite, but 2 * y overflows when the label is scaled into [-1, 1]
+    from ffpdg.data import BINARY, CONTINUOUS, ROLE_LABEL, ROLE_PROTECTED, ColumnSpec, Schema
+
+    r = np.random.default_rng(9)
+    schema = Schema((ColumnSpec("x", CONTINUOUS), ColumnSpec("c", BINARY, role=ROLE_PROTECTED),
+                     ColumnSpec("y", CONTINUOUS, role=ROLE_LABEL)))
+    values = np.column_stack([r.standard_normal(300), r.random(300) < 0.5,
+                              r.permutation(np.linspace(9e307, 1e308, 300))]).astype(float)
+    save_schema(schema, tmp_path / "t.schema")
+    save_csv(Dataset(schema, values), tmp_path / "t.csv")
+    rc = cli.main(["generate", "--schema", str(tmp_path / "t.schema"), "--input", str(tmp_path / "t.csv"),
+                   "--output", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: projection fit: label 'y' spans [9e+307, 1e+308]: "
+                                       "scaling it into [-1, 1] overflows float64\n")
+
+
+def test_evaluate_on_single_label_synthetic_rows_fails_once(tmp_path, capsys):
+    schema = load_schema(DATA / "adult.schema")
+    ds = load_csv(DATA / "adult_sample.csv", schema)
+    values = ds.values.copy()
+    values[:, schema.label_index] = 0.0
+    save_csv(Dataset(schema, values), tmp_path / "syn.csv")
+    rc = cli.main(["evaluate", "--schema", str(DATA / "adult.schema"),
+                   "--input", str(DATA / "adult_sample.csv"), "--test", str(DATA / "adult_holdout.csv"),
+                   "--synthetic", str(tmp_path / "syn.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: the synthetic rows cannot train the zoo: "
+                                       "training labels contain a single class\n")

@@ -141,7 +141,6 @@ def test_tstr_cannot_see_the_protected_column():
     assert report.aucroc_best < 0.6
     assert set(report.aucroc_per_model) == {"logistic_regression", "gaussian_nb",
                                             "bernoulli_nb", "decision_tree"}
-    assert report.models_skipped == {}
 
 
 def informative_dataset(n, seed):

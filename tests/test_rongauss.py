@@ -27,6 +27,7 @@ from ffpdg.dp import PrivacyBudget, laplace_sample
 from ffpdg.errors import DataError, SchemaError, StageError
 from ffpdg.rongauss import (
     CATEGORICAL_NOISE_SIGMA,
+    QUANTILE_POINTS,
     _column_post,
     _match_quantiles,
     GenerationConfig,
@@ -152,19 +153,18 @@ def test_pre_normalize_column_subset():
     assert pre_normalize(ds, 0.0, seed=0, mode="classification").shape == (2, 2)
 
 
-@pytest.mark.parametrize("points", [2, 257])
-def test_quantile_grid_ends_at_the_exact_min_and_max(points):
+def test_quantile_grid_ends_at_the_exact_min_and_max():
     # sampling rescales a continuous coordinate by the grid's endpoints, so
     # they must be the training min and max exactly
-    r = np.random.default_rng(points)
+    r = np.random.default_rng(QUANTILE_POINTS)
     columns = [np.array([3.25]), np.array([-1e300]), np.full(5, 7.0), np.array([2.0, -1.0, 2.0, -1.0]),
                np.array([1e-300, -1e300, 1e300, 5e-324, 0.0, -0.0]), np.array([-5e-324, 1e-300, -1e-300])]
     for n in (1, 2, 3, 10, 100, 1000):
         magnitudes = 10.0 ** r.uniform(-300, 300, size=n) * r.choice([-1.0, 1.0], size=n)
         columns += [magnitudes, r.choice(magnitudes[:3], size=n), r.normal(size=n)]
     for values in columns:
-        grid = _column_post(ColumnSpec("x", CONTINUOUS), values, points).quantile_grid
-        assert len(grid) == points
+        grid = _column_post(ColumnSpec("x", CONTINUOUS), values).quantile_grid
+        assert len(grid) == QUANTILE_POINTS
         assert grid[0] == values.min() and grid[-1] == values.max()
 
 
@@ -358,8 +358,6 @@ def test_generation_config_validation():
         GenerationConfig(p=0)
     with pytest.raises(DataError):
         GenerationConfig(n_out=0)
-    with pytest.raises(DataError):
-        GenerationConfig(quantile_points=1)
 
 
 def test_generate_deterministic_per_seed():
@@ -536,3 +534,23 @@ def test_sampling_one_row_leaves_a_class_without_rows():
         assert synth.n == 1
         drawn.add(float(synth.column("y")[0]))
     assert drawn == {0.0, 1.0}
+
+
+def test_generate_decodes_only_the_codes_the_fair_sample_drew(monkeypatch):
+    # 8 noise bits over 200 rows: most codes hold one row, and the fair
+    # sample draws some of them zero times
+    from ffpdg import binarize
+
+    seen = []
+    decode_codes = binarize.decode_codes
+
+    def recording(codes, counts, *args):
+        seen.append((len(codes), counts.copy()))
+        return decode_codes(codes, counts, *args)
+
+    monkeypatch.setattr(binarize, "decode_codes", recording)
+    ds = binary_group_dataset(200, 0.3, 0.6, seed=0, n_features=8)
+    result = generate_with_artifacts(ds, GenerationConfig(seed=0))
+    ((drawn, counts),) = seen
+    assert np.all(counts > 0) and counts.sum() == ds.n
+    assert drawn < result.codebook.entry_count()
