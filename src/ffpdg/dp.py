@@ -1,9 +1,9 @@
 """Laplace mechanisms, the only code that draws privacy noise, and the budget.
 
-Each noises a query over the public row count n at its replace-one sensitivity:
-`dp_mean` a sum over n of p-vectors of norm <= 1, at 2*sqrt(p)/(n*eps) per
-coordinate; `dp_histogram` shares counts/n, at 2/(n*eps) per bin; and
-`dp_covariance` their second moment (1/n) X X^T, at 2*sqrt(p)/(n*eps) per entry.
+Each noises a query over the public row count n at its replace-one L1
+sensitivity, on q-vectors of norm <= 1 (checked): `dp_mean` their sum over
+n, at 2*sqrt(q)/(n*eps) per coordinate, and `dp_covariance` their second
+moment (1/n) X X^T, at sqrt((q^2 + 3q)/2)/(n*eps) per entry.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DataError
 
-# Columns per block of `column_norms`: about 128 KB of float64 per
-# coordinate row, so a block's squares stay small beside an n-column matrix.
+# Columns per block of `column_norms` and the mechanisms' norm check: about
+# 128 KB of float64 per coordinate row, small beside an n-column matrix.
 NORM_BLOCK = 16_384
 
 
@@ -72,8 +72,11 @@ def mean_noise_scale(d: int, n: int, epsilon_mu: float) -> float:
     return 2.0 * np.sqrt(d) / (n * epsilon_mu)
 
 
-def covariance_noise_scale(p: int, n: int, epsilon_sigma: float) -> float:
-    return 2.0 * np.sqrt(p) / (n * epsilon_sigma)
+def covariance_noise_scale(q: int, n: int, epsilon_sigma: float) -> float:
+    """Per n, a bound on the L1 norm of the upper triangle of D = x x^T - y y^T
+    for |x|, |y| <= 1: by Cauchy-Schwarz, sqrt(q a) + sqrt(q(q-1)/4 (F - a))
+    <= sqrt((q^2 + 3q)/4 F), with a = sum D_ii^2 and F = |D|_F^2 <= 2."""
+    return np.sqrt((q * q + 3.0 * q) / 2.0) / (n * epsilon_sigma)
 
 
 def column_norms(X: np.ndarray) -> np.ndarray:
@@ -97,27 +100,28 @@ def column_norms(X: np.ndarray) -> np.ndarray:
     return norms
 
 
-def dp_mean(X: np.ndarray, n: int, epsilon: float, seed) -> np.ndarray:
-    """Laplace-noised sum over the public n, X.sum(axis=1) / n, of a p x m
-    matrix whose columns have norm <= 1: a table's mean with n = m, or one
-    class's share of it. Raises on a longer column (or a NaN), naming it."""
+def _unit_columns(X) -> np.ndarray:
+    """X as a float64 q x m matrix, q, m >= 1, of columns of norm <= 1; raises
+    on a longer column (or a NaN), naming it. Squares a block at a time."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise DataError("X must be p x m with p, m >= 1")
-    norms = column_norms(X)
-    j = int(np.argmax(norms))  # a NaN's index if there is one
-    if not norms[j] <= 1.0 + 1e-9:
-        raise DataError(f"column {j} has norm {norms[j]:.12g}, expected <= 1")
-    p = X.shape[0]
-    rng = np.random.default_rng(seed)
-    return X.sum(axis=1) / n + laplace_sample(mean_noise_scale(p, n, epsilon), rng, size=p)
+        raise DataError("X must be q x m with q, m >= 1")
+    for start in range(0, X.shape[1], NORM_BLOCK):
+        block = X[:, start:start + NORM_BLOCK]
+        squares = np.einsum("ij,ij->j", block, block)
+        j = int(np.argmax(squares))  # a NaN's index if there is one
+        if not squares[j] <= (1.0 + 1e-9) ** 2:
+            raise DataError(f"column {start + j} has norm {np.sqrt(squares[j]):.12g}, expected <= 1")
+    return X
 
 
-def dp_histogram(counts: np.ndarray, n: int, epsilon: float, seed) -> np.ndarray:
-    """Laplace-noised shares counts / n over the public n: a replaced row moves
-    between two bins, so each takes scale 2/(n*epsilon) whatever the counts."""
+def dp_mean(X: np.ndarray, n: int, epsilon: float, seed) -> np.ndarray:
+    """Laplace-noised sum over the public n, X.sum(axis=1) / n, of a q x m
+    matrix whose columns have norm <= 1: with n = m, a table's mean."""
+    X = _unit_columns(X)
+    q = X.shape[0]
     rng = np.random.default_rng(seed)
-    return np.asarray(counts) / n + laplace_sample(2.0 / (n * epsilon), rng, size=len(counts))
+    return X.sum(axis=1) / n + laplace_sample(mean_noise_scale(q, n, epsilon), rng, size=q)
 
 
 def symmetrize_noise(p: int, scale: float, rng: np.random.Generator) -> np.ndarray:
@@ -137,18 +141,16 @@ def psd_repair(S: np.ndarray) -> np.ndarray:
 
 
 def dp_covariance(X: np.ndarray, n: int, epsilon_sigma: float, seed) -> np.ndarray:
-    """Laplace-noised, PSD-repaired second-moment matrix (1/n) X X^T of p x m
+    """Laplace-noised, PSD-repaired second-moment matrix (1/n) X X^T of q x m
     samples of norm <= 1 over the public n (a table's n also for its blocks).
 
     The noise matrix is symmetric by construction (the covariance must be
     sampleable), and eigenvalue clipping restores positive
     semidefiniteness; both are post-processing on the noised query.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise DataError("X must be p x m with p, m >= 1")
-    p = X.shape[0]
+    X = _unit_columns(X)
+    q = X.shape[0]
     rng = np.random.default_rng(seed)
     S = (X @ X.T) / n
-    Z = symmetrize_noise(p, covariance_noise_scale(p, n, epsilon_sigma), rng)
+    Z = symmetrize_noise(q, covariance_noise_scale(q, n, epsilon_sigma), rng)
     return psd_repair(S + Z)

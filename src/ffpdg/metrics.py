@@ -53,23 +53,6 @@ def _split_columns(dataset: Dataset):
     return X, dataset.values[:, schema.label_index], dataset.values[:, schema.protected_index]
 
 
-def _score_zoo(Xs, ys, Xr, yr):
-    """Fit each zoo model once on synthetic rows and score it once on real rows.
-
-    Returns (per-model AUCs, per-model class-1 probabilities on the real
-    rows). Every fit runs the same input checks, so one failure ends the evaluation.
-    """
-    scores = {}
-    for kind in models.ZOO:  # fixed order keeps reports deterministic
-        try:
-            clf = models.fit(kind, Xs, ys)
-        except DataError as exc:
-            raise DataError(f"the synthetic rows cannot train the zoo: {exc}") from None
-        scores[kind] = models.predict_proba(clf, Xr)
-    per_model = {kind: auc_roc(s, yr) for kind, s in scores.items()}
-    return per_model, scores
-
-
 def dsp(predictions, protected) -> float:
     """Absolute gap in positive prediction rate between the two groups."""
     rate0, rate1 = group_rates(predictions, protected)
@@ -192,12 +175,20 @@ def evaluate(real_train: Dataset, real_test: Dataset, synthetic: Dataset,
 
     Xs, ys, csyn = _split_columns(synthetic)
     Xr, yr, cr = _split_columns(real_test)
-    per_model, scores = _score_zoo(Xs, ys, Xr, yr)
-    deo_vals, dsp_vals = [], []
-    for proba in scores.values():
-        pred = (proba >= PREDICTION_THRESHOLD).astype(float)
-        deo_vals.append(deo(pred, yr, cr))
-        dsp_vals.append(dsp(pred, cr))
+    scores = {}  # each zoo model's class-1 probabilities on the real rows
+    for kind in models.ZOO:  # fixed order keeps reports deterministic
+        try:  # every fit runs the same input checks, so one failure ends the evaluation
+            clf = models.fit(kind, Xs, ys)
+        except DataError as exc:
+            raise DataError(f"the synthetic rows cannot train the zoo: {exc}") from None
+        scores[kind] = models.predict_proba(clf, Xr)
+    predictions = [(proba >= PREDICTION_THRESHOLD).astype(float) for proba in scores.values()]
+    try:
+        per_model = {kind: auc_roc(s, yr) for kind, s in scores.items()}
+        deo_vals = [deo(pred, yr, cr) for pred in predictions]
+        dsp_vals = [dsp(pred, cr) for pred in predictions]
+    except DataError as exc:
+        raise DataError(f"the held-out rows cannot score the zoo: {exc}") from None
 
     ratio, flag = disparate_impact(ys, csyn)
     lrd_value = lrd(real_train, synthetic, folds=folds, seed=seed)

@@ -11,7 +11,7 @@ The release is a tuple of Gaussian cells (weight, mean, covariance) from
 noised sums over the public n: one zero-mean cell in unsupervised mode;
 one cell in regression mode, whose samples carry their label scaled into
 [-1, 1] and whose mean is zero but for the label's noised mean; one cell
-per class, from noised class sizes, sums and moments, otherwise.
+per class otherwise, each from one noised moment of [samples; 1].
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .data import (
     scatter_runs,
     tie_runs,
 )
-from .dp import PrivacyBudget, column_norms, dp_covariance, dp_histogram, dp_mean, psd_repair
+from .dp import PrivacyBudget, column_norms, dp_covariance, dp_mean, psd_repair
 from .errors import DataError, SchemaError, StageError
 
 MODE_UNSUPERVISED = "unsupervised"
@@ -51,10 +51,6 @@ QUANTILE_POINTS = 257
 # Std of the Gaussian noise added to every one-hot entry of a categorical
 # column before normalization.
 CATEGORICAL_NOISE_SIGMA = 0.01
-
-# Share of epsilon_sigma that releases the class-size histogram in
-# classification mode; the class sums and second moments split the rest.
-CLASS_COUNT_SHARE = 0.1
 
 # Share of epsilon_sigma that releases the scaled label's mean in regression mode.
 LABEL_MEAN_SHARE = 0.1
@@ -203,6 +199,17 @@ def resolve_mode(schema: Schema, mode: str) -> str:
     return MODE_REGRESSION if schema.columns[idx].kind == CONTINUOUS else MODE_CLASSIFICATION
 
 
+def resolve(schema: Schema, config: GenerationConfig) -> tuple[str, int]:
+    """The mode and projected dimension p that `config` asks of `schema`; they
+    need no rows, so `generate` checks them before its first stage."""
+    mode = resolve_mode(schema, config.mode)
+    d_eff = layout(schema, mode)[1]
+    p = config.p if config.p is not None else min(d_eff - 1, 8)
+    if not 1 <= p < d_eff:
+        raise DataError(f"projected dimension p={p} must satisfy 1 <= p < d_eff={d_eff}")
+    return mode, p
+
+
 def layout(schema: Schema, mode: str) -> tuple[dict[int, slice], int]:
     """The rows of the expanded matrix each modelled column fills, by schema
     index, and d_eff. Every column is modelled except the label outside
@@ -324,12 +331,12 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
     modes model every column except the label. The projection and the DP
     mean are shared by every cell; epsilon_sigma buys one `dp_covariance`
     (in regression, after the scaled label's mean, of the samples stacked
-    with their centred labels) or, in classification, the cells of
-    `_class_cells`. A caller that keeps no other reference to `dataset` lets
-    `fit` free it once the calibration, the labels and the expanded matrix
-    are read.
+    with their centred labels) or, in classification, one per class
+    (`_class_cells`). A caller that keeps no other reference to `dataset`
+    lets `fit` free it once the calibration, the labels and the expanded
+    matrix are read.
     """
-    mode = resolve_mode(dataset.schema, config.mode)
+    mode, p = resolve(dataset.schema, config)
     schema = dataset.schema
     label_idx = schema.label_index
     n = dataset.n
@@ -341,13 +348,9 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
     labels = dataset.values[:, label_idx].copy() if mode != MODE_UNSUPERVISED else None
     # the table's last reader: a caller that hands it over (as generate does) frees it here
     del dataset
-    d_eff = X.shape[0]
-    p = config.p if config.p is not None else min(d_eff - 1, 8)
-    if not 1 <= p < d_eff:
-        raise DataError(f"projected dimension p={p} must satisfy 1 <= p < d_eff={d_eff}")
 
     X, mu = center_and_renormalize(X, config.budget, rng_mu)
-    projection = make_ron(d_eff, p, rng_ron)
+    projection = make_ron(X.shape[0], p, rng_ron)
     Xp = projection.W.T @ X
     del X
 
@@ -355,7 +358,7 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
     eps_sigma = config.budget.epsilon_sigma
 
     if mode == MODE_CLASSIFICATION:
-        return RonGaussModel(**shared, **_class_cells(Xp, labels, eps_sigma, rng_share, rng_cov))
+        return RonGaussModel(**shared, **_class_cells(Xp, labels, eps_sigma, rng_cov))
     if mode == MODE_REGRESSION:
         lo, hi = posts[label_idx].quantile_grid[0], posts[label_idx].quantile_grid[-1]
         with np.errstate(over="ignore"):  # checked just below
@@ -379,42 +382,38 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
 
 
 def _class_cells(Xp: np.ndarray, labels: np.ndarray, epsilon_sigma: float,
-                 rng_share: np.random.Generator, rng_cov: np.random.Generator) -> dict:
-    """One cell per label class, as `RonGaussModel` fields: `CLASS_COUNT_SHARE` of
-    epsilon_sigma buys the class-size histogram, and each class's sum and second
-    moment over n take half of a 1/k share of the rest. With a = max(noised size
-    over n, p/n), weight = clipped size over their sum, mean = sum/a and sigma =
+                 rng_cov: np.random.Generator) -> dict:
+    """One cell per label class, as `RonGaussModel` fields, from one release of
+    the class's Z = [x'; 1]/sqrt(2) at epsilon_sigma/2: a replaced row changes
+    one column of at most two classes' Z, so the k releases compose to
+    epsilon_sigma. M = 2 x the release holds the size over n in its corner,
+    the sum over n in its last column and the moment: with a = max(corner,
+    p/n), weight = corner over the corners' sum, mean = sum/a and sigma =
     the repaired moment/a - mean mean^T."""
     p, n = Xp.shape
     class_values, counts = np.unique(labels, return_counts=True)
-    k = len(class_values)
-    if k < 2:
+    if len(class_values) < 2:
         raise DataError("classification mode needs at least two label values")
-    eps_counts = CLASS_COUNT_SHARE * epsilon_sigma
-    shares = dp_histogram(counts, n, eps_counts, rng_share)
-    weights = np.clip(shares, 0.0, None)
-    weights = weights / weights.sum() if weights.sum() > 0 else np.full(k, 1.0 / k)
-    eps_half = (epsilon_sigma - eps_counts) / k / 2.0
-    means, sigmas = [], []
-    for value, count, share in zip(class_values, counts, shares):
+    corners, means, sigmas = [], [], []
+    for value, count in zip(class_values, counts):
         if count < p:
             raise DataError(f"class {float(value)} has {count} samples, fewer than p={p}: "
                             "covariance would be rank-deficient")
-        block = Xp[:, labels == value]
-        a = max(share, p / n)
-        total = dp_mean(block, n, eps_half, rng_cov)
-        moment = dp_covariance(block, n, eps_half, rng_cov)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-                m = total / a
-                sigma = psd_repair(moment / a - np.outer(m, m))
-        except np.linalg.LinAlgError:  # eigh of a matrix that overflowed
-            sigma = np.full(1, np.inf)
-        if not np.all(np.isfinite(sigma)):
-            raise DataError(f"epsilon_sigma={epsilon_sigma:g} is too small: the noise on class "
-                            f"{value:g}'s covariance is so large that it overflows")
+        # filled row by row: a copy of the class's columns to stack would be one more block
+        Z = np.empty((p + 1, count))
+        mask = labels == value
+        for i in range(p):
+            np.compress(mask, Xp[i], out=Z[i])
+        Z[p] = 1.0
+        Z *= np.sqrt(0.5)
+        M = 2.0 * dp_covariance(Z, n, epsilon_sigma / 2.0, rng_cov)
+        a = max(M[p, p], p / n)
+        m = M[:p, p] / a
+        corners.append(M[p, p])
         means.append(m)
-        sigmas.append(sigma)
+        sigmas.append(psd_repair(M[:p, :p] / a - np.outer(m, m)))
+    # the repair keeps each corner, a diagonal entry, at or above 0
+    weights = np.array(corners) / sum(corners)
     return dict(weights_dp=weights, means_dp=tuple(means), sigma_dp=tuple(sigmas),
                 class_values=tuple(float(value) for value in class_values))
 
@@ -536,6 +535,7 @@ def generate_with_artifacts(dataset: Dataset, config: GenerationConfig | None = 
     n = dataset.n
     if schema.label_index is None:
         raise SchemaError("the fair stage needs a label column; use fit/sample directly for label-free data")
+    resolve(schema, config)
 
     seq = np.random.SeedSequence(config.seed)
     seed_codes, seed_decode, seed_fit, seed_sample = (int(s.generate_state(1)[0]) for s in seq.spawn(4))

@@ -236,23 +236,21 @@ def test_tiny_epsilon_exits_1_and_names_epsilon_mu(tmp_path, capsys, epsilon, ep
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("flags, epsilon_sigma, value", [
-    (["--epsilon", "1e-155"], "7e-156", "1"),
-    (["--epsilon", "1e-145", "--epsilon-split", "1:1e-10"], "1e-155", "1"),
-    (["--epsilon", "1e-148", "--epsilon-split", "1:1e-10"], "1e-158", "1"),
+@pytest.mark.parametrize("flags", [
+    ["--epsilon", "1e-155"],
+    ["--epsilon", "1e-145", "--epsilon-split", "1:1e-10"],
+    ["--epsilon", "1e-148", "--epsilon-split", "1:1e-10"],
 ], ids=["epsilon", "split-class1", "split-smaller"])
-def test_tiny_epsilon_sigma_exits_1_and_names_epsilon_sigma(tmp_path, capsys, flags, epsilon_sigma, value):
-    # finite class-mean noise whose outer product overflows the class covariance:
-    # the error names the budget, with no numpy warning on the way
+def test_tiny_epsilon_sigma_releases_rows_that_reload(tmp_path, capsys, flags):
+    # each class's noised moment and sum are divided by its noised size, whose
+    # noise is as large, so a huge noise scale releases finite cells, with no
+    # numpy warning on the way
     out = tmp_path / "x.csv"
     rc = cli.main(["generate", "--schema", str(DATA / "adult.schema"),
                    "--input", str(DATA / "adult_sample.csv"), "--output", str(out), "--seed", "0",
                    *flags])
-    assert rc == 1
-    assert capsys.readouterr().err == (
-        f"error: projection fit: epsilon_sigma={epsilon_sigma} is too small: the noise on "
-        f"class {value}'s covariance is so large that it overflows\n")
-    assert not out.exists()
+    assert rc == 0 and capsys.readouterr().err == ""
+    assert load_csv(out, load_schema(DATA / "adult.schema")).n == 1000
 
 
 @pytest.mark.parametrize("table, rate", [("no-positives", "1"), ("no-positives", "0.5"),
@@ -455,3 +453,39 @@ def test_evaluate_on_single_label_synthetic_rows_fails_once(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == ("error: the synthetic rows cannot train the zoo: "
                                        "training labels contain a single class\n")
+
+
+@pytest.mark.parametrize("column, error", [
+    ("income", "auc_roc needs both classes"),
+    ("sex_male", "protected group 1 has no rows"),
+], ids=["income", "sex_male"])
+def test_evaluate_on_a_one_sided_holdout_names_the_held_out_rows(tmp_path, capsys, column, error):
+    schema = load_schema(DATA / "adult.schema")
+    holdout = load_csv(DATA / "adult_holdout.csv", schema)
+    values = holdout.values.copy()
+    values[:, [c.name for c in schema.columns].index(column)] = 0.0
+    save_csv(Dataset(schema, values), tmp_path / "holdout.csv")
+    rc = cli.main(["evaluate", "--schema", str(DATA / "adult.schema"),
+                   "--input", str(DATA / "adult_sample.csv"), "--test", str(tmp_path / "holdout.csv"),
+                   "--synthetic", str(DATA / "adult_sample.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: the held-out rows cannot score the zoo: {error}\n"
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--mode", "regression"], "regression mode needs a continuous label column"),
+    (["--p", "5"], "projected dimension p=5 must satisfy 1 <= p < d_eff=5"),
+], ids=["mode-regression", "p-5"])
+def test_stops_that_need_only_the_schema_and_flags_come_before_the_fair_stage(
+        tmp_path, capsys, monkeypatch, flags, error):
+    from ffpdg import binarize
+
+    calls = []
+    build_codebook = binarize.build_codebook
+    monkeypatch.setattr(binarize, "build_codebook", lambda *args: calls.append(args) or build_codebook(*args))
+    out = tmp_path / "x.csv"
+    rc = cli.main(["generate", "--schema", str(DATA / "adult.schema"),
+                   "--input", str(DATA / "adult_sample.csv"), "--output", str(out), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert calls == [] and not out.exists()

@@ -1,14 +1,14 @@
-"""Laplace mechanism: sampler distribution, scales, DP mean, histogram and covariance."""
+"""Laplace mechanism: sampler distribution, scales, DP mean and covariance."""
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, stats
 
 from ffpdg.dp import (
+    NORM_BLOCK,
     PrivacyBudget,
     covariance_noise_scale,
     dp_covariance,
-    dp_histogram,
     dp_mean,
     laplace_sample,
     mean_noise_scale,
@@ -53,9 +53,52 @@ def test_laplace_rejects_nonpositive_scale():
 
 def test_noise_scale_formulas():
     assert mean_noise_scale(9, 100, 2.0) == pytest.approx(2.0 * 3.0 / 200.0)
-    assert covariance_noise_scale(16, 50, 0.5) == pytest.approx(2.0 * 4.0 / 25.0)
+    # sqrt((q^2 + 3q)/2): sqrt(14) at q = 4, and 2 sqrt(q) exactly at q = 5
+    assert covariance_noise_scale(4, 50, 0.5) == pytest.approx(np.sqrt(14.0) / 25.0)
+    assert covariance_noise_scale(5, 1, 1.0) == pytest.approx(2.0 * np.sqrt(5.0))
     # scales shrink linearly in both n and epsilon
     assert mean_noise_scale(4, 1000, 1.0) == pytest.approx(mean_noise_scale(4, 100, 10.0))
+    assert covariance_noise_scale(9, 1000, 1.0) == pytest.approx(covariance_noise_scale(9, 100, 10.0))
+
+
+def _upper_l1(x, y):
+    """L1 norm of the upper triangle, diagonal included, of x x^T - y y^T."""
+    return np.abs(np.triu(np.outer(x, x) - np.outer(y, y))).sum()
+
+
+def _sign_ascent(x, y, steps=50):
+    """The largest `_upper_l1` met from unit x, y. Each step fixes the signs S of
+    x x^T - y y^T, on which the sum is x^T A x - y^T A y for the symmetric A
+    with A_ii = S_ii and A_ij = S_ij/2; the extreme eigenvectors of A maximise
+    that, so the sum never falls and every value met is reached by a unit pair."""
+    best = _upper_l1(x, y)
+    for _ in range(steps):
+        S = np.sign(np.outer(x, x) - np.outer(y, y))
+        A = np.triu(S, 1) / 2.0
+        V = linalg.eigh(A + A.T + np.diag(np.diag(S)))[1]
+        x, y = V[:, -1], V[:, 0]
+        value = _upper_l1(x, y)
+        if value <= best + 1e-12:
+            break
+        best = value
+    return best
+
+
+def test_every_dp_constant_bounds_a_seeded_search_over_unit_pairs():
+    # each mechanism's scale times n * eps is its replace-one L1 sensitivity over
+    # columns of norm <= 1: no pair found may exceed it
+    rng = np.random.default_rng(0)
+    found = {}
+    for q in range(2, 11):
+        pairs = rng.standard_normal((100, 2, q))
+        pairs /= np.linalg.norm(pairs, axis=2, keepdims=True)
+        found[q] = max(_sign_ascent(x, y) for x, y in pairs)
+        assert found[q] <= covariance_noise_scale(q, 1, 1.0) + 1e-9, q
+        # the mean's: |x - y|_1 <= sqrt(q) |x - y|_2 <= 2 sqrt(q), met at y = -x = 1/sqrt(q)
+        assert np.abs(pairs[:, 0] - pairs[:, 1]).sum(axis=1).max() <= mean_noise_scale(q, 1, 1.0)
+        assert 2.0 * np.abs(np.full(q, q ** -0.5)).sum() == pytest.approx(mean_noise_scale(q, 1, 1.0))
+    # 2 sqrt(q), the covariance constant before, falls short of a pair from q = 6 up
+    assert found[9] > 2.0 * np.sqrt(9)
 
 
 def test_dp_mean_requires_unit_norm_columns():
@@ -72,13 +115,18 @@ def test_dp_mean_requires_unit_norm_columns():
         dp_mean(X, 20, 1.0, seed=0)
 
 
-def test_dp_histogram_scale_is_2_over_n_epsilon_whatever_the_counts():
-    for counts in ([10, 90], [50, 50], [0, 100]):
-        noise = dp_histogram(np.array(counts), 100, 0.5, seed=4) - np.array(counts) / 100
-        expected = laplace_sample(2.0 / (100 * 0.5), np.random.default_rng(4), size=2)
-        assert np.allclose(noise, expected, rtol=0.0, atol=1e-15)
-
-
+def test_dp_covariance_requires_unit_norm_columns_and_names_the_longest():
+    X = unit_columns(3, 2 * NORM_BLOCK + 5, seed=12)
+    dp_covariance(X, X.shape[1], 1.0, seed=0)  # unit columns pass
+    # the check walks the columns a block at a time, so a column past the
+    # first block is named with its own index, as is a NaN before a longer one
+    X[:, NORM_BLOCK + 9] *= 2.0
+    X[:, NORM_BLOCK + 11] *= 3.0
+    with pytest.raises(DataError, match=rf"column {NORM_BLOCK + 11} has norm 3, expected <= 1"):
+        dp_covariance(X, X.shape[1], 1.0, seed=0)
+    X[:, NORM_BLOCK] = np.nan
+    with pytest.raises(DataError, match=rf"column {NORM_BLOCK} has norm nan"):
+        dp_covariance(X, X.shape[1], 1.0, seed=0)
 def test_dp_mean_converges_to_true_mean():
     X = unit_columns(6, 50, seed=5)
     got = dp_mean(X, 50, 1e9, seed=3)

@@ -343,9 +343,9 @@ def test_generate_requires_label_and_checks_names():
 def test_generate_stage_errors_are_tagged():
     ds = binary_group_dataset(40, 0.4, 0.6, seed=14)
     with pytest.raises(StageError) as err:
-        generate(ds, config=GenerationConfig(budget=LOOSE, p=50))
-    assert err.value.stage == "projection fit"  # p too large surfaces in the fit
-    assert str(err.value).startswith("projection fit: ")
+        generate(ds, config=GenerationConfig(budget=PrivacyBudget(1e-300, 1.0)))
+    assert err.value.stage == "projection fit"  # the mean's noise overflows in the fit
+    assert str(err.value).startswith("projection fit: epsilon_mu=1e-300 is too small")
     with pytest.raises(StageError) as err2:
         generate(ds, config=GenerationConfig(budget=LOOSE, bins=0))
     assert err2.value.stage == "binarize"
@@ -480,8 +480,57 @@ def test_classification_noise_scales_do_not_read_the_class_sizes(monkeypatch):
         fit(Dataset(base.schema, values), GenerationConfig(seed=2))
         scales.append(calls)
     assert scales[0] == scales[1]
-    assert len(scales[0]) == 1 + 1 + 2 * 2  # the mean, the class sizes, a sum and a moment per class
+    assert len(scales[0]) == 1 + 2  # the mean, then one augmented moment per class
     assert not any(hasattr(rongauss, name) for name in ("laplace_sample", "mean_noise_scale"))
+
+
+def test_class_cells_compose_in_parallel_to_epsilon_sigma(monkeypatch):
+    # given the released mean and projection, a row's x' reads that row alone; a
+    # replaced row moves at most two classes' Z_c = [x'; 1]/sqrt(2) by one column
+    # each, so the L1 shifts of the cells' upper triangles, each in units of its
+    # recorded noise scale, sum to at most epsilon_sigma
+    ds = binary_group_dataset(200, 0.3, 0.6, seed=19, n_features=3)
+    seen = []
+    class_cells = rongauss._class_cells
+
+    def recording(Xp, labels, *args):
+        seen.append((Xp.copy(), labels.copy()))
+        return class_cells(Xp, labels, *args)
+
+    monkeypatch.setattr(rongauss, "_class_cells", recording)
+    calls = record_laplace_draws(monkeypatch)
+    config = GenerationConfig(seed=5)
+    model = fit(ds, config)
+    ((Xp, labels),) = seen
+    (p, n), q = Xp.shape, Xp.shape[0] + 1
+    assert [size for _, size in calls] == [model.d_eff] + [q * (q + 1) // 2] * 2
+    scales = [b for b, _ in calls[1:]]
+
+    def upper_moments(Xp, labels):
+        Z = np.vstack([Xp, np.ones(n)]) / np.sqrt(2.0)
+        return [np.triu(Z[:, labels == v] @ Z[:, labels == v].T / n) for v in model.class_values]
+
+    # the row becomes a unit x' of equal entries, whose Z column has the largest
+    # upper-triangle sum, in its own class and then in the other one
+    row = int(np.flatnonzero(labels == 0)[0])
+    replaced = Xp.copy()
+    replaced[:, row] = p ** -0.5
+    moved_labels = labels.copy()
+    moved_labels[row] = 1.0
+    base = upper_moments(Xp, labels)
+    for neighbour in (upper_moments(replaced, labels), upper_moments(replaced, moved_labels)):
+        spent = sum(np.abs(a - b).sum() / scale for a, b, scale in zip(base, neighbour, scales))
+        assert 0.0 < spent <= config.budget.epsilon_sigma * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("stem", ["adult", "compas"])
+def test_no_class_vanishes_at_a_small_epsilon(stem):
+    schema = load_schema(DATA / f"{stem}.schema")
+    train = load_csv(DATA / f"{stem}_sample.csv", schema)
+    config = GenerationConfig(budget=PrivacyBudget.from_total(0.25))
+    vanished = [seed for seed in range(100)
+                if not np.all(generate_with_artifacts(train, replace(config, seed=seed)).model.weights_dp > 0)]
+    assert vanished == []
 
 
 def test_regression_noises_every_entry_of_the_joint(monkeypatch):
