@@ -1,14 +1,14 @@
 """Regression mode: release a joint feature/target Gaussian privately.
 
 A continuous label switches the generator to modeling (projected
-features, t) jointly, where t is the label scaled into [-1, 1] by its
-range. The release is t's noised mean and one noised second moment over
-n of the rows stacked with t centred on it, like the unsupervised
-release, so every entry of the joint is noised; sampling adds the mean
-back and maps t by rank through the label's training quantile grid, as it
-does every continuous feature. Synthetic rows thus carry a usable regression
-signal. Least squares on the synthetic rows then recovers coefficients,
-with two error sources worth separating:
+features, u) jointly, where u is the label centred on the mean level of
+its training quantile grid and scaled into [-1, 1] by the grid's range.
+The release is one noised second moment over n of the rows stacked with
+u, like the unsupervised release, so every entry of the joint is noised
+and the cell's mean is zero; sampling maps u by rank through the label's
+grid, as it does every continuous feature. Synthetic rows thus carry a
+usable regression signal. Least squares on the synthetic rows then
+recovers coefficients, with two error sources worth separating:
 
   * the orthonormal projection keeps p of the d_eff expanded dimensions,
     so any part of the signal on the dropped directions is simply gone;

@@ -1,9 +1,9 @@
 """Laplace mechanisms, the only code that draws privacy noise, and the budget.
 
 Each noises a query over the public row count n at its replace-one L1
-sensitivity, on q-vectors of norm <= 1 (checked): `dp_mean` their sum over
-n, at 2*sqrt(q)/(n*eps) per coordinate, and `dp_covariance` their second
-moment (1/n) X X^T, at sqrt((q^2 + 3q)/2)/(n*eps) per entry.
+sensitivity, on q-vectors of norm <= 1 (checked): `dp_mean` a table's mean,
+at 2*sqrt(q)/(n*eps) per coordinate, and `dp_covariance` a second moment
+(1/n) X X^T, at sqrt((q^2 + 3q)/2)/(n*eps) per entry.
 """
 
 from __future__ import annotations
@@ -115,11 +115,11 @@ def _unit_columns(X) -> np.ndarray:
     return X
 
 
-def dp_mean(X: np.ndarray, n: int, epsilon: float, seed) -> np.ndarray:
-    """Laplace-noised sum over the public n, X.sum(axis=1) / n, of a q x m
-    matrix whose columns have norm <= 1: with n = m, a table's mean."""
+def dp_mean(X: np.ndarray, epsilon: float, seed) -> np.ndarray:
+    """Laplace-noised mean X.sum(axis=1) / n of a q x n matrix whose columns
+    have norm <= 1."""
     X = _unit_columns(X)
-    q = X.shape[0]
+    q, n = X.shape
     rng = np.random.default_rng(seed)
     return X.sum(axis=1) / n + laplace_sample(mean_noise_scale(q, n, epsilon), rng, size=q)
 

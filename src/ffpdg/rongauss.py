@@ -7,11 +7,11 @@ columns of the orthogonal factor of a random Gaussian matrix; private
 Gaussian cells in the projected space; sampling; back-projection and
 re-discretization into the original column formats.
 
-The release is a tuple of Gaussian cells (weight, mean, covariance) from
-noised sums over the public n: one zero-mean cell in unsupervised mode;
-one cell in regression mode, whose samples carry their label scaled into
-[-1, 1] and whose mean is zero but for the label's noised mean; one cell
-per class otherwise, each from one noised moment of [samples; 1].
+The release is a tuple of Gaussian cells (weight, mean, covariance), each
+from one noised second moment over the public n: one zero-mean cell in
+unsupervised mode; one zero-mean cell in regression mode, whose samples
+carry their label centred on its quantile grid's mean level and scaled
+into [-1, 1]; one cell per class otherwise, from a moment of [samples; 1].
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ QUANTILE_POINTS = 257
 # column before normalization.
 CATEGORICAL_NOISE_SIGMA = 0.01
 
-# Share of epsilon_sigma that releases the scaled label's mean in regression mode.
-LABEL_MEAN_SHARE = 0.1
-
 # Ranks per np.interp call when sampling maps a continuous column through
 # its grid: each block's result goes back into the rank buffer, so no
 # second n-length array is allocated.
@@ -89,10 +86,11 @@ class ColumnPost:
     Binary columns carry the training positive rate (the synthetic column
     is thresholded at its own quantile of 1 - rate). Continuous columns, a
     regression label included, carry training values at `QUANTILE_POINTS`
-    evenly spaced levels, whose endpoints (the training min and max) also
-    scale the label into [-1, 1] for fitting: sampling maps the ranks of a
-    coordinate through its grid, keeping every restored value in the
-    training range. Categorical columns carry neither.
+    evenly spaced levels; a label's grid also centres and scales the label
+    into [-1, 1] for fitting (its ends give the range, its mean the
+    centre). Sampling maps the ranks of a coordinate through its grid,
+    keeping every restored value in the training range. Categorical
+    columns carry neither.
     """
 
     rate: float = 0.0
@@ -274,7 +272,7 @@ def center_and_renormalize(X: np.ndarray, budget: PrivacyBudget, seed) -> tuple[
     """Subtract the DP mean, then rescale each sample back to unit norm, in
     place: returns (X, mu), and a caller that needs X as it was passes a copy."""
     rng = np.random.default_rng(seed)
-    mu = dp_mean(X, X.shape[1], budget.epsilon_mu, rng)
+    mu = dp_mean(X, budget.epsilon_mu, rng)
     X -= mu[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         norms = column_norms(X)
@@ -330,9 +328,9 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
     Unsupervised mode models every column; classification and regression
     modes model every column except the label. The projection and the DP
     mean are shared by every cell; epsilon_sigma buys one `dp_covariance`
-    (in regression, after the scaled label's mean, of the samples stacked
-    with their centred labels) or, in classification, one per class
-    (`_class_cells`). A caller that keeps no other reference to `dataset`
+    (in regression, of the samples stacked with their labels, centred and
+    scaled by the label's published grid) or, in classification, one per
+    class (`_class_cells`). A caller that keeps no other reference to `dataset`
     lets `fit` free it once the calibration, the labels and the expanded
     matrix are read.
     """
@@ -341,7 +339,7 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
     label_idx = schema.label_index
     n = dataset.n
     seq = np.random.SeedSequence(config.seed)
-    rng_noise, rng_mu, rng_ron, rng_cov, rng_share = (np.random.default_rng(s) for s in seq.spawn(5))
+    rng_noise, rng_mu, rng_ron, rng_cov = (np.random.default_rng(s) for s in seq.spawn(4))
 
     posts = tuple(_column_post(schema.columns[j], dataset.values[:, j]) for j in range(schema.d))
     X = pre_normalize(dataset, CATEGORICAL_NOISE_SIGMA, rng_noise, mode)
@@ -360,25 +358,25 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
     if mode == MODE_CLASSIFICATION:
         return RonGaussModel(**shared, **_class_cells(Xp, labels, eps_sigma, rng_cov))
     if mode == MODE_REGRESSION:
-        lo, hi = posts[label_idx].quantile_grid[0], posts[label_idx].quantile_grid[-1]
-        with np.errstate(over="ignore"):  # checked just below
-            t = (2.0 * labels - lo - hi) / (hi - lo) if hi > lo else np.zeros(n)
-        if not np.all(np.isfinite(t)):
-            raise DataError(f"label {schema.columns[label_idx].name!r} spans [{lo:g}, {hi:g}]: "
-                            "scaling it into [-1, 1] overflows float64")
-        # t in [-1, 1] gets a noised mean m; t - m, scaled by s = 1 + |m| into [-1, 1]
-        # (clipped against rounding), joins x', and each stacked column / sqrt(2) has norm <= 1
-        eps_mean = LABEL_MEAN_SHARE * eps_sigma
-        m = np.clip(dp_mean(t[None, :], n, eps_mean, rng_share)[0], -1, 1)
-        scale = np.append(np.ones(p), 1.0 + abs(m))  # the label's row and column back to t - m
-        u = np.clip((t - m) / scale[p], -1.0, 1.0)
-        sigma = dp_covariance(np.vstack([Xp, u]) / np.sqrt(2.0), n, eps_sigma - eps_mean, rng_cov)
-        sigma *= 2.0 * np.outer(scale, scale)
-        mean = np.append(np.zeros(p), m)
+        # the label's level v in its grid's range, centred on the grid's mean level m and
+        # scaled into [-1, 1]: u = (v - m)/max(m, 1 - m) joins x' in one buffer, and each
+        # column / sqrt(2) has norm <= 1; `sample` maps u by rank, so u stays as released
+        grid = np.asarray(posts[label_idx].quantile_grid)
+        lo, hi = grid[0], grid[-1]
+        Z = np.zeros((p + 1, n))  # u = 0 where hi == lo
+        Z[:p] = Xp
+        del Xp
+        if hi > lo:
+            m = np.mean((grid - lo) / (hi - lo))
+            u = np.subtract(labels, lo, out=Z[p])
+            u /= hi - lo
+            u -= m
+            u /= max(m, 1.0 - m)
+        Z /= np.sqrt(2.0)
+        sigma = 2.0 * dp_covariance(Z, n, eps_sigma, rng_cov)
     else:
         sigma = dp_covariance(Xp, n, eps_sigma, rng_cov)
-        mean = np.zeros(p)
-    return RonGaussModel(**shared, weights_dp=np.ones(1), means_dp=(mean,), sigma_dp=(sigma,))
+    return RonGaussModel(**shared, weights_dp=np.ones(1), means_dp=(np.zeros(len(sigma)),), sigma_dp=(sigma,))
 
 
 def _class_cells(Xp: np.ndarray, labels: np.ndarray, epsilon_sigma: float,

@@ -134,7 +134,7 @@ def test_criterion_4_dp_noise_calibration():
     r = np.random.default_rng(4)
     X = r.standard_normal((6, 400))
     X /= np.linalg.norm(X, axis=0)
-    mu_gap = np.abs(dp_mean(X, 400, 1e9, seed=1) - X.mean(axis=1)).max()
+    mu_gap = np.abs(dp_mean(X, 1e9, seed=1) - X.mean(axis=1)).max()
     sigma_gap = np.abs(dp_covariance(X, 400, 1e9, seed=2) - X @ X.T / 400).max()
     assert mu_gap < 1e-6
     assert sigma_gap < 1e-6

@@ -104,15 +104,12 @@ def test_every_dp_constant_bounds_a_seeded_search_over_unit_pairs():
 def test_dp_mean_requires_unit_norm_columns():
     X = np.random.default_rng(1).normal(size=(3, 20))
     with pytest.raises(DataError, match="norm"):
-        dp_mean(X, 20, 1.0, seed=0)
+        dp_mean(X, 1.0, seed=0)
     X /= np.linalg.norm(X, axis=0)
-    dp_mean(X, 20, 1.0, seed=0)  # unit columns pass
-    # shorter columns pass too, as a class's projected block has, summed over the table's n
-    got = dp_mean(0.5 * X, 100, 1e9, seed=0)
-    assert np.abs(got - 0.5 * X.sum(axis=1) / 100).max() < 1e-6
+    dp_mean(X, 1.0, seed=0)  # unit columns pass
     X[:, 7] *= 1.0 + 1e-6  # just over 1: named
     with pytest.raises(DataError, match=r"column 7 has norm 1\.000001"):
-        dp_mean(X, 20, 1.0, seed=0)
+        dp_mean(X, 1.0, seed=0)
 
 
 def test_dp_covariance_requires_unit_norm_columns_and_names_the_longest():
@@ -129,15 +126,15 @@ def test_dp_covariance_requires_unit_norm_columns_and_names_the_longest():
         dp_covariance(X, X.shape[1], 1.0, seed=0)
 def test_dp_mean_converges_to_true_mean():
     X = unit_columns(6, 50, seed=5)
-    got = dp_mean(X, 50, 1e9, seed=3)
+    got = dp_mean(X, 1e9, seed=3)
     assert np.abs(got - X.mean(axis=1)).max() < 1e-6
 
 
 def test_dp_mean_noise_magnitude_tracks_epsilon():
     X = unit_columns(4, 30, seed=6)
     true = X.mean(axis=1)
-    rough = np.abs(dp_mean(X, 30, 0.01, seed=1) - true).max()
-    fine = np.abs(dp_mean(X, 30, 100.0, seed=1) - true).max()
+    rough = np.abs(dp_mean(X, 0.01, seed=1) - true).max()
+    fine = np.abs(dp_mean(X, 100.0, seed=1) - true).max()
     assert rough > fine * 100
 
 
@@ -152,9 +149,9 @@ def test_dp_covariance_symmetric_psd_and_convergent():
 
 def test_dp_functions_deterministic_given_seed():
     X = unit_columns(4, 25, seed=9)
-    assert np.array_equal(dp_mean(X, 25, 1.0, seed=5), dp_mean(X, 25, 1.0, seed=5))
+    assert np.array_equal(dp_mean(X, 1.0, seed=5), dp_mean(X, 1.0, seed=5))
     assert np.array_equal(dp_covariance(X, 25, 1.0, seed=5), dp_covariance(X, 25, 1.0, seed=5))
-    assert not np.array_equal(dp_mean(X, 25, 1.0, seed=5), dp_mean(X, 25, 1.0, seed=6))
+    assert not np.array_equal(dp_mean(X, 1.0, seed=5), dp_mean(X, 1.0, seed=6))
 
 
 def test_symmetrize_noise_structure():

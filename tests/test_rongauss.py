@@ -534,20 +534,23 @@ def test_no_class_vanishes_at_a_small_epsilon(stem):
 
 
 def test_regression_noises_every_entry_of_the_joint(monkeypatch):
-    # the shared mean's d_eff draws, the label mean's one, then one draw per entry on and
-    # above the diagonal of the (p+1) x (p+1) joint of the projected features and the
-    # label; unsupervised, the mean's draws and the p x p second moment's
-    for mode, label_draws in (("regression", 1), ("unsupervised", 0)):
+    # the shared mean's d_eff draws, then one draw per entry on and above the diagonal
+    # of the (p+1) x (p+1) joint of the projected features and the label, at the whole
+    # of epsilon_sigma (no draw releases the label's mean); unsupervised, the mean's
+    # draws and the p x p second moment's
+    for mode, label_rows in (("regression", 1), ("unsupervised", 0)):
         calls = record_laplace_draws(monkeypatch)
-        model = fit(regression_dataset(500, seed=17), GenerationConfig(seed=3, mode=mode))
-        side = model.projection.p + label_draws
-        assert sum(size for _, size in calls) == model.d_eff + label_draws + side * (side + 1) // 2, mode
+        config = GenerationConfig(seed=3, mode=mode)
+        model = fit(regression_dataset(500, seed=17), config)
+        side = model.projection.p + label_rows
+        assert [size for _, size in calls] == [model.d_eff, side * (side + 1) // 2], mode
+        assert calls[1][0] == dp.covariance_noise_scale(side, 500, config.budget.epsilon_sigma), mode
 
 
 def test_regression_keeps_the_mean_of_a_skewed_label():
-    # an Exp(1) label sits far below the middle of its range [0, ~8.5]: the released
-    # cell's noised label mean keeps the synthetic mean near the real one, and the
-    # label's grid keeps its shape, with no pile of clipped values at the minimum
+    # an Exp(1) label sits far below the middle of its range [0, ~8.5]: `sample` maps
+    # the label by rank through its grid, which keeps the synthetic mean near the real
+    # one and the grid's shape, with no pile of clipped values at the minimum
     r = np.random.default_rng(20)
     n = 5000
     x = r.random((n, 3))
