@@ -122,7 +122,7 @@ def _column_bits(col: ColumnSpec, values: np.ndarray, bins: int):
     return (values[:, None] >= np.asarray(thresholds)).astype(np.uint8), thresholds
 
 
-def build_codebook(dataset: Dataset, bins_per_continuous: int = 1) -> tuple[np.ndarray, CodeBook]:
+def build_codebook(dataset: Dataset, bins_per_continuous: int) -> tuple[np.ndarray, CodeBook]:
     """Binarize a dataset and index every row under its code.
 
     Continuous columns get `bins_per_continuous` bits with thresholds at

@@ -67,12 +67,8 @@ def cmd_evaluate(args) -> int:
     real_train = _load(args, args.input)
     real_test = _load(args, args.test)
     synthetic = _load(args, args.synthetic)
-    report = metrics.evaluate(real_train, real_test, synthetic, seed=args.seed, folds=args.folds)
-    text = report.to_text() + "\n\n" + report.to_kv() + "\n"
-    sys.stdout.write(text)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    report = metrics.evaluate(real_train, real_test, synthetic, seed=args.seed)
+    sys.stdout.write(report.to_text() + "\n\n" + report.to_kv() + "\n")
     return 0
 
 
@@ -188,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(e)
     e.add_argument("--test", required=True, help="real held-out CSV")
     e.add_argument("--synthetic", required=True, help="synthetic CSV")
-    e.add_argument("--folds", type=int, default=5, help="discriminator CV folds (default 5)")
-    e.add_argument("--report", help="also write the report here")
 
     b = sub.add_parser("bench", help="time generation over a size ladder")
     add_common(b)

@@ -83,19 +83,17 @@ class MaxEntSolution:
     objective_trace: np.ndarray      # dual objective after each accepted step
 
 
-def empirical_prior(support: np.ndarray, counts: np.ndarray,
-                    smooth: float = FAIR_PRIOR_SMOOTH) -> DiscreteDistribution:
+def empirical_prior(support: np.ndarray, counts: np.ndarray) -> DiscreteDistribution:
     """Smoothed relative frequencies over distinct codes and their row counts.
 
-    q(x) = (count(x) + smooth) / (n + smooth * #distinct), n = sum of counts.
+    q(x) = (count(x) + s) / (n + s * #distinct), with n the sum of counts
+    and s = `FAIR_PRIOR_SMOOTH`.
     A CodeBook carries both arguments as `keys` and `counts`.
     """
     counts = np.asarray(counts)
     if counts.shape != (len(support),) or len(counts) < 1:
         raise DataError("support and counts must be nonempty and align")
-    if smooth < 0:
-        raise DataError("smooth must be >= 0")
-    probs = (counts + smooth) / (counts.sum() + smooth * len(support))
+    probs = (counts + FAIR_PRIOR_SMOOTH) / (counts.sum() + FAIR_PRIOR_SMOOTH * len(support))
     return DiscreteDistribution(support, probs / probs.sum())
 
 

@@ -19,6 +19,7 @@ from .data import BINARY, Dataset, average_ranks, group_rates
 from .errors import DataError
 
 PREDICTION_THRESHOLD = 0.5
+LRD_FOLDS = 5  # stratified cross-validation folds of the real-vs-synthetic discriminator
 
 
 def auc_roc(scores, labels) -> float:
@@ -87,15 +88,13 @@ def _stratified_folds(labels, k, rng):
     return [np.concatenate(parts) for parts in folds]
 
 
-def lrd(real: Dataset, synthetic: Dataset, folds: int = 5, seed: int = 0) -> float:
+def lrd(real: Dataset, synthetic: Dataset, seed: int = 0) -> float:
     """One minus the mean CV AUC of a real-vs-synthetic discriminator.
 
     Rows are pooled with origin labels (real=1), the larger side seeded-
     subsampled to match the smaller, and a logistic regression scored by
-    stratified k-fold cross validation.
+    stratified `LRD_FOLDS`-fold cross validation.
     """
-    if folds < 2:
-        raise DataError("folds must be >= 2")
     if real.schema.columns != synthetic.schema.columns:
         raise DataError("real and synthetic schemas differ")
     rng = np.random.default_rng(seed)
@@ -109,7 +108,7 @@ def lrd(real: Dataset, synthetic: Dataset, folds: int = 5, seed: int = 0) -> flo
     y = np.concatenate([np.ones(m), np.zeros(m)])
 
     aucs = []
-    for test_idx in _stratified_folds(y, folds, rng):
+    for test_idx in _stratified_folds(y, LRD_FOLDS, rng):
         train_mask = np.ones(len(y), dtype=bool)
         train_mask[test_idx] = False
         clf = models.fit(models.LOGISTIC_REGRESSION, X[train_mask], y[train_mask])
@@ -166,8 +165,7 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def evaluate(real_train: Dataset, real_test: Dataset, synthetic: Dataset,
-             seed: int = 0, folds: int = 5) -> EvalReport:
+def evaluate(real_train: Dataset, real_test: Dataset, synthetic: Dataset, seed: int = 0) -> EvalReport:
     """Full metric suite over (real train, real test, synthetic)."""
     for other in (real_test, synthetic):
         if other.schema.columns != real_train.schema.columns:
@@ -191,7 +189,7 @@ def evaluate(real_train: Dataset, real_test: Dataset, synthetic: Dataset,
         raise DataError(f"the held-out rows cannot score the zoo: {exc}") from None
 
     ratio, flag = disparate_impact(ys, csyn)
-    lrd_value = lrd(real_train, synthetic, folds=folds, seed=seed)
+    lrd_value = lrd(real_train, synthetic, seed=seed)
 
     return EvalReport(
         aucroc_best=max(per_model.values()),

@@ -86,11 +86,12 @@ class ColumnPost:
     Binary columns carry the training positive rate (the synthetic column
     is thresholded at its own quantile of 1 - rate). Continuous columns, a
     regression label included, carry training values at `QUANTILE_POINTS`
-    evenly spaced levels; a label's grid also centres and scales the label
-    into [-1, 1] for fitting (its ends give the range, its mean the
-    centre). Sampling maps the ranks of a coordinate through its grid,
-    keeping every restored value in the training range. Categorical
-    columns carry neither.
+    evenly spaced levels. The ends of every grid are the column's range,
+    by which `pre_normalize` scales a modelled column into [0, 1]; a
+    label's grid also centres and scales the label into [-1, 1] for
+    fitting (its ends give the range, its mean the centre). Sampling maps
+    the ranks of a coordinate through its grid, keeping every restored
+    value in the training range. Categorical columns carry neither.
     """
 
     rate: float = 0.0
@@ -232,16 +233,16 @@ def layout(schema: Schema, mode: str) -> tuple[dict[int, slice], int]:
     return rows, offset + 1
 
 
-def pre_normalize(dataset: Dataset, categorical_noise_sigma: float, seed,
-                  mode: str = MODE_UNSUPERVISED) -> np.ndarray:
+def pre_normalize(dataset: Dataset, posts: tuple[ColumnPost, ...], seed, mode: str) -> np.ndarray:
     """Expand the columns `mode` models into a d_eff x n matrix of unit-norm
     sample vectors, at the rows `layout` gives them.
 
     Categorical columns become one-hot blocks with zero-mean Gaussian
-    noise of the given std added to every one-hot entry; binary columns
-    map to one coordinate unchanged; continuous columns map to one
-    coordinate min-max scaled into [0, 1] so that no single column
-    dominates the sample norm. The constant anchor coordinate 1 (an
+    noise of std `CATEGORICAL_NOISE_SIGMA` added to every one-hot entry;
+    binary columns map to one coordinate unchanged; continuous columns map
+    to one coordinate scaled into [0, 1] by the ends of their quantile grid
+    in `posts` (one `ColumnPost` per schema column), so that no single
+    column dominates the sample norm. The constant anchor coordinate 1 (an
     all-zero row would otherwise have no direction) fills the last row,
     then every sample (column of the result) is scaled to unit Euclidean
     norm.
@@ -256,10 +257,9 @@ def pre_normalize(dataset: Dataset, categorical_noise_sigma: float, seed,
             block = X[at]
             block[:] = 0.0
             block[v.astype(int), np.arange(dataset.n)] = 1.0
-            if categorical_noise_sigma > 0:
-                block += rng.normal(0.0, categorical_noise_sigma, size=block.shape)
+            block += rng.normal(0.0, CATEGORICAL_NOISE_SIGMA, size=block.shape)
         elif kind == CONTINUOUS:
-            lo, hi = v.min(), v.max()
+            lo, hi = posts[j].quantile_grid[0], posts[j].quantile_grid[-1]
             X[at] = (v - lo) / (hi - lo) if hi > lo else 0.5
         else:
             X[at] = v
@@ -342,7 +342,7 @@ def fit(dataset: Dataset, config: GenerationConfig) -> RonGaussModel:
     rng_noise, rng_mu, rng_ron, rng_cov = (np.random.default_rng(s) for s in seq.spawn(4))
 
     posts = tuple(_column_post(schema.columns[j], dataset.values[:, j]) for j in range(schema.d))
-    X = pre_normalize(dataset, CATEGORICAL_NOISE_SIGMA, rng_noise, mode)
+    X = pre_normalize(dataset, posts, rng_noise, mode)
     labels = dataset.values[:, label_idx].copy() if mode != MODE_UNSUPERVISED else None
     # the table's last reader: a caller that hands it over (as generate does) frees it here
     del dataset
@@ -387,16 +387,14 @@ def _class_cells(Xp: np.ndarray, labels: np.ndarray, epsilon_sigma: float,
     epsilon_sigma. M = 2 x the release holds the size over n in its corner,
     the sum over n in its last column and the moment: with a = max(corner,
     p/n), weight = corner over the corners' sum, mean = sum/a and sigma =
-    the repaired moment/a - mean mean^T."""
+    the repaired moment/a - mean mean^T. A class's row count only sizes its
+    Z, so a class smaller than p releases a cell like any other."""
     p, n = Xp.shape
     class_values, counts = np.unique(labels, return_counts=True)
     if len(class_values) < 2:
         raise DataError("classification mode needs at least two label values")
     corners, means, sigmas = [], [], []
     for value, count in zip(class_values, counts):
-        if count < p:
-            raise DataError(f"class {float(value)} has {count} samples, fewer than p={p}: "
-                            "covariance would be rank-deficient")
         # filled row by row: a copy of the class's columns to stack would be one more block
         Z = np.empty((p + 1, count))
         mask = labels == value

@@ -78,18 +78,14 @@ def test_evaluate_prints_report_and_kv(workdir):
     assert "AUCROC best" in proc.stdout
 
 
-def test_evaluate_report_file_holds_exactly_the_printed_text(workdir):
-    syn = workdir / "for_report.csv"
-    assert run_cli("generate", "--schema", workdir / "data.schema",
-                   "--input", workdir / "train.csv", "--output", syn,
-                   "--seed", "6", "--n-out", "600").returncode == 0
-    report = workdir / "eval.report"
-    proc = run_cli("evaluate", "--schema", workdir / "data.schema",
-                   "--input", workdir / "train.csv", "--test", workdir / "holdout.csv",
-                   "--synthetic", syn, "--seed", "1", "--report", report)
-    assert proc.returncode == 0, proc.stderr
-    assert "aucroc_best=" in proc.stdout
-    assert report.read_text(encoding="utf-8") == proc.stdout
+def test_evaluate_has_no_folds_or_report_flag(workdir):
+    # the discriminator always runs metrics.LRD_FOLDS folds, and the report
+    # goes to stdout alone
+    base = ("evaluate", "--schema", workdir / "data.schema", "--input", workdir / "train.csv",
+            "--test", workdir / "holdout.csv", "--synthetic", workdir / "holdout.csv")
+    for extra in (("--folds", "3"), ("--report", workdir / "f")):
+        proc = run_cli(*base, *extra)
+        assert proc.returncode == 2 and "unrecognized arguments" in proc.stderr, proc.stderr
 
 
 def test_bench_reports_growth_exponent(workdir):

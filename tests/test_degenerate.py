@@ -43,6 +43,12 @@ def _cases():
     label, protected = group.schema.label_index, group.schema.protected_index
     one_group_label = group.values.copy()
     one_group_label[group.values[:, protected] == 0, label] = 0.0
+    # one positive row in protected group 0 and two in group 1: the fair
+    # sample keeps 3 positives, a class smaller than p=4
+    few_positives = group.values.copy()
+    few_positives[:, label] = 0.0
+    for c, k in ((0, 1), (1, 2)):
+        few_positives[np.flatnonzero(group.values[:, protected] == c)[:k], label] = 1.0
     return {
         **{f"{k}-rows-in-a-class": _with_column(group, label, np.arange(N) < k) for k in (1, 2, 3)},
         "constant-continuous": _with_column(continuous, 0, 4.25),
@@ -50,6 +56,7 @@ def _cases():
         "empty-protected-group": _with_column(group, protected, 0.0),
         "one-label-in-one-group": Dataset(group.schema, one_group_label),
         "one-label-overall": _with_column(group, label, 0.0),
+        "class-smaller-than-p": Dataset(group.schema, few_positives),
         "float-limit-normal": one_feature_dataset(float_limit_column("normal", N, 14), seed=15),
         "float-limit-span": one_feature_dataset(float_limit_column("span", N, 16), seed=17),
         "70-code-bits": _wide_binary(70, seed=18),
@@ -102,3 +109,15 @@ def test_degenerate_input_releases_readable_output_or_fails_once(tmp_path, capsy
                     "--test", str(csv_path), "--synthetic", str(out)], capsys)
     if rc != 0:
         _assert_failed_once(rc, err)
+
+
+def test_a_class_smaller_than_p_is_released(tmp_path, capsys):
+    ds = CASES["class-smaller-than-p"]
+    schema_path, csv_path, audit = tmp_path / "t.schema", tmp_path / "t.csv", tmp_path / "o.audit"
+    save_schema(ds.schema, schema_path)
+    save_csv(ds, csv_path)
+    rc, err = _run(["generate", "--schema", str(schema_path), "--input", str(csv_path),
+                    "--output", str(tmp_path / "o.csv"), "--audit", str(audit), "--seed", "3"], capsys)
+    assert rc == 0 and err == [], err
+    assert cli.main(["inspect", "--audit", str(audit)]) == 0
+    assert "classes=2" in capsys.readouterr().out

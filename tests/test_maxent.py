@@ -38,8 +38,8 @@ def histogram(binary):
     return keys, counts
 
 
-def prior_of(binary, smooth=0.1):
-    return empirical_prior(*histogram(binary), smooth)
+def prior_of(binary):
+    return empirical_prior(*histogram(binary))
 
 
 def full_support(m):
@@ -59,10 +59,11 @@ def test_four_cell_solution_is_the_unique_feasible_point():
     # means, the product, normalization) pin the answer completely:
     # p11=0.2, p10=0.3, p01=0.2, p00=0.3, whatever the prior.
     binary = counts_to_binary({(1, 1): 30, (1, 0): 20, (0, 1): 10, (0, 0): 40})
-    constraints = fair_marginals(*histogram(binary), protected_bit=0, label_bit=1)
+    keys, counts = histogram(binary)
+    constraints = fair_marginals(keys, counts, protected_bit=0, label_bit=1)
     assert constraints.joint_target == pytest.approx(0.2)
     for smooth in (0.0, 0.1, 2.0):
-        prior = prior_of(binary, smooth=smooth)
+        prior = DiscreteDistribution(keys, (counts + smooth) / (counts.sum() + smooth * len(keys)))
         sol = solve_maxent(prior, constraints)
         cells = {tuple(code): p for code, p in zip(sol.distribution.support, sol.distribution.probs)}
         assert cells[(0, 0)] == pytest.approx(0.3, abs=1e-5)
@@ -200,7 +201,7 @@ def test_histogram_targets_and_rates_equal_the_row_means_bit_for_bit(name, bins)
 
 def test_empirical_prior_smoothing_formula():
     support = np.array([[0, 0], [1, 1]], dtype=np.uint8)
-    prior = empirical_prior(support, np.array([3, 1]), smooth=0.1)
+    prior = empirical_prior(support, np.array([3, 1]))  # FAIR_PRIOR_SMOOTH = 0.1
     want = np.array([3.1, 1.1]) / 4.2
     assert np.allclose(prior.probs, want / want.sum(), atol=1e-15)
     assert prior.support.tolist() == [[0, 0], [1, 1]]

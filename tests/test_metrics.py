@@ -124,8 +124,6 @@ def test_lrd_subsamples_and_validates():
     small = mixed_dataset(300, seed=3)
     value = lrd(big, small, seed=0)  # sides unequal: larger one is subsampled
     assert 0.0 <= value <= 1.0
-    with pytest.raises(DataError):
-        lrd(big, small, folds=1)
     other = binary_group_dataset(300, 0.2, 0.6, seed=0)
     with pytest.raises(DataError, match="schemas differ"):
         lrd(big, other)

@@ -26,7 +26,6 @@ from ffpdg.data import (
 from ffpdg.dp import PrivacyBudget, laplace_sample
 from ffpdg.errors import DataError, SchemaError, StageError
 from ffpdg.rongauss import (
-    CATEGORICAL_NOISE_SIGMA,
     QUANTILE_POINTS,
     _column_post,
     _match_quantiles,
@@ -112,6 +111,11 @@ def _continuous_label(ds):
     return Dataset(Schema((*features, ColumnSpec(label.name, CONTINUOUS, role=ROLE_LABEL))), ds.values)
 
 
+def _posts(ds):
+    """The per-column calibration `fit` publishes, which `pre_normalize` scales by."""
+    return tuple(_column_post(col, ds.values[:, j]) for j, col in enumerate(ds.schema.columns))
+
+
 def test_pre_normalize_layout_and_unit_norms():
     mixed = mixed_dataset(100, seed=5)
     # 1 continuous + 3 one-hot + 2 binary + anchor, and the label row in
@@ -119,10 +123,10 @@ def test_pre_normalize_layout_and_unit_norms():
     for mode, d_eff in (("unsupervised", 7), ("classification", 6), ("regression", 6)):
         ds = _continuous_label(mixed) if mode == "regression" else mixed
         rows, d = layout(ds.schema, mode)
-        X = pre_normalize(ds, categorical_noise_sigma=0.0, seed=0, mode=mode)
+        X = pre_normalize(ds, _posts(ds), seed=0, mode=mode)
         assert d == d_eff and X.shape == (d_eff, 100)
         assert np.allclose(np.linalg.norm(X, axis=0), 1.0, atol=1e-12)
-        # noiseless one-hot: the argmax row recovers the level
+        # one-hot noise of std 0.01: the argmax row recovers the level
         assert np.array_equal(np.argmax(X[rows[1]], axis=0), ds.values[:, 1].astype(int))
         # min-max scaling keeps the continuous row's order
         height = ds.values[:, 0]
@@ -150,7 +154,7 @@ def test_pre_normalize_column_subset():
     assert layout(first, "unsupervised") == ({0: slice(0, 3), 1: slice(3, 4)}, 5)
     assert layout(first, "classification") == ({1: slice(0, 1)}, 2)
     ds = Dataset(first, np.array([[0.0, 1.0], [2.0, 0.0]]))
-    assert pre_normalize(ds, 0.0, seed=0, mode="classification").shape == (2, 2)
+    assert pre_normalize(ds, _posts(ds), seed=0, mode="classification").shape == (2, 2)
 
 
 def test_quantile_grid_ends_at_the_exact_min_and_max():
@@ -170,7 +174,7 @@ def test_quantile_grid_ends_at_the_exact_min_and_max():
 
 def test_center_and_renormalize_recovers_mean_at_loose_budget():
     ds = mixed_dataset(300, seed=7)
-    X = pre_normalize(ds, 0.01, seed=1)
+    X = pre_normalize(ds, _posts(ds), seed=1, mode="unsupervised")
     Xbar, mu = center_and_renormalize(X.copy(), LOOSE, seed=2)  # it centres its argument in place
     assert np.abs(mu - X.mean(axis=1)).max() < 1e-6
     assert np.allclose(np.linalg.norm(Xbar, axis=0), 1.0, atol=1e-12)
@@ -202,15 +206,16 @@ def test_fit_mode_type_mismatch_errors():
         fit(regression_dataset(50, 1), GenerationConfig(budget=LOOSE, mode="classification"))
 
 
-def test_fit_rejects_class_smaller_than_p():
+def test_a_class_smaller_than_p_releases_a_cell():
+    # a class's cell is a noised moment over the public n, so one row is enough
     ds = binary_group_dataset(60, 0.02, 0.02, seed=2, n_features=6)
-    # label rate ~2%: with p=7 some class is almost surely too small
     values = ds.values.copy()
     values[:, -1] = 0.0
-    values[0, -1] = 1.0  # exactly one positive row
-    lopsided = Dataset(ds.schema, values)
-    with pytest.raises(DataError, match="fewer than p"):
-        fit(lopsided, GenerationConfig(budget=LOOSE, p=4))
+    values[0, -1] = 1.0  # exactly one positive row, with p=4
+    model = fit(Dataset(ds.schema, values), GenerationConfig(budget=LOOSE, p=4))
+    assert model.class_values == (0.0, 1.0)
+    assert abs(model.weights_dp[1] - 1 / 60) < 1e-4
+    assert sample(model, 100, seed=1).n == 100
 
 
 def test_fit_sample_classification_round_trip():
@@ -261,8 +266,8 @@ def test_fitted_covariance_matches_projected_second_moment():
     model = fit(ds, config)
 
     seq = np.random.SeedSequence(21)
-    rng_noise, rng_mu, rng_ron, _, _ = (np.random.default_rng(s) for s in seq.spawn(5))
-    X = pre_normalize(ds, CATEGORICAL_NOISE_SIGMA, rng_noise)
+    rng_noise, rng_mu, rng_ron, _ = (np.random.default_rng(s) for s in seq.spawn(4))
+    X = pre_normalize(ds, model.postprocess, rng_noise, "unsupervised")
     Xbar, _ = center_and_renormalize(X, config.budget, rng_mu)
     W = make_ron(X.shape[0], 4, rng_ron).W
     assert np.array_equal(W, model.projection.W)
