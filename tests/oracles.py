@@ -7,8 +7,10 @@ reference runs gradient descent on the dual (the library takes Newton
 steps on the dual), the logistic-regression reference runs quasi-Newton
 L-BFGS (the library takes exact Newton steps), the stacked
 logistic-regression fit is the library's Newton loop with its design
-matrix built by np.hstack and a sigmoid by boolean masks (the library
-fills the design in place and takes a mask-free sigmoid), the tree
+matrix built by np.hstack, each loss recomputed from fresh scores and a
+sigmoid by boolean masks (the library fills the design in place and
+takes the loss and the probabilities from one mask-free exponential
+per evaluated point), the tree
 reference argsorts every feature at every node (the library sorts once
 per fit), the AUC reference counts pairs one by one, the quantile-matching
 reference builds every tie run's bounds and interpolates all runs in one
@@ -37,7 +39,7 @@ from ffpdg.data import BINARY, CATEGORICAL, Dataset
 from ffpdg.errors import DataError
 from ffpdg.maxent import ParityConstraints, feature_matrix
 from ffpdg.models import (LR_L2, LR_MAX_HALVINGS, LR_MAX_ITER, LR_TOLERANCE, TREE_MAX_DEPTH,
-                          TREE_MIN_LEAF, lr_loss)
+                          TREE_MIN_LEAF)
 
 
 def kl_projection(prior_probs, features, targets):
@@ -166,19 +168,25 @@ def two_branch_sigmoid(z):
 
 
 def stacked_lr_fit(X, y):
-    """The zoo's Newton fit with its design matrix built by np.hstack, its
-    first loss from `lr_loss` at zero and the two-branch sigmoid:
-    (w, b, loss_trace)."""
-    X = np.asarray(X, dtype=np.float64)
+    """The zoo's Newton fit with its column-major design matrix built by
+    np.hstack, every loss computed afresh from its scores by the
+    log1p(exp(-|z|)) form, and the two-branch sigmoid: (w, b, loss_trace)."""
+    X = np.asfortranarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     n, d = X.shape
-    Xa = np.hstack([(X - mean) / std, np.ones((n, 1))])
+    Xa = np.asfortranarray(np.hstack([(X - mean) / std, np.ones((n, 1))]))
     penalty = np.append(np.full(d, LR_L2), 0.0)
+
+    def loss(theta):
+        z = Xa @ theta
+        value = np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z)
+        return value + 0.5 * LR_L2 * float(theta[:d] @ theta[:d])
+
     theta = np.zeros(d + 1)
-    trace = [lr_loss(theta[:d], theta[d], Xa[:, :d], y, LR_L2)]
+    trace = [loss(theta)]
     for _ in range(LR_MAX_ITER):
         p = two_branch_sigmoid(Xa @ theta)
         grad = Xa.T @ (p - y) / n + penalty * theta
@@ -188,7 +196,7 @@ def stacked_lr_fit(X, y):
             break
         for t in 0.5 ** np.arange(LR_MAX_HALVINGS):
             cand = theta - t * step
-            value = lr_loss(cand[:d], cand[d], Xa[:, :d], y, LR_L2)
+            value = loss(cand)
             if value <= trace[-1]:
                 break
         else:

@@ -75,6 +75,31 @@ def test_logistic_regression_reaches_the_optimum():
     assert abs(fitted - lbfgs_lr_optimum(models.lr_loss, Xs, y, l2)) <= 1e-9
 
 
+def test_logistic_regression_reaches_the_optimum_on_a_discriminator_fold():
+    # lrd's shape: two pooled draws of all five columns, real = 1, synthetic = 0
+    real, synthetic = make_adult(8000, 21), make_adult(8000, 22)
+    X = np.vstack([real.values, synthetic.values])
+    y = np.concatenate([np.ones(8000), np.zeros(8000)])
+    clf = models.fit(models.LOGISTIC_REGRESSION, X, y)
+    p, l2 = clf.params, models.LR_L2
+    Xs = (X - p["mean"]) / p["std"]
+    fitted = models.lr_loss(p["w"], p["b"], Xs, y, l2)
+    assert abs(fitted - lbfgs_lr_optimum(models.lr_loss, Xs, y, l2)) <= 1e-9
+
+
+def test_lr_loss_matches_the_logaddexp_form():
+    z = np.array([0.0, 1e-310, -1e-310, 36.7, -36.7, 709.8, -709.8, 745.0, -745.0, 800.0, -800.0])
+    z = np.concatenate([z, np.random.default_rng(13).normal(scale=20.0, size=1000)])
+    for label in (0.0, 1.0):
+        y = np.full(len(z), label)
+        old = np.logaddexp(0.0, z) - y * z
+        new = np.array([models.lr_loss(np.ones(1), 0.0, np.array([[v]]), y[:1], 0.0) for v in z])
+        assert np.all(np.isfinite(new[np.isfinite(old)]))
+        # a few ulp of the larger of the two terms, which cancel for y = 1
+        scale = np.maximum(np.logaddexp(0.0, z), np.abs(y * z))
+        assert np.all(np.abs(new - old) <= 4 * np.spacing(scale))
+
+
 def test_gaussian_nb_approaches_bayes_on_its_own_model():
     r = np.random.default_rng(4)
     n = 2000
